@@ -28,6 +28,7 @@ from .ksgraph import (
     RaySet,
     RotationStep,
     ScheduleError,
+    TriadOrthogonalityError,
     assemble_ks_set,
     build_orthogonality_graph,
     dedupe_rays,

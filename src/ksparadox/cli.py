@@ -51,8 +51,6 @@ class RunConfig:
 
     step_angle: float
     gadget_params: tuple[float, float] | None
-    seed: int
-    n: int
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -66,8 +64,6 @@ class RunConfig:
         return cls(
             step_angle=math.radians(getattr(args, "step_angle_deg", 18.0)),
             gadget_params=params,
-            seed=getattr(args, "seed", 0),
-            n=getattr(args, "n", 100000),
         )
 
 
@@ -290,8 +286,8 @@ def cmd_emit_diagram(args: argparse.Namespace) -> int:
             assemble_ks_set(cfg.step_angle, gadget_params=cfg.gadget_params)
         )
     doc = graph_to_dot(graph)
-    nodes, edges = parse_dot_counts(doc.text)
-    assert (nodes, edges) == (doc.node_count, doc.edge_count)
+    if parse_dot_counts(doc.text) != (doc.node_count, doc.edge_count):
+        raise ValueError("emitted DOT does not read back to its own node and edge counts")
     _write_or_print(doc.text, args.out)
     return 0
 

@@ -79,11 +79,11 @@ def counts_to_csv(counts: Sequence[EnsembleCounts], seed: int) -> str:
     """Per-stage counts as CSV with the generator and seed recorded."""
     lines = [
         f"# generator={GENERATOR_NAME} seed={seed}",
-        "stage,theta_deg,n_plus,n_minus,n_zero,N",
+        "stage,theta_deg,n_plus,n_minus,N",
     ]
     for c in counts:
         lines.append(
-            f"{c.stage},{fmt9(math.degrees(c.theta))},{c.n_plus},{c.n_minus},{c.n_zero},{c.total}"
+            f"{c.stage},{fmt9(math.degrees(c.theta))},{c.n_plus},{c.n_minus},{c.total}"
         )
     return "\n".join(lines) + "\n"
 
@@ -99,7 +99,6 @@ def counts_to_json(counts: Sequence[EnsembleCounts], seed: int) -> str:
                     "theta_deg": math.degrees(c.theta),
                     "n_plus": c.n_plus,
                     "n_minus": c.n_minus,
-                    "n_zero": c.n_zero,
                     "N": c.total,
                 }
                 for c in counts

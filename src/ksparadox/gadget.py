@@ -30,9 +30,10 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
@@ -215,32 +216,44 @@ class AdmissiblePairSet:
         return (1, 0) not in self.pairs and (0, 1) not in self.pairs
 
 
-def _admissible_assignments() -> Iterator[tuple[int, ...]]:
-    """All 0/1 assignments of the ten roles satisfying both coloring rules:
-    exactly one 1 per triad, never two orthogonal rays both 1."""
-    for m in range(1 << len(GADGET_ROLES)):
-        v = tuple((m >> k) & 1 for k in range(len(GADGET_ROLES)))
-        if any(v[a] + v[b] + v[c] != 1 for a, b, c in GADGET_TRIADS):
-            continue
-        if any(v[i] and v[j] for i, j in GADGET_EDGES):
-            continue
-        yield v
+def satisfying_masks(
+    node_count: int, edges: Sequence[tuple[int, int]], triads: Sequence[tuple[int, int, int]]
+) -> list[int]:
+    """All 0/1 assignments of node_count nodes satisfying both coloring
+    rules (exactly one 1 per triad, never two adjacent 1s), as bitmasks with
+    node i in bit i, by a vectorized exhaustive 2^n scan."""
+    survivors: list[int] = []
+    chunk = 1 << 20
+    for start in range(0, 1 << node_count, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << node_count), dtype=np.int64)
+        ok = np.ones(masks.shape, dtype=bool)
+        for i, j in edges:
+            ok &= ((masks >> i) & 1) * ((masks >> j) & 1) == 0
+        for a, b, c in triads:
+            ok &= ((masks >> a) & 1) + ((masks >> b) & 1) + ((masks >> c) & 1) == 1
+        survivors.extend(int(m) for m in masks[ok])
+    return survivors
+
+
+@functools.cache
+def _gadget_lemma() -> AdmissiblePairSet:
+    masks = satisfying_masks(len(GADGET_ROLES), GADGET_EDGES, GADGET_TRIADS)
+    return AdmissiblePairSet(
+        pairs=frozenset(((m >> APEX) & 1, (m >> C3) & 1) for m in masks),
+        assignment_count=len(masks),
+    )
 
 
 def enumerate_gadget_assignments(g: GadgetSet) -> AdmissiblePairSet:
-    """Exhaustively enumerate all 2^10 value maps over the gadget's rays.
+    """Exhaustively enumerate all 2^10 value maps over the gadget's roles.
 
     Keeps assignments where each triad has exactly one ray valued 1 and no
     orthogonal pair is doubly valued 1, and reports which (apex, c3) value
     pairs survive together with the survivor count.  The forcing property is
-    read off the result, never asserted a priori.
+    read off the result, never asserted a priori.  The result depends only
+    on the role graph, not on g's coordinates, so it is computed once.
     """
-    pairs = set()
-    count = 0
-    for v in _admissible_assignments():
-        pairs.add((v[APEX], v[C3]))
-        count += 1
-    return AdmissiblePairSet(pairs=frozenset(pairs), assignment_count=count)
+    return _gadget_lemma()
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,24 @@
 """Assembly of the full chained ray set and its orthogonality graph.
 
 The construction sweeps a ten-ray gadget around the first octant in three
-legs of 18-degree steps.  The seed gadget is aligned so that its c2 ray
-points along +y and its apex along +z; leg one rotates it four times about
-c2 (the apex walks from z toward x, each copy's c3 landing on the next
-copy's apex), a 90-degree pivot about the current c3 starts leg two about
-the new c2 (= z), and a second pivot starts leg three (about x), closing a
-cycle of fifteen copies whose apex sequence passes through all three
-coordinate axes.  At an 18-degree step the 135 labeled triad rays collapse
-to 117 distinct rays: the three coordinate axes each occur seven times
-(five as c2 of one leg, once as a c3, once as a c1); every other ray is
-unique to its copy.
+legs of steps of 90/k degrees (k = 5, 18-degree steps, by default).  The
+seed gadget is aligned so that its c2 ray points along +y and its apex
+along +z; leg one rotates it k - 1 times about c2 (the apex walks from z
+toward x, each copy's c3 landing on the next copy's apex), a 90-degree pivot
+about the current c3 starts leg two about the new c2 (= z), and a second
+pivot starts leg three (about x), closing a cycle of 3k copies whose apex
+sequence passes through all three coordinate axes.  At an 18-degree step
+the 135 labeled triad rays collapse to 117 distinct rays: the three
+coordinate axes each occur seven times (five as c2 of one leg, once as a
+c3, once as a c1); every other ray is unique to its copy.
 
-Distinct rays of the construction are separated by at least ~1e-3 radians
-while true coincidences land at ~1e-16, so the 1e-7 dedup tolerance has
-several decades of guard band on both sides; the orthogonality graph's edge
-set is stable across tolerances 1e-6 .. 1e-8.
+The 1e-7 dedup tolerance sits well inside the measured guard band.  Labels
+that merge sit at angle 0 from their representative, or at most 2.1e-8 rad
+(k = 36), because acos near 1 cannot resolve less than about 1.5e-8.  The
+smallest separation between distinct rays shrinks with k: 3.2e-3 rad at
+k = 5, 7.5e-5 at k = 24 and 9.6e-6 on the open 2.25-degree chain.  The
+orthogonality graph's edge set at k = 5 is stable across tolerances
+1e-6 .. 1e-8.
 """
 
 from __future__ import annotations
@@ -37,16 +40,20 @@ from .gadget import (
     gadget_angle,
     offdiagonal_parameters_for_angle,
 )
-from .linalg import Context, Ray3, verify_completion
+from .linalg import ATOL_CONTEXT, Ray3
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
 DEDUP_TOL = 1e-7
 ORTHO_TOL = 1e-7
-TRIAD_COMPLETION_TOL = 1e-6
 
 
 class ScheduleError(ValueError):
-    """A rotation schedule referenced a missing axis or broke the sweep."""
+    """A rotation schedule referenced a missing axis or broke the sweep, or
+    a step angle does not divide 90 degrees."""
+
+
+class TriadOrthogonalityError(ValueError):
+    """A triangle of the graph is not orthogonal within ATOL_CONTEXT."""
 
 
 def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -63,10 +70,30 @@ def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     )
 
 
+def _transformed(m: np.ndarray, rays: Sequence[Ray3]) -> list[Ray3]:
+    # one 3x3 product per ray: batching as V @ m.T sums in another order and
+    # changes the last bits of the coordinates the census prints
+    return [Ray3.from_vector(m @ r.vec, r.label) for r in rays]
+
+
 def rotate_ray(r: Ray3, axis: Ray3, angle: float) -> Ray3:
     """Rotate a ray about an axis ray; norms and pairwise angles are
     preserved to 1e-12 (the result is re-canonicalized)."""
-    return Ray3.from_vector(rotation_matrix(axis.vec, angle) @ r.vec, r.label)
+    return _transformed(rotation_matrix(axis.vec, angle), [r])[0]
+
+
+def _ray_matrix(rays: Sequence[Ray3]) -> np.ndarray:
+    """(n, 3) array of the rays' unit vectors."""
+    return np.array([(r.x, r.y, r.z) for r in rays], dtype=float).reshape(-1, 3)
+
+
+def _first_within(vecs: np.ndarray, v: np.ndarray, tol: float) -> int | None:
+    """Index of the first row of vecs within angle tol of the ray v, or None:
+    the first with acos(min(1, |dot|)) <= tol, dot summed as in Ray3.dot."""
+    dots = np.minimum(1.0, np.abs(vecs[:, 0] * v[0] + vecs[:, 1] * v[1] + vecs[:, 2] * v[2]))
+    # np.arccos can differ from math.acos in the last bit: confirm each candidate
+    near = np.flatnonzero(np.arccos(dots) <= tol + 1e-15)
+    return next((int(i) for i in near if math.acos(dots[i]) <= tol), None)
 
 
 @dataclass(frozen=True)
@@ -86,14 +113,25 @@ class RotationStep:
 
 
 def default_schedule(step_angle: float = DEFAULT_STEP_ANGLE) -> tuple[RotationStep, ...]:
-    """The three-leg first-octant sweep: four steps about c2, a 90-degree
-    pivot about c3 then five steps about the new c2, and once more."""
+    """The closed three-leg first-octant sweep at k = 90 degrees / step_angle:
+    k - 1 steps about c2, a 90-degree pivot about c3 then k steps about the
+    new c2, and once more (legs 4/5/5 at the default 18 degrees).
+
+    Raises ScheduleError unless k is a positive integer to within 1e-9.
+    """
+    k = math.pi / 2.0 / step_angle if step_angle > 0.0 else 0.0
+    if not (math.isfinite(k) and k >= 1.0 and abs(k - round(k)) <= 1e-9):
+        raise ScheduleError(
+            f"step angle {math.degrees(step_angle)} deg does not divide 90 deg"
+        )
+    k = round(k)
+    pivot = RotationStep("c3", math.pi / 2.0, 1, emit=False)
     return (
-        RotationStep("c2", step_angle, 4),
-        RotationStep("c3", math.pi / 2.0, 1, emit=False),
-        RotationStep("c2", step_angle, 5),
-        RotationStep("c3", math.pi / 2.0, 1, emit=False),
-        RotationStep("c2", step_angle, 5),
+        RotationStep("c2", step_angle, k - 1),
+        pivot,
+        RotationStep("c2", step_angle, k),
+        pivot,
+        RotationStep("c2", step_angle, k),
     )
 
 
@@ -120,10 +158,7 @@ class RaySet:
         return sum(1 for lb in self.label_to_index if not lb.endswith("apex"))
 
     def index_of(self, r: Ray3, tol: float = DEDUP_TOL) -> int | None:
-        for i, u in enumerate(self.rays):
-            if u.angle_to(r) <= tol:
-                return i
-        return None
+        return _first_within(_ray_matrix(self.rays), r.vec, tol)
 
     def to_dict(self) -> dict:
         return {
@@ -134,34 +169,26 @@ class RaySet:
         }
 
 
-def _dedup_labeled(
-    labeled: Sequence[tuple[str, Ray3]], tol: float
-) -> tuple[list[Ray3], dict[str, int], list[tuple[str, str]]]:
-    """First-occurrence dedup by angular proximity."""
-    uniq: list[Ray3] = []
-    label_to_index: dict[str, int] = {}
-    merges: list[tuple[str, str]] = []
-    for label, ray in labeled:
-        for k, u in enumerate(uniq):
-            if u.angle_to(ray) <= tol:
-                label_to_index[label] = k
-                merges.append((label, u.label))
-                break
-        else:
-            label_to_index[label] = len(uniq)
-            uniq.append(ray.relabel(label))
-    return uniq, label_to_index, merges
-
-
 def dedupe_rays(rays: Sequence[Ray3], tol: float = DEDUP_TOL) -> RaySet:
     """Merge rays within angular tolerance; representative = first occurrence.
 
     Unlabeled rays are labeled by input position.
     """
-    labeled = [
-        (r.label if r.label else f"r{idx}", r) for idx, r in enumerate(rays)
-    ]
-    uniq, label_to_index, merges = _dedup_labeled(labeled, tol)
+    reps = np.empty((len(rays), 3))
+    uniq: list[Ray3] = []
+    label_to_index: dict[str, int] = {}
+    merges: list[tuple[str, str]] = []
+    for idx, ray in enumerate(rays):
+        label = ray.label or f"r{idx}"
+        v = ray.vec
+        k = _first_within(reps[: len(uniq)], v, tol)
+        if k is None:
+            k = len(uniq)
+            reps[k] = v
+            uniq.append(ray.relabel(label))
+        else:
+            merges.append((label, uniq[k].label))
+        label_to_index[label] = k
     return RaySet(
         rays=tuple(uniq),
         label_to_index=label_to_index,
@@ -175,16 +202,11 @@ def _align_gadget(g: GadgetSet) -> list[Ray3]:
     w = g.rays[APEX].vec
     u = g.rays[GADGET_ROLES.index("c2")].vec
     rot = np.stack([np.cross(u, w), u, w])  # maps u x w -> x, u -> y, w -> z
-    rays = [Ray3.from_vector(rot @ r.vec, r.label) for r in g.rays]
+    rays = _transformed(rot, g.rays)
     if rays[C3].x < 0.0:
         flip = np.diag([-1.0, -1.0, 1.0])  # half turn about z; same rays for axis images
-        rays = [Ray3.from_vector(flip @ r.vec, r.label) for r in rays]
+        rays = _transformed(flip, rays)
     return rays
-
-
-def _rotate_copy(rays: Sequence[Ray3], axis: Ray3, angle: float) -> list[Ray3]:
-    rot = rotation_matrix(axis.vec, angle)
-    return [Ray3.from_vector(rot @ r.vec, r.label) for r in rays]
 
 
 def assemble_ks_set(
@@ -226,45 +248,37 @@ def assemble_ks_set(
         if step.axis_role not in GADGET_ROLES:
             raise ScheduleError(f"schedule references unknown axis role {step.axis_role!r}")
         axis_index = GADGET_ROLES.index(step.axis_role)
-        sign = 0
+        sign = 0 if step.emit else +1
         for _ in range(step.repetitions):
             axis = current[axis_index]
-            if not step.emit:
-                current = _rotate_copy(current, axis, step.angle)
-                continue
-            tail = copies[-1][C3]
             if sign == 0:
-                for cand_sign in (+1, -1):
-                    cand = _rotate_copy(current, axis, cand_sign * step.angle)
-                    if cand[APEX].angle_to(tail) <= dedup_tol:
-                        sign, current = cand_sign, cand
-                        break
-                else:
-                    sign, current = +1, _rotate_copy(current, axis, step.angle)
-            else:
-                current = _rotate_copy(current, axis, sign * step.angle)
-            copies.append(current)
+                tail = copies[-1][C3]
+                apexes = {s: rotate_ray(current[APEX], axis, s * step.angle) for s in (+1, -1)}
+                sign = next((s for s, r in apexes.items() if r.angle_to(tail) <= dedup_tol), +1)
+            current = _transformed(rotation_matrix(axis.vec, sign * step.angle), current)
+            if step.emit:
+                copies.append(current)
 
     # triad labels first, apex labels last: in a chained sweep every apex ray
     # already occurs as some copy's c3 (or c1), so representatives stay triad
     # labels and the merge census counts triad-label overlaps directly
     labeled = [
-        (f"g{ci + 1:02d}:{GADGET_ROLES[ri]}", cp[ri])
+        cp[ri].relabel(f"g{ci + 1:02d}:{GADGET_ROLES[ri]}")
         for ci, cp in enumerate(copies)
         for ri in range(1, len(GADGET_ROLES))
-    ] + [(f"g{ci + 1:02d}:apex", cp[APEX]) for ci, cp in enumerate(copies)]
-    uniq, label_to_index, merges = _dedup_labeled(labeled, dedup_tol)
+    ] + [cp[APEX].relabel(f"g{ci + 1:02d}:apex") for ci, cp in enumerate(copies)]
+    deduped = dedupe_rays(labeled, dedup_tol)
     copy_maps = tuple(
         {
-            role: label_to_index[f"g{ci + 1:02d}:{role}"]
+            role: deduped.label_to_index[f"g{ci + 1:02d}:{role}"]
             for role in GADGET_ROLES
         }
         for ci in range(len(copies))
     )
     return RaySet(
-        rays=tuple(uniq),
-        label_to_index=label_to_index,
-        merges=tuple(merges),
+        rays=deduped.rays,
+        label_to_index=deduped.label_to_index,
+        merges=deduped.merges,
         copies=copy_maps,
         provenance={
             "step_angle": step_angle,
@@ -283,8 +297,8 @@ class OrthogonalityGraph:
     """Rays, orthogonal-pair edges, and triads (all triangles).
 
     Edges are sorted index pairs; the relation is symmetric and irreflexive
-    by construction.  For graphs built from rays, every triangle is verified
-    to be a genuine mutually orthogonal triple via the completion check.
+    by construction.  For graphs built from rays, every triangle is checked
+    to be mutually orthogonal within 1e-9.
     """
 
     node_count: int
@@ -310,11 +324,7 @@ class OrthogonalityGraph:
         )
 
     def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.node_count)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        return _adjacency(self.node_count, self.edges)
 
     def to_dict(self) -> dict:
         d = {
@@ -327,19 +337,21 @@ class OrthogonalityGraph:
         return d
 
 
-def _triangles(
-    node_count: int, edges: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, int, int], ...]:
+def _adjacency(node_count: int, edges: Sequence[tuple[int, int]]) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(node_count)]
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
-    out = []
-    for i, j in edges:
-        for k in sorted(adj[i] & adj[j]):
-            if k > j:
-                out.append((i, j, k))
-    return tuple(out)
+    return adj
+
+
+def _triangles(
+    node_count: int, edges: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int, int], ...]:
+    adj = _adjacency(node_count, edges)
+    return tuple(
+        (i, j, k) for i, j in edges for k in sorted(adj[i] & adj[j]) if k > j
+    )
 
 
 def build_orthogonality_graph(
@@ -347,21 +359,24 @@ def build_orthogonality_graph(
 ) -> OrthogonalityGraph:
     """Edges = all ray pairs with |dot| <= tol; triads = all triangles.
 
-    Every triangle is asserted to pass the completion check within 1e-6.
+    Raises TriadOrthogonalityError, naming the nodes, when two rays of a
+    triangle have |dot| above ATOL_CONTEXT (1e-9), the measurement-context
+    tolerance: such a triangle passed the looser edge tolerance only.
     """
     rays = tuple(source.rays if isinstance(source, RaySet) else source)
     n = len(rays)
-    mat = np.array([r.vec for r in rays]) if n else np.zeros((0, 3))
-    dots = np.abs(mat @ mat.T)
-    edges = tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if dots[i, j] <= tol
-    )
+    mat = _ray_matrix(rays)
+    dots = mat @ mat.T
+    near = np.abs(dots, out=dots) <= tol
+    del dots  # the only n x n float matrix; free it before the boolean copies
+    rows, cols = np.nonzero(np.triu(near, 1))
+    edges = tuple(zip(rows.tolist(), cols.tolist()))
     triads = _triangles(n, edges)
-    for a, b, c in triads:
-        ctx = Context.spin1((rays[a], rays[b], rays[c]))
-        residual = verify_completion(ctx)
-        if residual > TRIAD_COMPLETION_TOL:
-            raise AssertionError(
-                f"triangle ({a}, {b}, {c}) fails completion: residual {residual}"
-            )
+    for t in triads:
+        for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
+            dot = abs(rays[a].dot(rays[b]))
+            if dot > ATOL_CONTEXT:
+                raise TriadOrthogonalityError(
+                    f"triangle {t}: nodes {a} and {b} have |dot| {dot:.3g} > {ATOL_CONTEXT}"
+                )
     return OrthogonalityGraph(node_count=n, edges=edges, triads=triads, rays=rays)

@@ -62,15 +62,14 @@ class EnsembleCounts:
     theta: float
     n_plus: int
     n_minus: int
-    n_zero: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.n_plus, self.n_minus, self.n_zero) < 0:
+        if min(self.n_plus, self.n_minus) < 0:
             raise ValueError("branch counts must be nonnegative")
 
     @property
     def total(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
+        return self.n_plus + self.n_minus
 
     @property
     def fraction_plus(self) -> float:

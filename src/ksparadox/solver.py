@@ -8,20 +8,18 @@ check_colorability is a complete deterministic backtracking search with
 unit propagation; enumerate_all_colorings is a deliberately dumb exhaustive
 scan used as ground truth against it.  forcing_chain_check re-derives the
 uncolorability of the chained ray set by a route independent of the search:
-per-link exhaustive gadget enumeration plus the cyclic propagation argument
-through the coordinate axes.
+the gadget lemma (one exhaustive enumeration of the ten-role graph, computed
+once), a geometric check that each link realizes that role graph, and the
+cyclic propagation argument through the coordinate axes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Literal
-
-import numpy as np
 
 from .gadget import (
     APEX,
@@ -29,8 +27,8 @@ from .gadget import (
     GADGET_EDGES,
     GADGET_ROLES,
     AdmissiblePairSet,
-    GadgetSet,
-    enumerate_gadget_assignments,
+    _gadget_lemma,
+    satisfying_masks,
 )
 from .ksgraph import OrthogonalityGraph, RaySet
 from .linalg import X_AXIS, Y_AXIS, Z_AXIS
@@ -224,7 +222,8 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
     )
     if sat:
         witness = ValueAssignment({i: value[i] for i in range(n)})
-        assert not verify_assignment(g, witness)
+        if verify_assignment(g, witness):
+            raise RuntimeError("search returned a witness that breaks the coloring rules")
         return SolverVerdict(outcome="SAT", witness=witness, stats=solver_stats)
     payload = json.dumps(trail, separators=(",", ":")).encode()
     return SolverVerdict(
@@ -234,22 +233,6 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
         certificate=zlib.compress(payload),
         certificate_digest=hashlib.sha256(payload).hexdigest(),
     )
-
-
-def _scan_masks(g: OrthogonalityGraph) -> list[int]:
-    """Vectorized exhaustive 2^n scan; returns satisfying bitmasks."""
-    n = g.node_count
-    survivors: list[int] = []
-    chunk = 1 << 20
-    for start in range(0, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        ok = np.ones(masks.shape, dtype=bool)
-        for i, j in g.edges:
-            ok &= ((masks >> i) & 1) * ((masks >> j) & 1) == 0
-        for a, b, c in g.triads:
-            ok &= ((masks >> a) & 1) + ((masks >> b) & 1) + ((masks >> c) & 1) == 1
-        survivors.extend(int(m) for m in masks[ok])
-    return survivors
 
 
 def enumerate_all_colorings(
@@ -266,7 +249,7 @@ def enumerate_all_colorings(
     if n > limit:
         raise SizeLimitError(f"{n} nodes exceeds enumeration cap {limit}")
     out = []
-    for mask in _scan_masks(g):
+    for mask in satisfying_masks(n, g.edges, g.triads):
         a = ValueAssignment.from_bits(mask, n)
         if not verify_assignment(g, a):
             out.append(a)
@@ -275,7 +258,8 @@ def enumerate_all_colorings(
 
 @dataclass(frozen=True)
 class LinkReport:
-    """One gadget copy of the chain, viewed as an apex -> c3 forcing link."""
+    """One gadget copy of the chain, viewed as an apex -> c3 forcing link;
+    pair_set is the role graph's lemma, shared by every link."""
 
     index: int
     pair_set: AdmissiblePairSet
@@ -332,10 +316,11 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     """Audit the chain of gadget copies in a swept RaySet.
 
     Checks that consecutive copies share the required ray (each copy's c3 is
-    the next copy's apex; ChainIntegrityError names the first broken link),
-    re-verifies each copy's fifteen orthogonality relations and its apex-c3
-    angle on the deduplicated rays, and runs the exhaustive per-link
-    enumeration to confirm the forced-pair property rather than assume it.
+    the next copy's apex; ChainIntegrityError names the first broken link)
+    and re-verifies each copy's fifteen orthogonality relations and its
+    apex-c3 angle on the deduplicated rays.  Those geometric checks tie every
+    link to the ten-role graph, whose forcing lemma is computed once by
+    exhaustive enumeration and read off, not assumed.
     """
     copies = chain.copies
     if not copies:
@@ -348,6 +333,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
             )
     cyclic = len(copies) > 1 and copies[-1]["c3"] == copies[0]["apex"]
 
+    lemma = _gadget_lemma()
     links = []
     for k, cp in enumerate(copies):
         rays = [chain.rays[cp[role]] for role in GADGET_ROLES]
@@ -361,18 +347,8 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
             raise ChainIntegrityError(
                 f"link {k}: apex-c3 angle {angle} differs from {gadget_angle}"
             )
-        view = GadgetSet(
-            x=float(chain.provenance.get("gadget_x", math.nan)),
-            y=float(chain.provenance.get("gadget_y", math.nan)),
-            rays=tuple(rays),
-        )
         links.append(
-            LinkReport(
-                index=k,
-                pair_set=enumerate_gadget_assignments(view),
-                max_edge_residual=residual,
-                angle=angle,
-            )
+            LinkReport(index=k, pair_set=lemma, max_edge_residual=residual, angle=angle)
         )
 
     axis_nodes = tuple(chain.index_of(ax) for ax in (X_AXIS, Y_AXIS, Z_AXIS))

@@ -2,12 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 from ksparadox.cli import main
 from ksparadox.emit import counts_to_csv, fmt9, graph_to_dot, parse_dot_counts
 from ksparadox.gadget import build_gadget, offdiagonal_parameters_for_angle
 from ksparadox.ksgraph import assemble_ks_set, build_orthogonality_graph
 from ksparadox.simulate import EnsembleSpec, run_sequence
+
+PAPER117 = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "paper117"
 
 
 class TestEmitters:
@@ -36,7 +39,7 @@ class TestEmitters:
         text = counts_to_csv(counts, seed=1)
         lines = text.strip().splitlines()
         assert lines[0].startswith("# generator=numpy.random.PCG64 seed=1")
-        assert lines[1] == "stage,theta_deg,n_plus,n_minus,n_zero,N"
+        assert lines[1] == "stage,theta_deg,n_plus,n_minus,N"
         assert len(lines) == 4
         assert lines[2].split(",")[-1] == "1000"
 
@@ -110,6 +113,19 @@ class TestCliCommands:
         assert doc["certificate_digest"]
         nodes, edges = parse_dot_counts(dot_path.read_text())
         assert (nodes, edges) == (117, 204)
+
+    def test_check_coloring_matches_paper117_reference(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        files = ("verdict.json", "graph.dot", "census.txt")
+        argv = ["check-coloring", "--out", files[0], "--dot", files[1], "--census", files[2]]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == (PAPER117 / "stdout.txt").read_bytes()
+        for name in files:
+            assert (tmp_path / name).read_bytes() == (PAPER117 / name).read_bytes(), name
+
+    def test_step_angle_not_dividing_90_is_an_error_exit(self, capsys):
+        assert main(["check-coloring", "--step-angle-deg", "17"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_check_coloring_single_gadget(self, capsys):
         assert main(["check-coloring", "--single-gadget"]) == 0

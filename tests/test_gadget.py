@@ -179,6 +179,11 @@ class TestForcingEnumeration:
         assert survivors == result.assignment_count
         assert frozenset(pair_set) == result.pairs
 
+    def test_lemma_shared_across_coordinates(self):
+        # the lemma depends only on the role graph, so it is computed once
+        a = enumerate_gadget_assignments(build_gadget(1.0, 1.0))
+        assert enumerate_gadget_assignments(build_gadget(0.7, -1.3)) is a
+
     def test_role_order(self):
         assert GADGET_ROLES[0] == "apex"
         assert GADGET_ROLES[9] == "c3"

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from ksparadox.gadget import build_gadget, offdiagonal_parameters_for_angle, solve_parameter_for_angle
 from ksparadox.ksgraph import (
+    DEDUP_TOL,
     DEFAULT_STEP_ANGLE,
     RotationStep,
     ScheduleError,
+    TriadOrthogonalityError,
     assemble_ks_set,
     build_orthogonality_graph,
     dedupe_rays,
@@ -67,6 +69,29 @@ class TestDedupeRays:
         assert rs.label_to_index["dup"] == 0
         assert ("dup", "first") in rs.merges
 
+    def test_matches_pairwise_scan(self):
+        # jittered copies of 20 directions, well inside or outside the
+        # tolerance; then a ray within tolerance of two representatives, and
+        # near-antipodes whose canonical signs differ (first component about
+        # SIGN_EPS), against a plain first-occurrence scan
+        rng = np.random.default_rng(5)
+        picks = rng.normal(size=(20, 3))[rng.integers(0, 20, size=60)]
+        jitter = rng.normal(size=(60, 3)) * rng.choice([1e-9, 1e-6], size=(60, 1))
+        t = DEDUP_TOL
+        edge_cases = [(1, 0, 0), (1, 1.5 * t, 0), (1, 0.75 * t, 0), (1.1e-12, -1, 0), (0.9e-12, 1, 0)]
+        rays = [Ray3.from_vector(v) for v in [*(picks + jitter), *edge_cases]]
+        expected, reps = {}, []
+        for idx, r in enumerate(rays):
+            k = next((k for k, u in enumerate(reps) if u.angle_to(r) <= DEDUP_TOL), len(reps))
+            if k == len(reps):
+                reps.append(r)
+            expected[f"r{idx}"] = k
+        rs = dedupe_rays(rays)
+        assert rs.label_to_index == expected
+        assert 20 < len(rs.rays) < 60
+        k = rs.label_to_index["r60"]
+        assert [rs.label_to_index[f"r{i}"] for i in range(60, 65)] == [k, k + 1, k, k + 2, k + 2]
+
 
 @pytest.fixture(scope="module")
 def rayset():
@@ -115,8 +140,7 @@ class TestAssembleDefault:
         assert rayset.provenance["step_angle"] == DEFAULT_STEP_ANGLE
 
     def test_distinct_rays_well_separated(self, rayset):
-        # true coincidences sit near 1e-16 and survivors near 1e-3, so the
-        # 1e-7 dedup tolerance has decades of guard band on both sides
+        # the closest distinct rays sit 3.2e-3 rad apart at k = 5
         vecs = np.array([r.vec for r in rayset.rays])
         dots = np.abs(vecs @ vecs.T)
         np.fill_diagonal(dots, 0.0)
@@ -154,6 +178,42 @@ class TestAssembleVariants:
 
         with pytest.raises(AngleRangeError):
             assemble_ks_set(step_angle=math.radians(25.0))
+
+    def test_default_schedule_at_18_degrees(self, rayset):
+        pivot = ["c3", math.pi / 2.0, 1, False]
+        assert rayset.provenance["schedule"] == [
+            ["c2", DEFAULT_STEP_ANGLE, 4, True],
+            pivot,
+            ["c2", DEFAULT_STEP_ANGLE, 5, True],
+            pivot,
+            ["c2", DEFAULT_STEP_ANGLE, 5, True],
+        ]
+
+    @pytest.mark.parametrize("deg", [17.0, 7.0])
+    def test_step_not_dividing_90_rejected(self, deg):
+        with pytest.raises(ScheduleError, match="does not divide 90"):
+            assemble_ks_set(step_angle=math.radians(deg))
+
+    def test_closed_k24_census(self):
+        rs = assemble_ks_set(step_angle=math.radians(90.0 / 24))
+        g = build_orthogonality_graph(rs)
+        assert (len(rs.rays), len(rs.merges)) == (573, 147)
+        assert (len(g.edges), len(g.triads)) == (1008, 214)
+        assert tuple(rs.index_of(a) for a in AXES) == (192, 7, 191)
+
+    @pytest.mark.parametrize("k", [5, 24])
+    def test_dedup_guard_band(self, k):
+        # every merge already holds at a third of the tolerance (merged
+        # labels sit at angle 0), and distinct rays stay ten tolerances apart
+        step = math.radians(90.0 / k)
+        rs = assemble_ks_set(step_angle=step)
+        tight = assemble_ks_set(step_angle=step, dedup_tol=DEDUP_TOL / 3)
+        assert tight.label_to_index == rs.label_to_index
+        assert tight.merges == rs.merges
+        vecs = np.array([r.vec for r in rs.rays])
+        dots = np.abs(vecs @ vecs.T)
+        np.fill_diagonal(dots, 0.0)
+        assert math.acos(min(1.0, float(np.max(dots)))) >= 10 * DEDUP_TOL
 
 
 class TestOrthogonalityGraph:
@@ -196,6 +256,13 @@ class TestOrthogonalityGraph:
         for a, b, c in g.triads:
             ctx = Context.spin1((g.rays[a], g.rays[b], g.rays[c]))
             assert verify_completion(ctx) <= 1e-6
+
+    def test_loose_triangle_names_nodes(self):
+        # pairwise |dot| of 5e-8: edges at ORTHO_TOL, but not a context
+        e = 2.5e-8
+        rays = [Ray3.from_vector(v) for v in ((1, e, e), (e, 1, e), (e, e, 1))]
+        with pytest.raises(TriadOrthogonalityError, match=r"nodes 0 and 1 have \|dot\| 5e-08"):
+            build_orthogonality_graph(rays)
 
     def test_abstract_structure(self):
         from ksparadox.ksgraph import OrthogonalityGraph

@@ -202,6 +202,16 @@ class TestForcingChain:
         with pytest.raises(ChainIntegrityError, match="link 6->7"):
             forcing_chain_check(math.radians(18.0), broken)
 
+    def test_ten_degree_sweep_contradiction(self):
+        step = math.radians(10.0)
+        rs = assemble_ks_set(step)
+        graph = build_orthogonality_graph(rs)
+        assert (len(rs.rays), len(graph.edges), len(graph.triads)) == (213, 372, 79)
+        assert check_colorability(graph).outcome == "UNSAT"
+        report = forcing_chain_check(step, rs)
+        assert len(report.links) == 27
+        assert report.contradiction_confirmed
+
     def test_wrong_angle_rejected(self):
         rs = assemble_ks_set()
         with pytest.raises(ChainIntegrityError):
