@@ -18,6 +18,7 @@ from .gadget import (
     build_gadget,
     enumerate_gadget_assignments,
     gadget_angle,
+    gadget_for_angle,
     minimize_gadget_cosine,
     offdiagonal_parameters_for_angle,
     solve_parameter_for_angle,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -25,13 +24,14 @@ from .emit import (
     to_json,
 )
 from .gadget import (
+    GadgetSet,
     build_gadget,
     enumerate_gadget_assignments,
     gadget_angle,
+    gadget_for_angle,
     minimize_gadget_cosine,
-    offdiagonal_parameters_for_angle,
 )
-from .ksgraph import assemble_ks_set, build_orthogonality_graph
+from .ksgraph import RaySet, assemble_ks_set, build_orthogonality_graph
 from .linalg import Ray3, context_for_direction, spin_half_eigenvectors
 from .simulate import (
     GENERATOR_NAME,
@@ -45,26 +45,16 @@ from .simulate import (
 from .solver import check_colorability, forcing_chain_check
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed run parameters shared by the subcommands."""
-
-    step_angle: float
-    gadget_params: tuple[float, float] | None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        params = None
-        x = getattr(args, "gadget_x", None)
-        y = getattr(args, "gadget_y", None)
-        if x is not None or y is not None:
-            if x is None or y is None:
-                raise ValueError("provide both --gadget-x and --gadget-y or neither")
-            params = (x, y)
-        return cls(
-            step_angle=math.radians(getattr(args, "step_angle_deg", 18.0)),
-            gadget_params=params,
-        )
+def _flag_rays(args: argparse.Namespace, single_gadget: bool) -> GadgetSet | RaySet:
+    """The rays --step-angle-deg, --gadget-x and --gadget-y select: one
+    gadget, or the swept set.  Explicit parameters must realize the step."""
+    if (args.gadget_x is None) != (args.gadget_y is None):
+        raise ValueError("provide both --gadget-x and --gadget-y or neither")
+    step = math.radians(args.step_angle_deg)
+    params = None if args.gadget_x is None else (args.gadget_x, args.gadget_y)
+    if single_gadget:
+        return gadget_for_angle(step, params)
+    return assemble_ks_set(step, gadget_params=params)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -88,8 +78,7 @@ def cmd_verify_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_build_set(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    rs = assemble_ks_set(cfg.step_angle, gadget_params=cfg.gadget_params)
+    rs = _flag_rays(args, single_gadget=False)
     sys.stdout.write(census_text(rs))
     if args.out:
         Path(args.out).write_text(to_json(rs.to_dict()))
@@ -97,18 +86,12 @@ def cmd_build_set(args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_gadget(cfg: RunConfig):
-    params = cfg.gadget_params or offdiagonal_parameters_for_angle(cfg.step_angle)
-    return build_gadget(*params)
-
-
 def cmd_check_coloring(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
+    source = _flag_rays(args, args.single_gadget)
+    graph = build_orthogonality_graph(source.rays)
+    verdict = check_colorability(graph)
     if args.single_gadget:
-        gadget = _single_gadget(cfg)
-        graph = build_orthogonality_graph(gadget.rays)
-        verdict = check_colorability(graph)
-        pairs = enumerate_gadget_assignments(gadget)
+        pairs = enumerate_gadget_assignments(source)
         print(f"verdict: {verdict.outcome}")
         print(f"admissible (apex, c3) pairs: {sorted(pairs.pairs)}")
         print(f"apex=1 forces c3=1: {pairs.forced_one_way}")
@@ -118,11 +101,8 @@ def cmd_check_coloring(args: argparse.Namespace) -> int:
                 + " ".join(str(verdict.witness[i]) for i in range(graph.node_count))
             )
     else:
-        rs = assemble_ks_set(cfg.step_angle, gadget_params=cfg.gadget_params)
-        graph = build_orthogonality_graph(rs)
-        verdict = check_colorability(graph)
-        chain = forcing_chain_check(cfg.step_angle, rs)
-        census = ray_census(rs)
+        chain = forcing_chain_check(math.radians(args.step_angle_deg), source)
+        census = ray_census(source)
         print(
             f"rays: {census['distinct_rays']} "
             f"(from {census['triad_labels']} labeled), "
@@ -137,7 +117,7 @@ def cmd_check_coloring(args: argparse.Namespace) -> int:
         for line in chain.summary():
             print(f"chain: {line}")
         if args.census:
-            Path(args.census).write_text(census_text(rs))
+            Path(args.census).write_text(census_text(source))
             print(f"wrote {args.census}")
     if args.out:
         Path(args.out).write_text(to_json(verdict.to_dict()))
@@ -278,13 +258,7 @@ def _degree_grid(count: int) -> list[float]:
 
 
 def cmd_emit_diagram(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    if args.single_gadget:
-        graph = build_orthogonality_graph(_single_gadget(cfg).rays)
-    else:
-        graph = build_orthogonality_graph(
-            assemble_ks_set(cfg.step_angle, gadget_params=cfg.gadget_params)
-        )
+    graph = build_orthogonality_graph(_flag_rays(args, args.single_gadget).rays)
     doc = graph_to_dot(graph)
     if parse_dot_counts(doc.text) != (doc.node_count, doc.edge_count):
         raise ValueError("emitted DOT does not read back to its own node and edge counts")

@@ -59,7 +59,8 @@ class DegenerateParameterError(ValueError):
 
 
 class AngleRangeError(ValueError):
-    """A requested gadget angle lies outside (0, arccos(sqrt(8)/3)]."""
+    """A requested gadget angle lies outside (0, arccos(sqrt(8)/3)], or
+    explicit parameters do not realize it."""
 
 
 def raw_gadget_vectors(x: float, y: float) -> tuple[np.ndarray, ...]:
@@ -144,10 +145,35 @@ def gadget_angle(x: float, y: float) -> float:
     return float(np.arccos(np.clip(gadget_cosine(x, y), -1.0, 1.0)))
 
 
-def _bisect_monotone(f, lo: float, hi: float, target: float, iters: int = 200) -> float:
-    for _ in range(iters):
+def _check_angle(target: float) -> None:
+    if not (0.0 < target <= MAX_GADGET_ANGLE + 1e-12):
+        raise AngleRangeError(
+            f"angle {math.degrees(target):.9g} deg outside "
+            f"(0, {math.degrees(MAX_GADGET_ANGLE):.9g}] deg"
+        )
+
+
+def _solve_rising(params, grid: np.ndarray, target: float) -> float:
+    """Point p of grid's range with gadget_angle(*params(p)) = target.
+
+    The angle is checked to rise on the grid up to its peak, then bisected
+    on (0, peak]; params maps a scalar or an array to (x, y).
+    """
+    _check_angle(target)
+    angles = np.arccos(np.clip(gadget_cosine(*params(grid)), -1.0, 1.0))
+    peak = int(np.argmax(angles))
+    hi = float(grid[peak])
+    if angles[peak] + 1e-12 < target:
+        raise AngleRangeError(
+            f"angle {math.degrees(target):.9g} deg is not reachable: the peak "
+            f"is {math.degrees(angles[peak]):.9g} deg at (x, y) = {params(hi)}"
+        )
+    if np.any(np.diff(angles[: peak + 1]) < -1e-12):
+        raise RuntimeError(f"gadget angle is not monotone below its peak at {params(hi)}")
+    lo = 0.0
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f(mid) < target:
+        if gadget_angle(*params(mid)) < target:
             lo = mid
         else:
             hi = mid
@@ -158,17 +184,9 @@ def solve_parameter_for_angle(target: float) -> float:
     """Diagonal parameter t with gadget_angle(t, t) = target, by bisection.
 
     Valid targets lie in (0, arccos(sqrt(8)/3)].  Monotonicity of the angle
-    in t is verified on a 1e-3 grid before searching.
+    in t is verified on a 1e-3 grid before searching; it peaks at t = 1.
     """
-    if not (0.0 < target <= MAX_GADGET_ANGLE + 1e-12):
-        raise AngleRangeError(
-            f"target angle {target} outside (0, {MAX_GADGET_ANGLE}]"
-        )
-    ts = np.arange(1e-3, 1.0 + 1e-9, 1e-3)
-    angles = np.arccos(np.clip(gadget_cosine(ts, ts), -1.0, 1.0))
-    if np.any(np.diff(angles) < -1e-12):
-        raise RuntimeError("diagonal gadget angle is not monotone on (0, 1]")
-    return _bisect_monotone(lambda t: gadget_angle(t, t), 0.0, 1.0, target)
+    return _solve_rising(lambda t: (t, t), np.arange(1e-3, 1.0 + 1e-9, 1e-3), target)
 
 
 def offdiagonal_parameters_for_angle(target: float, x: float = 1.0) -> tuple[float, float]:
@@ -181,21 +199,26 @@ def offdiagonal_parameters_for_angle(target: float, x: float = 1.0) -> tuple[flo
     construction expects; fixing x away from y breaks it.  y is searched on
     the rising branch below the fixed-x peak angle.
     """
-    if not (0.0 < target <= MAX_GADGET_ANGLE + 1e-12):
+    return x, _solve_rising(lambda y: (x, y), np.arange(1e-3, 4.0, 1e-3), target)
+
+
+def gadget_for_angle(target: float, params: tuple[float, float] | None) -> GadgetSet:
+    """The gadget whose apex-to-c3 angle is target.
+
+    Raises AngleRangeError, in degrees, when target lies outside
+    (0, arccos(sqrt(8)/3)] or when explicit params (x, y) do not realize it
+    to within 1e-9 (a non-finite closed form included).  Without params,
+    x = 1 and y is solved for.
+    """
+    _check_angle(target)
+    x, y = params if params is not None else offdiagonal_parameters_for_angle(target)
+    realized = gadget_angle(x, y)
+    if not abs(realized - target) <= 1e-9:
         raise AngleRangeError(
-            f"target angle {target} outside (0, {MAX_GADGET_ANGLE}]"
+            f"gadget at ({x}, {y}) realizes {math.degrees(realized):.9g} deg, "
+            f"not {math.degrees(target):.9g} deg"
         )
-    ys = np.arange(1e-3, 4.0, 1e-3)
-    angles = np.arccos(np.clip(gadget_cosine(np.full_like(ys, x), ys), -1.0, 1.0))
-    peak = int(np.argmax(angles))
-    if angles[peak] + 1e-12 < target:
-        raise AngleRangeError(
-            f"angle {target} is not reachable with x = {x} (peak {angles[peak]})"
-        )
-    if np.any(np.diff(angles[: peak + 1]) < -1e-12):
-        raise RuntimeError(f"gadget angle is not monotone in y below the x = {x} peak")
-    y = _bisect_monotone(lambda yy: gadget_angle(x, yy), 0.0, float(ys[peak]), target)
-    return x, y
+    return build_gadget(x, y)
 
 
 @dataclass(frozen=True)
@@ -272,6 +295,8 @@ def minimize_gadget_cosine(grid_n: int = 401, refine_iters: int = 6) -> BoundRep
     Coarse grid scan followed by local grid refinement (zoom factor 5 per
     iteration) around the best point.
     """
+    if grid_n < 2:
+        raise ValueError("grid needs at least 2 points")
     xs = np.linspace(-2.0, 2.0, grid_n)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     cos = gadget_cosine(gx, gy)

@@ -24,22 +24,12 @@ orthogonality graph's edge set at k = 5 is stable across tolerances
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .gadget import (
-    APEX,
-    C3,
-    GADGET_ROLES,
-    MAX_GADGET_ANGLE,
-    AngleRangeError,
-    GadgetSet,
-    build_gadget,
-    gadget_angle,
-    offdiagonal_parameters_for_angle,
-)
+from .gadget import APEX, C3, GADGET_ROLES, GadgetSet, gadget_for_angle
 from .linalg import ATOL_CONTEXT, Ray3
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
@@ -220,25 +210,15 @@ def assemble_ks_set(
     With default arguments this is the 18-degree three-leg sweep over an
     off-diagonal gadget realization (x fixed at 1, y solved for the step
     angle) and yields exactly 117 distinct rays from 135 labeled triad rays.
-    Explicit gadget_params must realize step_angle (checked to 1e-9).
+    Explicit gadget_params must realize step_angle (checked to 1e-9 by
+    gadget_for_angle, which also rejects steps outside the gadget's range).
 
     Rotation step signs are resolved so each emitted copy's apex lands on
     the previously emitted copy's c3 whenever one of the two signs achieves
     it; schedules for which neither sign chains simply keep the positive
     sense.
     """
-    if gadget_params is None:
-        if not (0.0 < step_angle < MAX_GADGET_ANGLE):
-            raise AngleRangeError(
-                f"step angle {step_angle} outside (0, {MAX_GADGET_ANGLE})"
-            )
-        gadget_params = offdiagonal_parameters_for_angle(step_angle)
-    x, y = gadget_params
-    if abs(gadget_angle(x, y) - step_angle) > 1e-9:
-        raise AngleRangeError(
-            f"gadget at ({x}, {y}) realizes angle {gadget_angle(x, y)}, not {step_angle}"
-        )
-    gadget = build_gadget(x, y)
+    gadget = gadget_for_angle(step_angle, gadget_params)
     if schedule is None:
         schedule = default_schedule(step_angle)
 
@@ -275,15 +255,13 @@ def assemble_ks_set(
         }
         for ci in range(len(copies))
     )
-    return RaySet(
-        rays=deduped.rays,
-        label_to_index=deduped.label_to_index,
-        merges=deduped.merges,
+    return replace(
+        deduped,
         copies=copy_maps,
         provenance={
             "step_angle": step_angle,
-            "gadget_x": x,
-            "gadget_y": y,
+            "gadget_x": gadget.x,
+            "gadget_y": gadget.y,
             "schedule": [
                 [s.axis_role, s.angle, s.repetitions, s.emit] for s in schedule
             ],

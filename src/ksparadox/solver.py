@@ -139,6 +139,8 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
     is a conflict.  Decisions take the most-constrained node first (largest
     triad-membership plus degree count, ties by node index) and try value 1
     before 0, so verdicts, witnesses, and certificates are deterministic.
+    The search is one loop over an assignment trail, not a recursion, so its
+    depth is not bounded by the interpreter's recursion limit.
 
     A triad-free graph is trivially satisfied by the all-0 assignment and is
     flagged degenerate.
@@ -161,11 +163,12 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
     order = sorted(range(n), key=lambda v: (-(len(triads_of[v]) + len(adj[v])), v))
 
     value = [-1] * n
-    stats = {"decisions": 0, "propagations": 0, "max_depth": 0}
+    # every assigned node in assignment order; the tail past a decision's
+    # mark is that decision's propagation queue
+    assigned: list[int] = []
     trail: list[tuple[int, int, int]] = []
 
-    def propagate(assigned: list[int]) -> bool:
-        head = len(assigned) - 1
+    def propagate(head: int) -> bool:
         while head < len(assigned):
             v = assigned[head]
             head += 1
@@ -176,7 +179,6 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
                     if value[u] == -1:
                         value[u] = 0
                         assigned.append(u)
-                        stats["propagations"] += 1
             for ti in triads_of[v]:
                 a, b, c = g.triads[ti]
                 va, vb, vc = value[a], value[b], value[c]
@@ -184,41 +186,52 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
                 zeros = (va == 0) + (vb == 0) + (vc == 0)
                 if ones > 1 or zeros == 3:
                     return False
-                if ones == 1:
+                if ones == 1 or zeros == 2:
+                    # one 1 forces 0 on the rest; two 0s force 1 on the last
                     for u in (a, b, c):
                         if value[u] == -1:
-                            value[u] = 0
+                            value[u] = 1 - ones
                             assigned.append(u)
-                            stats["propagations"] += 1
-                elif zeros == 2:
-                    for u in (a, b, c):
-                        if value[u] == -1:
-                            value[u] = 1
-                            assigned.append(u)
-                            stats["propagations"] += 1
         return True
 
-    def search(depth: int) -> bool:
-        stats["max_depth"] = max(stats["max_depth"], depth)
-        decision = next((v for v in order if value[v] == -1), None)
-        if decision is None:
-            return True
-        for val in (1, 0):
-            stats["decisions"] += 1
-            trail.append((depth, decision, val))
-            value[decision] = val
-            assigned = [decision]
-            if propagate(assigned) and search(depth + 1):
-                return True
-            for u in assigned:
-                value[u] = -1
-        return False
+    # one entry per live decision: (position in order, trail mark, value);
+    # every order position before the newest one is assigned
+    decisions: list[tuple[int, int, int]] = []
+    decision_count = propagations = max_depth = 0
+    pos, val, sat = 0, 1, True
+    while True:
+        while pos < n and value[order[pos]] != -1:
+            pos += 1
+        if pos == n:
+            break
+        node, mark = order[pos], len(assigned)
+        decision_count += 1
+        trail.append((len(decisions), node, val))
+        decisions.append((pos, mark, val))
+        value[node] = val
+        assigned.append(node)
+        ok = propagate(mark)
+        propagations += len(assigned) - mark - 1  # nodes this decision forced
+        if ok:
+            max_depth = max(max_depth, len(decisions))
+            val = 1
+            continue
+        # back to the deepest decision whose 0 branch is still untried
+        while decisions and decisions[-1][2] == 0:
+            decisions.pop()
+        if not decisions:
+            sat = False
+            break
+        pos, mark, _ = decisions.pop()
+        for u in assigned[mark:]:
+            value[u] = -1
+        del assigned[mark:]
+        val = 0
 
-    sat = search(0)
     solver_stats = SolverStats(
-        nodes_explored=stats["decisions"],
-        propagations=stats["propagations"],
-        max_depth=stats["max_depth"],
+        nodes_explored=decision_count,
+        propagations=propagations,
+        max_depth=max_depth,
     )
     if sat:
         witness = ValueAssignment({i: value[i] for i in range(n)})

@@ -4,6 +4,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from ksparadox.cli import main
 from ksparadox.emit import counts_to_csv, fmt9, graph_to_dot, parse_dot_counts
 from ksparadox.gadget import build_gadget, offdiagonal_parameters_for_angle
@@ -11,6 +13,15 @@ from ksparadox.ksgraph import assemble_ks_set, build_orthogonality_graph
 from ksparadox.simulate import EnsembleSpec, run_sequence
 
 PAPER117 = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "paper117"
+# every command that takes --step-angle-deg, --gadget-x and --gadget-y
+RAY_COMMANDS = (
+    ["build-set"],
+    ["check-coloring"],
+    ["check-coloring", "--single-gadget"],
+    ["emit-diagram"],
+    ["emit-diagram", "--single-gadget"],
+)
+SINGLE_GADGET_COMMANDS = [c for c in RAY_COMMANDS if "--single-gadget" in c]
 
 
 class TestEmitters:
@@ -190,5 +201,40 @@ class TestCliCommands:
         assert "error:" in capsys.readouterr().err
 
     def test_mismatched_gadget_flags(self, capsys):
-        assert main(["build-set", "--gadget-x", "1.0"]) == 1
-        assert "error:" in capsys.readouterr().err
+        for command in RAY_COMMANDS:
+            for flag in ("--gadget-x", "--gadget-y"):
+                assert main([*command, flag, "1.0"]) == 1
+                assert "provide both" in capsys.readouterr().err
+
+    def test_verify_bound_grid_too_small_is_an_error_exit(self, capsys):
+        for grid in ("1", "0"):
+            assert main(["verify-bound", "--grid", grid]) == 1
+            assert "error: grid needs at least 2 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["25", "0", "-5", "nan"])
+    @pytest.mark.parametrize("command", RAY_COMMANDS, ids=" ".join)
+    def test_step_out_of_range_is_an_error_exit(self, capsys, command, step):
+        assert main([*command, "--step-angle-deg", step]) == 1
+        err = capsys.readouterr().err
+        assert f"error: angle {step} deg outside (0, 19.4712206] deg" in err
+
+    @pytest.mark.parametrize("command", RAY_COMMANDS, ids=" ".join)
+    def test_gadget_parameters_must_realize_step(self, capsys, command):
+        assert main([*command, "--gadget-x", "1", "--gadget-y", "1"]) == 1
+        assert "realizes 19.4712206 deg, not 18 deg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["build-set"], ["check-coloring"]], ids=" ".join)
+    def test_non_finite_gadget_angle_is_an_error_exit(self, capsys, command):
+        # the closed form overflows to nan at x = 1e200
+        assert main([*command, "--gadget-x", "1e200", "--gadget-y", "1"]) == 1
+        assert "realizes nan deg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SINGLE_GADGET_COMMANDS, ids=" ".join)
+    def test_single_gadget_matching_parameters(self, capsys, command):
+        assert main([*command, "--gadget-x", "1", "--gadget-y", "0.6591534292378007"]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SINGLE_GADGET_COMMANDS, ids=" ".join)
+    def test_single_gadget_needs_no_schedule(self, capsys, command):
+        # 17 deg does not divide 90, but one gadget is never swept
+        assert main([*command, "--step-angle-deg", "17"]) == 0

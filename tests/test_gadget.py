@@ -18,6 +18,7 @@ from ksparadox.gadget import (
     build_gadget,
     enumerate_gadget_assignments,
     gadget_angle,
+    gadget_for_angle,
     minimize_gadget_cosine,
     offdiagonal_parameters_for_angle,
     solve_parameter_for_angle,
@@ -142,6 +143,19 @@ class TestParameterSolvers:
         assert gadget_angle(x, y) == pytest.approx(target, abs=1e-9)
         with pytest.raises(AngleRangeError):
             offdiagonal_parameters_for_angle(math.radians(19.0), x=0.5)
+
+
+class TestGadgetForAngle:
+    @pytest.mark.parametrize("deg", [25.0, 0.0, -5.0, math.nan])
+    def test_out_of_range_angle_named_in_degrees(self, deg):
+        with pytest.raises(AngleRangeError, match=r"19\.4712206\] deg") as err:
+            gadget_for_angle(math.radians(deg), (1.0, 1.0))
+        assert f"{deg:.9g} deg" in str(err.value)
+
+    def test_nan_angle_fails_realize_check(self):
+        # (1e200, 1) overflows the closed form to nan, which must not pass
+        with pytest.raises(AngleRangeError, match="realizes nan deg, not 18 deg"):
+            gadget_for_angle(math.radians(18.0), (1e200, 1.0))
 
 
 class TestForcingEnumeration:

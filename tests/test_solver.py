@@ -77,6 +77,15 @@ class TestCheckColorability:
         assert verdict.certificate is not None
         assert verdict.certificate_digest is not None
 
+    def test_search_depth_beyond_recursion_limit(self):
+        # 1200 disjoint triangles need 1200 nested decisions
+        edges = [(3 * t + i, 3 * t + j) for t in range(1200) for i, j in ((0, 1), (0, 2), (1, 2))]
+        g = OrthogonalityGraph.from_structure(3600, edges)
+        verdict = check_colorability(g)
+        assert verdict.outcome == "SAT"
+        assert verdict.stats.max_depth == 1200
+        assert not verify_assignment(g, verdict.witness)
+
     def test_triad_free_graph_degenerate_sat(self):
         g = OrthogonalityGraph.from_structure(3, [(0, 1)])
         verdict = check_colorability(g)
