@@ -25,11 +25,11 @@ from .gadget import (
 )
 from .ksgraph import (
     DEFAULT_STEP_ANGLE,
+    OrthogonalityGapError,
     OrthogonalityGraph,
     RaySet,
     RotationStep,
     ScheduleError,
-    TriadOrthogonalityError,
     assemble_ks_set,
     build_orthogonality_graph,
     dedupe_rays,

@@ -88,7 +88,7 @@ def cmd_build_set(args: argparse.Namespace) -> int:
 
 def cmd_check_coloring(args: argparse.Namespace) -> int:
     source = _flag_rays(args, args.single_gadget)
-    graph = build_orthogonality_graph(source.rays)
+    graph = build_orthogonality_graph(source)
     verdict = check_colorability(graph)
     if args.single_gadget:
         pairs = enumerate_gadget_assignments(source)
@@ -258,7 +258,7 @@ def _degree_grid(count: int) -> list[float]:
 
 
 def cmd_emit_diagram(args: argparse.Namespace) -> int:
-    graph = build_orthogonality_graph(_flag_rays(args, args.single_gadget).rays)
+    graph = build_orthogonality_graph(_flag_rays(args, args.single_gadget))
     doc = graph_to_dot(graph)
     if parse_dot_counts(doc.text) != (doc.node_count, doc.edge_count):
         raise ValueError("emitted DOT does not read back to its own node and edge counts")

@@ -81,18 +81,17 @@ def raw_gadget_vectors(x: float, y: float) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class GadgetSet:
-    """Ten labeled rays plus their fifteen orthogonality edges."""
+    """Ten labeled rays; their fifteen orthogonality edges are GADGET_EDGES."""
 
     x: float
     y: float
     rays: tuple[Ray3, ...]
-    ortho_edges: tuple[tuple[int, int], ...] = GADGET_EDGES
 
     def ray(self, role: str) -> Ray3:
         return self.rays[GADGET_ROLES.index(role)]
 
     def max_edge_residual(self) -> float:
-        return max(abs(self.rays[i].dot(self.rays[j])) for i, j in self.ortho_edges)
+        return max(abs(self.rays[i].dot(self.rays[j])) for i, j in GADGET_EDGES)
 
     def to_dict(self) -> dict:
         return {
@@ -101,7 +100,7 @@ class GadgetSet:
             "rays": [
                 {"label": r.label, "xyz": [r.x, r.y, r.z]} for r in self.rays
             ],
-            "edges": [list(e) for e in self.ortho_edges],
+            "edges": [list(e) for e in GADGET_EDGES],
         }
 
 
@@ -109,15 +108,16 @@ def build_gadget(x: float, y: float) -> GadgetSet:
     """Construct the ten-ray gadget at parameters (x, y).
 
     Rays come back unit-normalized and sign-canonical, labeled by role.
-    Raises DegenerateParameterError if any construction vector is too short
-    to normalize (non-finite or extreme parameters).
+    Raises DegenerateParameterError for non-finite parameters, or finite
+    ones whose construction vectors overflow (no vector is ever shorter
+    than 1/2).
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DegenerateParameterError(f"parameters must be finite, got ({x}, {y})")
     rays = []
     for role, v in zip(GADGET_ROLES, raw_gadget_vectors(x, y)):
-        if float(np.linalg.norm(v)) <= 1e-9:
-            raise DegenerateParameterError(f"ray {role} degenerates at (x, y) = ({x}, {y})")
+        if not float(np.linalg.norm(v)) < math.inf:
+            raise DegenerateParameterError(f"ray {role} overflows at (x, y) = ({x}, {y})")
         rays.append(Ray3.from_vector(v, role))
     return GadgetSet(x=x, y=y, rays=tuple(rays))
 

@@ -16,9 +16,17 @@ The 1e-7 dedup tolerance sits well inside the measured guard band.  Labels
 that merge sit at angle 0 from their representative, or at most 2.1e-8 rad
 (k = 36), because acos near 1 cannot resolve less than about 1.5e-8.  The
 smallest separation between distinct rays shrinks with k: 3.2e-3 rad at
-k = 5, 7.5e-5 at k = 24 and 9.6e-6 on the open 2.25-degree chain.  The
-orthogonality graph's edge set at k = 5 is stable across tolerances
-1e-6 .. 1e-8.
+k = 5, 7.5e-5 at k = 24 and 9.6e-6 on the open 2.25-degree chain.
+
+Graph edges are the ray pairs with |dot| within the construction's float
+error, 32 (copies + 3) machine epsilons (_edge_bound).  Per rotation, with u
+half an epsilon, a coordinate of a unit ray gains at most 6u sqrt(3) from
+rotation_matrix's entries (cos or sin to 2u, four roundings), 3u from m @ v
+and 3u from renormalising, so the |dot| of two rays moves by under
+17u (|a|_1 + |b|_1) <= 34 sqrt(3) u < 32 epsilons.  The last copy has had
+copies + 2 rotations (alignment, steps, two pivots), plus one term for the
+gadget's own vectors.  Measured at k = 90 (bound 1.9e-12): largest edge
+|dot| 7.4e-15, closest non-edge 2.8e-12.
 """
 
 from __future__ import annotations
@@ -29,12 +37,11 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .gadget import APEX, C3, GADGET_ROLES, GadgetSet, gadget_for_angle
-from .linalg import ATOL_CONTEXT, Ray3
+from .gadget import APEX, C3, GADGET_EDGES, GADGET_ROLES, GadgetSet, gadget_for_angle
+from .linalg import Ray3
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
 DEDUP_TOL = 1e-7
-ORTHO_TOL = 1e-7
 
 
 class ScheduleError(ValueError):
@@ -42,8 +49,8 @@ class ScheduleError(ValueError):
     a step angle does not divide 90 degrees."""
 
 
-class TriadOrthogonalityError(ValueError):
-    """A triangle of the graph is not orthogonal within ATOL_CONTEXT."""
+class OrthogonalityGapError(ValueError):
+    """A swept set's pairs within the float-error bound differ from its copies' pairs."""
 
 
 def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -275,8 +282,8 @@ class OrthogonalityGraph:
     """Rays, orthogonal-pair edges, and triads (all triangles).
 
     Edges are sorted index pairs; the relation is symmetric and irreflexive
-    by construction.  For graphs built from rays, every triangle is checked
-    to be mutually orthogonal within 1e-9.
+    by construction.  For graphs built from rays, every edge, and so every
+    triangle, is orthogonal to within the float error of the construction.
     """
 
     node_count: int
@@ -304,16 +311,6 @@ class OrthogonalityGraph:
     def adjacency(self) -> list[set[int]]:
         return _adjacency(self.node_count, self.edges)
 
-    def to_dict(self) -> dict:
-        d = {
-            "node_count": self.node_count,
-            "edges": [list(e) for e in self.edges],
-            "triads": [list(t) for t in self.triads],
-        }
-        if self.rays is not None:
-            d["rays"] = [{"label": r.label, "xyz": [r.x, r.y, r.z]} for r in self.rays]
-        return d
-
 
 def _adjacency(node_count: int, edges: Sequence[tuple[int, int]]) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(node_count)]
@@ -332,29 +329,36 @@ def _triangles(
     )
 
 
-def build_orthogonality_graph(
-    source: RaySet | Sequence[Ray3], tol: float = ORTHO_TOL
-) -> OrthogonalityGraph:
-    """Edges = all ray pairs with |dot| <= tol; triads = all triangles.
+def _edge_bound(copies: int) -> float:
+    """Float-error bound on |dot| after copies gadget copies (module docstring)."""
+    return 32 * (copies + 3) * float(np.finfo(float).eps)
 
-    Raises TriadOrthogonalityError, naming the nodes, when two rays of a
-    triangle have |dot| above ATOL_CONTEXT (1e-9), the measurement-context
-    tolerance: such a triangle passed the looser edge tolerance only.
+
+def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> OrthogonalityGraph:
+    """Edges = all ray pairs with |dot| within the float-error bound of the
+    source's gadget copies (none for a ray list); triads = all triangles.
+
+    A source with copies (a swept RaySet) must have exactly its copies'
+    GADGET_EDGES as edges, or OrthogonalityGapError counts the pairs that
+    differ: every construction pair within the bound, every other beyond.
     """
-    rays = tuple(source.rays if isinstance(source, RaySet) else source)
-    n = len(rays)
-    mat = _ray_matrix(rays)
-    dots = mat @ mat.T
-    near = np.abs(dots, out=dots) <= tol
-    del dots  # the only n x n float matrix; free it before the boolean copies
-    rows, cols = np.nonzero(np.triu(near, 1))
-    edges = tuple(zip(rows.tolist(), cols.tolist()))
-    triads = _triangles(n, edges)
-    for t in triads:
-        for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            dot = abs(rays[a].dot(rays[b]))
-            if dot > ATOL_CONTEXT:
-                raise TriadOrthogonalityError(
-                    f"triangle {t}: nodes {a} and {b} have |dot| {dot:.3g} > {ATOL_CONTEXT}"
-                )
-    return OrthogonalityGraph(node_count=n, edges=edges, triads=triads, rays=rays)
+    rays = tuple(getattr(source, "rays", source))
+    copies = getattr(source, "copies", ())
+    bound = _edge_bound(len(copies))
+    n, mat = len(rays), _ray_matrix(rays)
+    edges: list[tuple[int, int]] = []
+    for lo in range(0, n, 128):  # row blocks: no n x n float matrix
+        rows, cols = np.nonzero(np.abs(mat[lo : lo + 128] @ mat.T) <= bound)
+        upper = cols > rows + lo
+        edges += zip((rows[upper] + lo).tolist(), cols[upper].tolist())
+    built = {
+        tuple(sorted((cp[GADGET_ROLES[a]], cp[GADGET_ROLES[b]])))
+        for cp in copies
+        for a, b in GADGET_EDGES
+    }
+    if copies and built != set(edges):
+        raise OrthogonalityGapError(
+            f"{len(built ^ set(edges))} ray pairs differ between the gadget copies' "
+            f"orthogonal pairs and the pairs with |dot| <= {bound:.3g}"
+        )
+    return OrthogonalityGraph(n, tuple(edges), _triangles(n, edges), rays)

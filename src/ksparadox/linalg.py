@@ -30,10 +30,11 @@ class NormalizationError(ValueError):
 
 def _canonical_unit(v: np.ndarray) -> np.ndarray:
     """Normalize and fix the overall sign: first component of magnitude
-    above SIGN_EPS is made positive (antipodal identification)."""
+    above SIGN_EPS is made positive (antipodal identification).  The norm
+    must be finite and above 1e-9."""
     norm = float(np.linalg.norm(v))
-    if norm <= 1e-9:
-        raise NormalizationError(f"cannot normalize near-zero vector {v!r}")
+    if not 1e-9 < norm < math.inf:
+        raise NormalizationError(f"cannot normalize {v!r} of norm {norm}")
     v = v / norm
     for c in v:
         if abs(c) > SIGN_EPS:

@@ -113,10 +113,13 @@ def run_sequence(
 
     Returns the per-stage EnsembleCounts list; with return_branches=True
     also returns the per-stage sign arrays (for exception-free idempotence
-    audits).  Identical seeds give bitwise identical results.
+    audits).  Identical seeds give bitwise identical results.  Raises
+    ValueError for an empty list or an angle that is not finite.
     """
     if not apparatuses:
         raise ValueError("apparatus list must be nonempty")
+    if not all(map(math.isfinite, apparatuses)):
+        raise ValueError(f"apparatus angles must be finite, got {list(apparatuses)}")
     rng = np.random.default_rng(spec.seed)
     counts, branches = _run_stages(rng, spec, apparatuses, return_branches)
     if return_branches:
@@ -249,9 +252,6 @@ class ContextValueTable:
     rows: tuple[tuple[int, ...], ...]
     seed: int
     generator: str = GENERATOR_NAME
-
-    def row_for(self, label: str) -> tuple[int, ...]:
-        return self.rows[self.context_labels.index(label)]
 
 
 def _context_probabilities(preparation: Ray3, context: Context) -> np.ndarray:

@@ -26,7 +26,6 @@ from .gadget import (
     C3,
     GADGET_EDGES,
     GADGET_ROLES,
-    AdmissiblePairSet,
     _gadget_lemma,
     satisfying_masks,
 )
@@ -272,16 +271,12 @@ def enumerate_all_colorings(
 @dataclass(frozen=True)
 class LinkReport:
     """One gadget copy of the chain, viewed as an apex -> c3 forcing link;
-    pair_set is the role graph's lemma, shared by every link."""
+    forced is the role graph's lemma, the same for every link."""
 
     index: int
-    pair_set: AdmissiblePairSet
+    forced: bool
     max_edge_residual: float
     angle: float
-
-    @property
-    def forced(self) -> bool:
-        return self.pair_set.forced_one_way
 
 
 @dataclass(frozen=True)
@@ -346,7 +341,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
             )
     cyclic = len(copies) > 1 and copies[-1]["c3"] == copies[0]["apex"]
 
-    lemma = _gadget_lemma()
+    forced = _gadget_lemma().forced_one_way
     links = []
     for k, cp in enumerate(copies):
         rays = [chain.rays[cp[role]] for role in GADGET_ROLES]
@@ -361,7 +356,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
                 f"link {k}: apex-c3 angle {angle} differs from {gadget_angle}"
             )
         links.append(
-            LinkReport(index=k, pair_set=lemma, max_edge_residual=residual, angle=angle)
+            LinkReport(index=k, forced=forced, max_edge_residual=residual, angle=angle)
         )
 
     axis_nodes = tuple(chain.index_of(ax) for ax in (X_AXIS, Y_AXIS, Z_AXIS))

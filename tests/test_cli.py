@@ -196,6 +196,17 @@ class TestCliCommands:
         assert main(["build-set", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_overflowing_gadget_is_an_error_exit(self, capsys):
+        assert main(["verify-gadget", "--x", "1e200", "--y", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: ray apex overflows at (x, y) = (1e+200, 1.0)" in err
+        assert "near-zero" not in err
+
+    def test_non_finite_apparatus_is_an_error_exit(self, capsys):
+        for angle in ("nan", "inf"):
+            assert main(["simulate", "--measure", "0", "--measure", angle, "--n", "10"]) == 1
+            assert "error: apparatus angles must be finite" in capsys.readouterr().err
+
     def test_bad_prep_is_an_error_exit(self, capsys):
         assert main(["simulate", "--prep", "sideways@3", "--measure", "0"]) == 1
         assert "error:" in capsys.readouterr().err

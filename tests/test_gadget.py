@@ -36,9 +36,9 @@ class TestBuildGadget:
         assert np.max(np.abs(g.ray("apex").vec - [c, -c, c])) <= 1e-12
 
     def test_edge_count(self):
-        g = build_gadget(0.3, -1.2)
-        assert len(g.ortho_edges) == 15
-        assert len({tuple(sorted(e)) for e in g.ortho_edges}) == 15
+        edges = build_gadget(0.3, -1.2).to_dict()["edges"]
+        assert len(edges) == 15
+        assert len({tuple(sorted(e)) for e in edges}) == 15
 
     @given(x=params, y=params)
     @settings(max_examples=300)

@@ -1,5 +1,6 @@
 """Rotation sweep, deduplication, and the orthogonality graph."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksparadox.gadget import build_gadget, offdiagonal_parameters_for_angle, solve_parameter_for_angle
+from ksparadox.gadget import (
+    GADGET_EDGES,
+    GADGET_ROLES,
+    GADGET_TRIADS,
+    build_gadget,
+    offdiagonal_parameters_for_angle,
+    solve_parameter_for_angle,
+)
 from ksparadox.ksgraph import (
     DEDUP_TOL,
     DEFAULT_STEP_ANGLE,
+    OrthogonalityGapError,
     RotationStep,
     ScheduleError,
-    TriadOrthogonalityError,
+    _edge_bound,
     assemble_ks_set,
     build_orthogonality_graph,
     dedupe_rays,
@@ -198,7 +207,7 @@ class TestAssembleVariants:
         rs = assemble_ks_set(step_angle=math.radians(90.0 / 24))
         g = build_orthogonality_graph(rs)
         assert (len(rs.rays), len(rs.merges)) == (573, 147)
-        assert (len(g.edges), len(g.triads)) == (1008, 214)
+        assert (len(g.edges), len(g.triads)) == (1002, 214)
         assert tuple(rs.index_of(a) for a in AXES) == (192, 7, 191)
 
     @pytest.mark.parametrize("k", [5, 24])
@@ -244,12 +253,6 @@ class TestOrthogonalityGraph:
         axes_nodes = tuple(sorted(rs.index_of(a) for a in AXES))
         assert axes_nodes in g.triads
 
-    def test_edge_set_stable_under_tolerance(self):
-        rs = assemble_ks_set()
-        reference = build_orthogonality_graph(rs, tol=1e-7).edges
-        for tol in (1e-6, 1e-8):
-            assert build_orthogonality_graph(rs, tol=tol).edges == reference
-
     def test_every_triad_completes(self):
         rs = assemble_ks_set()
         g = build_orthogonality_graph(rs)
@@ -257,12 +260,16 @@ class TestOrthogonalityGraph:
             ctx = Context.spin1((g.rays[a], g.rays[b], g.rays[c]))
             assert verify_completion(ctx) <= 1e-6
 
-    def test_loose_triangle_names_nodes(self):
-        # pairwise |dot| of 5e-8: edges at ORTHO_TOL, but not a context
+    def test_loose_triangle_gives_no_edges(self):
+        # pairwise |dot| of 5e-8 is far outside the float error of a ray list
         e = 2.5e-8
         rays = [Ray3.from_vector(v) for v in ((1, e, e), (e, 1, e), (e, e, 1))]
-        with pytest.raises(TriadOrthogonalityError, match=r"nodes 0 and 1 have \|dot\| 5e-08"):
-            build_orthogonality_graph(rays)
+        g = build_orthogonality_graph(rays)
+        assert (g.edges, g.triads) == ((), ())
+
+    def test_gadget_set_and_its_rays_give_one_graph(self):
+        gadget = build_gadget(*offdiagonal_parameters_for_angle(math.radians(18.0)))
+        assert build_orthogonality_graph(gadget) == build_orthogonality_graph(gadget.rays)
 
     def test_abstract_structure(self):
         from ksparadox.ksgraph import OrthogonalityGraph
@@ -270,3 +277,81 @@ class TestOrthogonalityGraph:
         g = OrthogonalityGraph.from_structure(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert g.triads == ((0, 1, 2),)
         assert g.rays is None
+
+
+def _sweep(name):
+    if name == "open-k40":  # legs of 39, 40 and 38 steps of 2.25 degrees: an open chain
+        step = math.radians(2.25)
+        pivot = RotationStep("c3", math.pi / 2.0, 1, emit=False)
+        legs = [RotationStep("c2", step, n) for n in (39, 40, 38)]
+        return assemble_ks_set(step, schedule=(legs[0], pivot, legs[1], pivot, legs[2]))
+    return assemble_ks_set(math.radians(90.0 / int(name[2:])))
+
+
+def _construction(rs, relations):
+    return {
+        tuple(sorted(cp[GADGET_ROLES[i]] for i in rel)) for cp in rs.copies for rel in relations
+    }
+
+
+SWEEPS = ("k=5", "k=24", "open-k40")
+
+
+@pytest.fixture(scope="module", params=SWEEPS)
+def sweep(request):
+    rs = _sweep(request.param)
+    return rs, build_orthogonality_graph(rs)
+
+
+class TestConstructionCertificate:
+    def test_graph_is_the_construction(self, sweep):
+        rs, g = sweep
+        assert set(g.edges) == _construction(rs, GADGET_EDGES)
+        assert set(g.triads) == _construction(rs, GADGET_TRIADS)
+
+    def test_measured_margins(self, sweep):
+        # construction pairs sit ten times below the bound, all other pairs ten
+        # times above it
+        rs, g = sweep
+        bound = _edge_bound(len(rs.copies))
+        vecs = np.array([r.vec for r in rs.rays])
+        dots = np.abs(vecs @ vecs.T)
+        e = np.array(g.edges)
+        assert dots[e[:, 0], e[:, 1]].max() <= bound / 10
+        dots[e[:, 0], e[:, 1]] = dots[e[:, 1], e[:, 0]] = np.inf
+        np.fill_diagonal(dots, np.inf)
+        assert dots.min() >= 10 * bound
+
+    def test_k24_near_orthogonal_pairs_are_not_edges(self):
+        # within 1e-7 but not orthogonal: |dot| 3.0e-8 and 8.1e-8
+        rs = _sweep("k=24")
+        g = build_orthogonality_graph(rs)
+        pairs = [(13, 364), (14, 478), (96, 206), (172, 395), (205, 554), (288, 396)]
+        for i, j in pairs:
+            assert 1e-8 < abs(rs.rays[i].dot(rs.rays[j])) < 1e-7
+        assert not set(pairs) & set(g.edges)
+
+    def test_tampered_copies_rejected(self):
+        rs = assemble_ks_set()
+        copies = list(rs.copies)
+        tampered = dict(copies[7])
+        tampered["apex"] = copies[7]["c3"]
+        copies[7] = tampered
+        with pytest.raises(OrthogonalityGapError, match="ray pairs differ"):
+            build_orthogonality_graph(dataclasses.replace(rs, copies=tuple(copies)))
+
+    def test_extra_pair_within_bound_rejected(self):
+        # one more ray, orthogonal to node 0 only: a pair no copy accounts for
+        rs = assemble_ks_set()
+        extra = Ray3.from_vector(np.cross(rs.rays[0].vec, (0.3, 0.5, 0.7)))
+        assert abs(extra.dot(rs.rays[0])) <= _edge_bound(len(rs.copies))
+        with pytest.raises(OrthogonalityGapError, match=r"^1 ray pairs differ .* <= 1\.28e-13$"):
+            build_orthogonality_graph(dataclasses.replace(rs, rays=rs.rays + (extra,)))
+
+    def test_diagonal_sweep_rejected(self):
+        # the x = y gadget's symmetry makes 27 more pairs exactly orthogonal
+        # (|dot| <= 2e-16) than the copies account for
+        t = solve_parameter_for_angle(math.radians(18.0))
+        rs = assemble_ks_set(gadget_params=(t, t))
+        with pytest.raises(OrthogonalityGapError, match="^27 ray pairs differ"):
+            build_orthogonality_graph(rs)
