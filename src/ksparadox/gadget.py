@@ -108,18 +108,13 @@ def build_gadget(x: float, y: float) -> GadgetSet:
     """Construct the ten-ray gadget at parameters (x, y).
 
     Rays come back unit-normalized and sign-canonical, labeled by role.
-    Raises DegenerateParameterError for non-finite parameters, or finite
-    ones whose construction vectors overflow (no vector is ever shorter
-    than 1/2).
+    Raises DegenerateParameterError for non-finite parameters and
+    NormalizationError when a construction vector's norm overflows.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DegenerateParameterError(f"parameters must be finite, got ({x}, {y})")
-    rays = []
-    for role, v in zip(GADGET_ROLES, raw_gadget_vectors(x, y)):
-        if not float(np.linalg.norm(v)) < math.inf:
-            raise DegenerateParameterError(f"ray {role} overflows at (x, y) = ({x}, {y})")
-        rays.append(Ray3.from_vector(v, role))
-    return GadgetSet(x=x, y=y, rays=tuple(rays))
+    vecs = raw_gadget_vectors(x, y)
+    return GadgetSet(x=x, y=y, rays=tuple(map(Ray3.from_vector, vecs, GADGET_ROLES)))
 
 
 def gadget_cosine(x, y):

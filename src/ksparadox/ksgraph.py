@@ -25,8 +25,8 @@ rotation_matrix's entries (cos or sin to 2u, four roundings), 3u from m @ v
 and 3u from renormalising, so the |dot| of two rays moves by under
 17u (|a|_1 + |b|_1) <= 34 sqrt(3) u < 32 epsilons.  The last copy has had
 copies + 2 rotations (alignment, steps, two pivots), plus one term for the
-gadget's own vectors.  Measured at k = 90 (bound 1.9e-12): largest edge
-|dot| 7.4e-15, closest non-edge 2.8e-12.
+gadget's own vectors.  At k = 90 (bound 1.9e-12) edges measure <= 7.4e-15
+and the closest non-edge 2.8e-12.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class ScheduleError(ValueError):
 
 
 class OrthogonalityGapError(ValueError):
-    """A swept set's pairs within the float-error bound differ from its copies' pairs."""
+    """A construction pair of a swept set's copies lies beyond the float-error bound."""
 
 
 def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -311,6 +311,16 @@ class OrthogonalityGraph:
     def adjacency(self) -> list[set[int]]:
         return _adjacency(self.node_count, self.edges)
 
+    def to_dict(self) -> dict:
+        d = {
+            "node_count": self.node_count,
+            "edges": [list(e) for e in self.edges],
+            "triads": [list(t) for t in self.triads],
+        }
+        if self.rays is not None:
+            d["rays"] = [{"label": r.label, "xyz": [r.x, r.y, r.z]} for r in self.rays]
+        return d
+
 
 def _adjacency(node_count: int, edges: Sequence[tuple[int, int]]) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(node_count)]
@@ -335,12 +345,11 @@ def _edge_bound(copies: int) -> float:
 
 
 def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> OrthogonalityGraph:
-    """Edges = all ray pairs with |dot| within the float-error bound of the
-    source's gadget copies (none for a ray list); triads = all triangles.
-
-    A source with copies (a swept RaySet) must have exactly its copies'
-    GADGET_EDGES as edges, or OrthogonalityGapError counts the pairs that
-    differ: every construction pair within the bound, every other beyond.
+    """Edges = all ray pairs with |dot| <= _edge_bound(copies); triads = all
+    triangles.  A ray list or GadgetSet counts 0 copies: pass a swept set as
+    its RaySet.  Every construction pair of the copies must be an edge, or
+    OrthogonalityGapError counts the missing ones; other pairs within the
+    bound (the diagonal gadget's exact extra orthogonalities) stay edges.
     """
     rays = tuple(getattr(source, "rays", source))
     copies = getattr(source, "copies", ())
@@ -351,14 +360,8 @@ def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> Or
         rows, cols = np.nonzero(np.abs(mat[lo : lo + 128] @ mat.T) <= bound)
         upper = cols > rows + lo
         edges += zip((rows[upper] + lo).tolist(), cols[upper].tolist())
-    built = {
-        tuple(sorted((cp[GADGET_ROLES[a]], cp[GADGET_ROLES[b]])))
-        for cp in copies
-        for a, b in GADGET_EDGES
-    }
-    if copies and built != set(edges):
-        raise OrthogonalityGapError(
-            f"{len(built ^ set(edges))} ray pairs differ between the gadget copies' "
-            f"orthogonal pairs and the pairs with |dot| <= {bound:.3g}"
-        )
+    built = ((cp[GADGET_ROLES[a]], cp[GADGET_ROLES[b]]) for cp in copies for a, b in GADGET_EDGES)
+    missing = {tuple(sorted(pair)) for pair in built}.difference(edges)
+    if missing:
+        raise OrthogonalityGapError(f"{len(missing)} construction pairs have |dot| > {bound:.3g}")
     return OrthogonalityGraph(n, tuple(edges), _triangles(n, edges), rays)

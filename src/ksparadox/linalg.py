@@ -30,8 +30,7 @@ class NormalizationError(ValueError):
 
 def _canonical_unit(v: np.ndarray) -> np.ndarray:
     """Normalize and fix the overall sign: first component of magnitude
-    above SIGN_EPS is made positive (antipodal identification).  The norm
-    must be finite and above 1e-9."""
+    above SIGN_EPS is made positive (antipodal identification)."""
     norm = float(np.linalg.norm(v))
     if not 1e-9 < norm < math.inf:
         raise NormalizationError(f"cannot normalize {v!r} of norm {norm}")

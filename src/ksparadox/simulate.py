@@ -253,6 +253,9 @@ class ContextValueTable:
     seed: int
     generator: str = GENERATOR_NAME
 
+    def row_for(self, label: str) -> tuple[int, ...]:
+        return self.rows[self.context_labels.index(label)]
+
 
 def _context_probabilities(preparation: Ray3, context: Context) -> np.ndarray:
     if context.triad is None:

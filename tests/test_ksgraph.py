@@ -29,6 +29,7 @@ from ksparadox.ksgraph import (
     rotate_ray,
 )
 from ksparadox.linalg import Context, Ray3, verify_completion
+from ksparadox.solver import check_colorability
 
 AXES = tuple(Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
@@ -337,21 +338,24 @@ class TestConstructionCertificate:
         tampered = dict(copies[7])
         tampered["apex"] = copies[7]["c3"]
         copies[7] = tampered
-        with pytest.raises(OrthogonalityGapError, match="ray pairs differ"):
+        with pytest.raises(OrthogonalityGapError, match=r"^\d+ construction pairs have \|dot\| >"):
             build_orthogonality_graph(dataclasses.replace(rs, copies=tuple(copies)))
 
-    def test_extra_pair_within_bound_rejected(self):
+    def test_exact_extra_pair_becomes_edge(self):
         # one more ray, orthogonal to node 0 only: a pair no copy accounts for
         rs = assemble_ks_set()
         extra = Ray3.from_vector(np.cross(rs.rays[0].vec, (0.3, 0.5, 0.7)))
         assert abs(extra.dot(rs.rays[0])) <= _edge_bound(len(rs.copies))
-        with pytest.raises(OrthogonalityGapError, match=r"^1 ray pairs differ .* <= 1\.28e-13$"):
-            build_orthogonality_graph(dataclasses.replace(rs, rays=rs.rays + (extra,)))
+        g = build_orthogonality_graph(dataclasses.replace(rs, rays=rs.rays + (extra,)))
+        n = len(rs.rays)
+        assert set(g.edges) == _construction(rs, GADGET_EDGES) | {(0, n)}
 
-    def test_diagonal_sweep_rejected(self):
+    def test_diagonal_sweep_keeps_exact_extra_pairs(self):
         # the x = y gadget's symmetry makes 27 more pairs exactly orthogonal
-        # (|dot| <= 2e-16) than the copies account for
+        # (|dot| <= 2e-16) than the copies account for; they are edges too
         t = solve_parameter_for_angle(math.radians(18.0))
         rs = assemble_ks_set(gadget_params=(t, t))
-        with pytest.raises(OrthogonalityGapError, match="^27 ray pairs differ"):
-            build_orthogonality_graph(rs)
+        g = build_orthogonality_graph(rs)
+        assert (len(rs.rays), len(g.edges), len(g.triads)) == (105, 216, 43)
+        assert len(set(g.edges) - _construction(rs, GADGET_EDGES)) == 27
+        assert check_colorability(g).outcome == "UNSAT"
