@@ -32,24 +32,21 @@ class DiagramDocument:
     edge_count: int
 
 
-def graph_to_dot(
-    g: OrthogonalityGraph, name: str = "ksdiagram", annotate_triads: bool = True
-) -> DiagramDocument:
-    """Render the orthogonality graph as undirected DOT.
+def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
+    """Render the orthogonality graph as undirected DOT named ksdiagram.
 
     Nodes are open circles (DOT's unfilled circle shape); edges are plain
-    lines; triads are listed as comments when requested.
+    lines; triads are listed as comments.
     """
-    lines = [f"graph {name} {{"]
+    lines = ["graph ksdiagram {"]
     lines.append('  node [shape=circle, style=""];')
     for i in range(g.node_count):
         label = g.rays[i].label if g.rays is not None and g.rays[i].label else f"r{i}"
         lines.append(f'  n{i} [label="{label}"];')
     for i, j in g.edges:
         lines.append(f"  n{i} -- n{j};")
-    if annotate_triads:
-        for t in g.triads:
-            lines.append(f"  // triad {t[0]} {t[1]} {t[2]}")
+    for t in g.triads:
+        lines.append(f"  // triad {t[0]} {t[1]} {t[2]}")
     lines.append("}")
     return DiagramDocument(
         text="\n".join(lines) + "\n", node_count=g.node_count, edge_count=len(g.edges)

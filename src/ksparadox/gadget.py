@@ -117,8 +117,10 @@ def build_gadget(x: float, y: float) -> GadgetSet:
     return GadgetSet(x=x, y=y, rays=tuple(map(Ray3.from_vector, vecs, GADGET_ROLES)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gadget_cosine(x, y):
-    """Cosine of the apex-to-c3 angle from the closed form (vectorizes)."""
+    """Cosine of the apex-to-c3 angle from the closed form (vectorizes);
+    overflowing parameters give nan without a warning."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x2, y2 = x * x, y * y
@@ -148,53 +150,41 @@ def _check_angle(target: float) -> None:
         )
 
 
-def _solve_rising(params, grid: np.ndarray, target: float) -> float:
-    """Point p of grid's range with gadget_angle(*params(p)) = target.
-
-    The angle is checked to rise on the grid up to its peak, then bisected
-    on (0, peak]; params maps a scalar or an array to (x, y).
-    """
+def _solve_rising(params, target: float) -> float:
+    """Point p of (0, 1] with gadget_angle(*params(p)) = target, bisected
+    until the bracket stops shrinking; params maps p to (x, y)."""
     _check_angle(target)
-    angles = np.arccos(np.clip(gadget_cosine(*params(grid)), -1.0, 1.0))
-    peak = int(np.argmax(angles))
-    hi = float(grid[peak])
-    if angles[peak] + 1e-12 < target:
-        raise AngleRangeError(
-            f"angle {math.degrees(target):.9g} deg is not reachable: the peak "
-            f"is {math.degrees(angles[peak]):.9g} deg at (x, y) = {params(hi)}"
-        )
-    if np.any(np.diff(angles[: peak + 1]) < -1e-12):
-        raise RuntimeError(f"gadget angle is not monotone below its peak at {params(hi)}")
-    lo = 0.0
-    for _ in range(200):
+    lo, hi = 0.0, 1.0
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if gadget_angle(*params(mid)) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def solve_parameter_for_angle(target: float) -> float:
     """Diagonal parameter t with gadget_angle(t, t) = target, by bisection.
 
-    Valid targets lie in (0, arccos(sqrt(8)/3)].  Monotonicity of the angle
-    in t is verified on a 1e-3 grid before searching; it peaks at t = 1.
+    Valid targets lie in (0, arccos(sqrt(8)/3)].  (0, 1] brackets the root
+    because the angle rises strictly from 0 at t = 0 to that bound at t = 1.
     """
-    return _solve_rising(lambda t: (t, t), np.arange(1e-3, 1.0 + 1e-9, 1e-3), target)
+    return _solve_rising(lambda t: (t, t), target)
 
 
-def offdiagonal_parameters_for_angle(target: float, x: float = 1.0) -> tuple[float, float]:
-    """Parameters (x, y) with gadget_angle(x, y) = target, solving for y.
+def offdiagonal_parameters_for_angle(target: float) -> tuple[float, float]:
+    """Parameters (1, y) with gadget_angle(1, y) = target, solving for y.
 
     Same-angle alternative to the diagonal solver.  The diagonal family has
     an internal symmetry (within a gadget, several rays sit at equal polar
     angle from c2 with azimuths commensurate with the apex-to-c3 step), which
     makes swept copies of a diagonal gadget share more rays than the chained
-    construction expects; fixing x away from y breaks it.  y is searched on
-    the rising branch below the fixed-x peak angle.
+    construction expects; fixing x = 1 away from y breaks it.  y is bisected
+    on (0, 1], where the angle rises strictly from 0 to the bound at y = 1.
     """
-    return x, _solve_rising(lambda y: (x, y), np.arange(1e-3, 4.0, 1e-3), target)
+    return 1.0, _solve_rising(lambda y: (1.0, y), target)
 
 
 def gadget_for_angle(target: float, params: tuple[float, float] | None) -> GadgetSet:

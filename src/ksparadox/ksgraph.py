@@ -84,13 +84,14 @@ def _ray_matrix(rays: Sequence[Ray3]) -> np.ndarray:
     return np.array([(r.x, r.y, r.z) for r in rays], dtype=float).reshape(-1, 3)
 
 
-def _first_within(vecs: np.ndarray, v: np.ndarray, tol: float) -> int | None:
-    """Index of the first row of vecs within angle tol of the ray v, or None:
-    the first with acos(min(1, |dot|)) <= tol, dot summed as in Ray3.dot."""
+def _first_within(vecs: np.ndarray, v: np.ndarray) -> int | None:
+    """Index of the first row of vecs within angle DEDUP_TOL of the ray v, or
+    None: the first with acos(min(1, |dot|)) <= DEDUP_TOL, dot summed as in
+    Ray3.dot."""
     dots = np.minimum(1.0, np.abs(vecs[:, 0] * v[0] + vecs[:, 1] * v[1] + vecs[:, 2] * v[2]))
     # np.arccos can differ from math.acos in the last bit: confirm each candidate
-    near = np.flatnonzero(np.arccos(dots) <= tol + 1e-15)
-    return next((int(i) for i in near if math.acos(dots[i]) <= tol), None)
+    near = np.flatnonzero(np.arccos(dots) <= DEDUP_TOL + 1e-15)
+    return next((int(i) for i in near if math.acos(dots[i]) <= DEDUP_TOL), None)
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,8 @@ class RaySet:
         """Number of input labels excluding the apex role (nine per copy)."""
         return sum(1 for lb in self.label_to_index if not lb.endswith("apex"))
 
-    def index_of(self, r: Ray3, tol: float = DEDUP_TOL) -> int | None:
-        return _first_within(_ray_matrix(self.rays), r.vec, tol)
+    def index_of(self, r: Ray3) -> int | None:
+        return _first_within(_ray_matrix(self.rays), r.vec)
 
     def to_dict(self) -> dict:
         return {
@@ -166,8 +167,8 @@ class RaySet:
         }
 
 
-def dedupe_rays(rays: Sequence[Ray3], tol: float = DEDUP_TOL) -> RaySet:
-    """Merge rays within angular tolerance; representative = first occurrence.
+def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
+    """Merge rays within angle DEDUP_TOL; representative = first occurrence.
 
     Unlabeled rays are labeled by input position.
     """
@@ -178,7 +179,7 @@ def dedupe_rays(rays: Sequence[Ray3], tol: float = DEDUP_TOL) -> RaySet:
     for idx, ray in enumerate(rays):
         label = ray.label or f"r{idx}"
         v = ray.vec
-        k = _first_within(reps[: len(uniq)], v, tol)
+        k = _first_within(reps[: len(uniq)], v)
         if k is None:
             k = len(uniq)
             reps[k] = v
@@ -210,20 +211,19 @@ def assemble_ks_set(
     step_angle: float = DEFAULT_STEP_ANGLE,
     schedule: Sequence[RotationStep] | None = None,
     gadget_params: tuple[float, float] | None = None,
-    dedup_tol: float = DEDUP_TOL,
 ) -> RaySet:
     """Sweep the gadget per the schedule and dedupe into a RaySet.
 
     With default arguments this is the 18-degree three-leg sweep over an
-    off-diagonal gadget realization (x fixed at 1, y solved for the step
-    angle) and yields exactly 117 distinct rays from 135 labeled triad rays.
-    Explicit gadget_params must realize step_angle (checked to 1e-9 by
-    gadget_for_angle, which also rejects steps outside the gadget's range).
+    off-diagonal gadget realization (x fixed at 1, y bisected on (0, 1], over
+    which the angle rises to its bound) and yields exactly 117 distinct rays
+    from 135 labeled triad rays.  Explicit gadget_params must realize
+    step_angle (checked to 1e-9 by gadget_for_angle, which also rejects
+    steps outside the gadget's range).
 
-    Rotation step signs are resolved so each emitted copy's apex lands on
-    the previously emitted copy's c3 whenever one of the two signs achieves
-    it; schedules for which neither sign chains simply keep the positive
-    sense.
+    Every step turns the current copy by +angle about its own axis ray; about
+    c2 that carries the copy's apex onto its c3, where the next copy's apex
+    sits.  forcing_chain_check audits those links.
     """
     gadget = gadget_for_angle(step_angle, gadget_params)
     if schedule is None:
@@ -235,14 +235,8 @@ def assemble_ks_set(
         if step.axis_role not in GADGET_ROLES:
             raise ScheduleError(f"schedule references unknown axis role {step.axis_role!r}")
         axis_index = GADGET_ROLES.index(step.axis_role)
-        sign = 0 if step.emit else +1
         for _ in range(step.repetitions):
-            axis = current[axis_index]
-            if sign == 0:
-                tail = copies[-1][C3]
-                apexes = {s: rotate_ray(current[APEX], axis, s * step.angle) for s in (+1, -1)}
-                sign = next((s for s, r in apexes.items() if r.angle_to(tail) <= dedup_tol), +1)
-            current = _transformed(rotation_matrix(axis.vec, sign * step.angle), current)
+            current = _transformed(rotation_matrix(current[axis_index].vec, step.angle), current)
             if step.emit:
                 copies.append(current)
 
@@ -254,7 +248,7 @@ def assemble_ks_set(
         for ci, cp in enumerate(copies)
         for ri in range(1, len(GADGET_ROLES))
     ] + [cp[APEX].relabel(f"g{ci + 1:02d}:apex") for ci, cp in enumerate(copies)]
-    deduped = dedupe_rays(labeled, dedup_tol)
+    deduped = dedupe_rays(labeled)
     copy_maps = tuple(
         {
             role: deduped.label_to_index[f"g{ci + 1:02d}:{role}"]
@@ -272,7 +266,7 @@ def assemble_ks_set(
             "schedule": [
                 [s.axis_role, s.angle, s.repetitions, s.emit] for s in schedule
             ],
-            "dedup_tol": dedup_tol,
+            "dedup_tol": DEDUP_TOL,
         },
     )
 
@@ -310,16 +304,6 @@ class OrthogonalityGraph:
 
     def adjacency(self) -> list[set[int]]:
         return _adjacency(self.node_count, self.edges)
-
-    def to_dict(self) -> dict:
-        d = {
-            "node_count": self.node_count,
-            "edges": [list(e) for e in self.edges],
-            "triads": [list(t) for t in self.triads],
-        }
-        if self.rays is not None:
-            d["rays"] = [{"label": r.label, "xyz": [r.x, r.y, r.z]} for r in self.rays]
-        return d
 
 
 def _adjacency(node_count: int, edges: Sequence[tuple[int, int]]) -> list[set[int]]:

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-ATOL_ALGEBRA = 1e-12
 ATOL_CONTEXT = 1e-9
 SIGN_EPS = 1e-12
 
@@ -28,10 +27,12 @@ class NormalizationError(ValueError):
     """A vector that must be unit length (or normalizable) is not."""
 
 
+@np.errstate(over="ignore")
 def _canonical_unit(v: np.ndarray) -> np.ndarray:
     """Normalize and fix the overall sign: first component of magnitude
-    above SIGN_EPS is made positive (antipodal identification)."""
-    norm = float(np.linalg.norm(v))
+    above SIGN_EPS is made positive (antipodal identification).  An
+    overflowing norm is rejected without a numpy warning."""
+    norm = math.sqrt(v.dot(v))  # np.linalg.norm's value, without its overhead
     if not 1e-9 < norm < math.inf:
         raise NormalizationError(f"cannot normalize {v!r} of norm {norm}")
     v = v / norm
@@ -119,7 +120,6 @@ class Projector:
     """Rank-1 symmetric idempotent matrix P = v v^T with unit trace."""
 
     entries: np.ndarray
-    source_label: str = ""
 
     @property
     def dim(self) -> int:
@@ -135,7 +135,7 @@ class Projector:
         return float(np.max(np.abs(self.entries @ self.entries - self.entries)))
 
 
-def projector_from_vector(v: Sequence[float] | np.ndarray, label: str = "") -> Projector:
+def projector_from_vector(v: Sequence[float] | np.ndarray) -> Projector:
     """Build the rank-1 projector v v^T from a unit vector of length 2 or 3.
 
     Raises NormalizationError unless |v| = 1 within 1e-9.
@@ -145,11 +145,11 @@ def projector_from_vector(v: Sequence[float] | np.ndarray, label: str = "") -> P
         raise ValueError(f"expected a vector of length 2 or 3, got shape {u.shape}")
     if abs(float(np.linalg.norm(u)) - 1.0) > ATOL_CONTEXT:
         raise NormalizationError(f"projector source must be unit length, |v| = {np.linalg.norm(u)}")
-    return Projector(np.outer(u, u), label)
+    return Projector(np.outer(u, u))
 
 
 def ray_projector(r: Ray3) -> Projector:
-    return projector_from_vector(r.vec, r.label)
+    return projector_from_vector(r.vec)
 
 
 def spin_operator(theta: float) -> np.ndarray:
@@ -228,10 +228,7 @@ class Context:
         if self.triad is not None:
             return tuple(ray_projector(r) for r in self.triad)
         plus, minus = spin_half_eigenvectors(self.theta)
-        return (
-            projector_from_vector(plus.vec, "plus"),
-            projector_from_vector(minus.vec, "minus"),
-        )
+        return projector_from_vector(plus.vec), projector_from_vector(minus.vec)
 
 
 def context_for_direction(direction: Ray3 | Sequence[float], label: str = "") -> Context:

@@ -161,32 +161,30 @@ class AdditivityResult:
     generator: str = GENERATOR_NAME
 
 
-def check_additivity_relation(spec: EnsembleSpec, n: int | None = None) -> AdditivityResult:
+def check_additivity_relation(spec: EnsembleSpec) -> AdditivityResult:
     """Measure three disjoint sub-ensembles at orientations 0, pi/4, pi/2
     and report the additivity residual; its magnitude shrinks as 1/sqrt(n).
 
     Sub-ensemble k draws its stream from entropy (seed, k).
     """
-    size = spec.n if n is None else n
     averages = []
     variance = 0.0
     weights = (-1.0 / math.sqrt(2.0), 1.0, -1.0 / math.sqrt(2.0))
     for k, theta in enumerate(ADDITIVITY_THETAS):
-        sub = EnsembleSpec(n=size, prep_theta=spec.prep_theta, prep_sign=spec.prep_sign)
         rng = np.random.default_rng([spec.seed, k])
-        counts, _ = _run_stages(rng, sub, [theta], keep_branches=False)
+        counts, _ = _run_stages(rng, spec, [theta], keep_branches=False)
         averages.append(empirical_spin_average(counts[0]))
         if spec.prep_theta is None:
             p = 0.5
         else:
             p = transition_probability_spin_half(spec.prep_theta, spec.prep_sign, theta, +1)
-        variance += weights[k] ** 2 * p * (1.0 - p) / size
+        variance += weights[k] ** 2 * p * (1.0 - p) / spec.n
     residual = averages[1] - (averages[0] + averages[2]) / math.sqrt(2.0)
     return AdditivityResult(
         averages=tuple(averages),
         residual=residual,
         sigma=math.sqrt(variance),
-        n=size,
+        n=spec.n,
         seed=spec.seed,
     )
 
@@ -252,9 +250,6 @@ class ContextValueTable:
     rows: tuple[tuple[int, ...], ...]
     seed: int
     generator: str = GENERATOR_NAME
-
-    def row_for(self, label: str) -> tuple[int, ...]:
-        return self.rows[self.context_labels.index(label)]
 
 
 def _context_probabilities(preparation: Ray3, context: Context) -> np.ndarray:

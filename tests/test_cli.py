@@ -198,9 +198,8 @@ class TestCliCommands:
 
     def test_overflowing_gadget_is_an_error_exit(self, capsys):
         assert main(["verify-gadget", "--x", "1e200", "--y", "1"]) == 1
-        err = capsys.readouterr().err
-        assert "error: cannot normalize" in err
-        assert "near-zero" not in err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot normalize")
 
     def test_non_finite_apparatus_is_an_error_exit(self, capsys):
         for angle in ("nan", "inf"):
@@ -238,7 +237,8 @@ class TestCliCommands:
     def test_non_finite_gadget_angle_is_an_error_exit(self, capsys, command):
         # the closed form overflows to nan at x = 1e200
         assert main([*command, "--gadget-x", "1e200", "--gadget-y", "1"]) == 1
-        assert "realizes nan deg" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: gadget at (1e+200, 1.0) realizes nan deg")
 
     @pytest.mark.parametrize("command", SINGLE_GADGET_COMMANDS, ids=" ".join)
     def test_single_gadget_matching_parameters(self, capsys, command):

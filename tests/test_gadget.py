@@ -141,8 +141,33 @@ class TestParameterSolvers:
         assert x == 1.0
         assert abs(y - 1.0) > 0.1  # genuinely off the diagonal
         assert gadget_angle(x, y) == pytest.approx(target, abs=1e-9)
-        with pytest.raises(AngleRangeError):
-            offdiagonal_parameters_for_angle(math.radians(19.0), x=0.5)
+
+    @pytest.mark.parametrize(
+        "family", [lambda t: (t, t), lambda y: (1.0, y)], ids=["diagonal", "x=1"]
+    )
+    def test_angle_rises_to_the_bound_on_unit_interval(self, family):
+        # the solvers bisect on (0, 1] without checking that it brackets the
+        # root; below p = 1e-3 the angle's steps near 0 fall under acos's
+        # resolution, so there it need only never fall
+        grid = np.linspace(0.0, 1.0, 20001)[1:]
+        angles = [gadget_angle(*family(p)) for p in grid]
+        steps = np.diff(angles)
+        assert np.all(steps >= 0.0)
+        assert np.all(steps[grid[1:] > 1e-3] > 0.0)
+        assert angles[-1] == pytest.approx(MAX_GADGET_ANGLE, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "deg, y, t",
+        [
+            (18.0, 0.6591534292378007, 0.7861513777574232),
+            (3.75, 0.09350284394068298, 0.26519077665329516),
+            (2.25, 0.05573722129294165, 0.20231806910722439),
+        ],
+    )
+    def test_solved_parameters_are_pinned(self, deg, y, t):
+        # the census prints coordinates to their last bits, so these must not move
+        assert offdiagonal_parameters_for_angle(math.radians(deg)) == (1.0, y)
+        assert solve_parameter_for_angle(math.radians(deg)) == t
 
 
 class TestGadgetForAngle:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksparadox import ksgraph
 from ksparadox.gadget import (
     GADGET_EDGES,
     GADGET_ROLES,
@@ -212,12 +213,13 @@ class TestAssembleVariants:
         assert tuple(rs.index_of(a) for a in AXES) == (192, 7, 191)
 
     @pytest.mark.parametrize("k", [5, 24])
-    def test_dedup_guard_band(self, k):
+    def test_dedup_guard_band(self, k, monkeypatch):
         # every merge already holds at a third of the tolerance (merged
         # labels sit at angle 0), and distinct rays stay ten tolerances apart
         step = math.radians(90.0 / k)
         rs = assemble_ks_set(step_angle=step)
-        tight = assemble_ks_set(step_angle=step, dedup_tol=DEDUP_TOL / 3)
+        monkeypatch.setattr(ksgraph, "DEDUP_TOL", DEDUP_TOL / 3)
+        tight = assemble_ks_set(step_angle=step)
         assert tight.label_to_index == rs.label_to_index
         assert tight.merges == rs.merges
         vecs = np.array([r.vec for r in rs.rays])

@@ -211,6 +211,14 @@ class TestForcingChain:
         with pytest.raises(ChainIntegrityError, match="link 6->7"):
             forcing_chain_check(math.radians(18.0), broken)
 
+    def test_reverse_turn_does_not_chain(self):
+        # steps turn by +angle about c2; the other way, copy 1's apex misses
+        # copy 0's c3 and the audit names that link
+        step = math.radians(18.0)
+        rs = assemble_ks_set(step, schedule=(RotationStep("c2", -step, 5),))
+        with pytest.raises(ChainIntegrityError, match="link 0->1"):
+            forcing_chain_check(step, rs)
+
     def test_ten_degree_sweep_contradiction(self):
         step = math.radians(10.0)
         rs = assemble_ks_set(step)
