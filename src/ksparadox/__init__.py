@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .gadget import (
     MAX_GADGET_ANGLE,
+    MIN_GADGET_ANGLE,
     AdmissiblePairSet,
     AngleRangeError,
     DegenerateParameterError,

@@ -52,6 +52,14 @@ GADGET_EDGES = tuple(
 
 #: largest achievable apex-to-c3 angle, arccos(sqrt(8)/3)
 MAX_GADGET_ANGLE = math.acos(math.sqrt(8.0) / 3.0)
+#: how closely a gadget must realize its target angle
+REALIZE_TOL = 1e-9
+#: smallest angle realizable to REALIZE_TOL.  Near cos = 1 an error of one
+#: epsilon in the closed-form cosine moves the angle by about eps / angle.
+#: Solved gadgets miss by up to 3 eps / angle (measured on 20,000 angles in
+#: [1e-6, 1e-2] rad), and some below 6e-7 rad failed the realize check, so
+#: the range starts at 8 eps / REALIZE_TOL (1.8e-6 rad), a factor of 2.7.
+MIN_GADGET_ANGLE = 8 * float(np.finfo(float).eps) / REALIZE_TOL
 
 
 class DegenerateParameterError(ValueError):
@@ -59,8 +67,8 @@ class DegenerateParameterError(ValueError):
 
 
 class AngleRangeError(ValueError):
-    """A requested gadget angle lies outside (0, arccos(sqrt(8)/3)], or
-    explicit parameters do not realize it."""
+    """A requested gadget angle lies outside [MIN_GADGET_ANGLE,
+    MAX_GADGET_ANGLE], or explicit parameters do not realize it."""
 
 
 def raw_gadget_vectors(x: float, y: float) -> tuple[np.ndarray, ...]:
@@ -143,10 +151,10 @@ def gadget_angle(x: float, y: float) -> float:
 
 
 def _check_angle(target: float) -> None:
-    if not (0.0 < target <= MAX_GADGET_ANGLE + 1e-12):
+    if not (MIN_GADGET_ANGLE <= target <= MAX_GADGET_ANGLE + 1e-12):
         raise AngleRangeError(
             f"angle {math.degrees(target):.9g} deg outside "
-            f"(0, {math.degrees(MAX_GADGET_ANGLE):.9g}] deg"
+            f"[{math.degrees(MIN_GADGET_ANGLE):.9g}, {math.degrees(MAX_GADGET_ANGLE):.9g}] deg"
         )
 
 
@@ -168,8 +176,9 @@ def _solve_rising(params, target: float) -> float:
 def solve_parameter_for_angle(target: float) -> float:
     """Diagonal parameter t with gadget_angle(t, t) = target, by bisection.
 
-    Valid targets lie in (0, arccos(sqrt(8)/3)].  (0, 1] brackets the root
-    because the angle rises strictly from 0 at t = 0 to that bound at t = 1.
+    Valid targets lie in [MIN_GADGET_ANGLE, arccos(sqrt(8)/3)].  (0, 1]
+    brackets the root because the angle rises strictly from 0 at t = 0 to
+    that bound at t = 1.
     """
     return _solve_rising(lambda t: (t, t), target)
 
@@ -191,14 +200,14 @@ def gadget_for_angle(target: float, params: tuple[float, float] | None) -> Gadge
     """The gadget whose apex-to-c3 angle is target.
 
     Raises AngleRangeError, in degrees, when target lies outside
-    (0, arccos(sqrt(8)/3)] or when explicit params (x, y) do not realize it
-    to within 1e-9 (a non-finite closed form included).  Without params,
-    x = 1 and y is solved for.
+    [MIN_GADGET_ANGLE, arccos(sqrt(8)/3)] or when explicit params (x, y) do
+    not realize it to within REALIZE_TOL (a non-finite closed form
+    included).  Without params, x = 1 and y is solved for.
     """
     _check_angle(target)
     x, y = params if params is not None else offdiagonal_parameters_for_angle(target)
     realized = gadget_angle(x, y)
-    if not abs(realized - target) <= 1e-9:
+    if not abs(realized - target) <= REALIZE_TOL:
         raise AngleRangeError(
             f"gadget at ({x}, {y}) realizes {math.degrees(realized):.9g} deg, "
             f"not {math.degrees(target):.9g} deg"

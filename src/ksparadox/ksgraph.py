@@ -18,6 +18,19 @@ that merge sit at angle 0 from their representative, or at most 2.1e-8 rad
 smallest separation between distinct rays shrinks with k: 3.2e-3 rad at
 k = 5, 7.5e-5 at k = 24 and 9.6e-6 on the open 2.25-degree chain.
 
+Dedup finds a label's representative in a grid (_NearIndex), not by a
+scan.  With tau = DEDUP_TOL when the grid is built, each representative is
+filed in every cube of side 1000 tau that its box of +-10 tau touches; a
+query q reads the cubes of q and -q and tests their rays in index order by
+the scan's own rule, acos(min(1, |dot|)) <= tau.  It returns the scan's
+first occurrence, because every ray that passes is filed there: with |dot|
+off by a few epsilons, a ray passing the test lies within angle
+tau + 5e-8 of q or -q, and the chord is shorter than the angle, so inside
+the 10 tau reach for any tau above 6e-9 (tenfold at 1e-7).  On the sweeps
+up to k = 90 a ray is filed in 1.3 to 1.5 cubes (a zero coordinate straddles
+a face) and no cube holds more than three rays.  dedupe_rays leaves its
+grid on the RaySet for index_of.
+
 Graph edges are the ray pairs with |dot| within the construction's float
 error, 32 (copies + 3) machine epsilons (_edge_bound).  Per rotation, with u
 half an epsilon, a coordinate of a unit ray gains at most 6u sqrt(3) from
@@ -31,14 +44,15 @@ and the closest non-edge 2.8e-12.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .gadget import APEX, C3, GADGET_EDGES, GADGET_ROLES, GadgetSet, gadget_for_angle
-from .linalg import Ray3
+from .linalg import Ray3, _canonical_units
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
 DEDUP_TOL = 1e-7
@@ -67,16 +81,18 @@ def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     )
 
 
-def _transformed(m: np.ndarray, rays: Sequence[Ray3]) -> list[Ray3]:
-    # one 3x3 product per ray: batching as V @ m.T sums in another order and
-    # changes the last bits of the coordinates the census prints
-    return [Ray3.from_vector(m @ r.vec, r.label) for r in rays]
+def _transformed(m: np.ndarray, vecs: Iterable[np.ndarray]) -> list[list[float]]:
+    """The canonical coordinates of m @ v for each vector v."""
+    # one 3x3 product per vector: batching as V @ m.T sums in another order
+    # and changes the last bits of the coordinates the census prints
+    return _canonical_units([m @ v for v in vecs])
 
 
 def rotate_ray(r: Ray3, axis: Ray3, angle: float) -> Ray3:
     """Rotate a ray about an axis ray; norms and pairwise angles are
     preserved to 1e-12 (the result is re-canonicalized)."""
-    return _transformed(rotation_matrix(axis.vec, angle), [r])[0]
+    ((x, y, z),) = _transformed(rotation_matrix(axis.vec, angle), [r.vec])
+    return Ray3(x, y, z, r.label)
 
 
 def _ray_matrix(rays: Sequence[Ray3]) -> np.ndarray:
@@ -84,14 +100,40 @@ def _ray_matrix(rays: Sequence[Ray3]) -> np.ndarray:
     return np.array([(r.x, r.y, r.z) for r in rays], dtype=float).reshape(-1, 3)
 
 
-def _first_within(vecs: np.ndarray, v: np.ndarray) -> int | None:
-    """Index of the first row of vecs within angle DEDUP_TOL of the ray v, or
-    None: the first with acos(min(1, |dot|)) <= DEDUP_TOL, dot summed as in
-    Ray3.dot."""
-    dots = np.minimum(1.0, np.abs(vecs[:, 0] * v[0] + vecs[:, 1] * v[1] + vecs[:, 2] * v[2]))
-    # np.arccos can differ from math.acos in the last bit: confirm each candidate
-    near = np.flatnonzero(np.arccos(dots) <= DEDUP_TOL + 1e-15)
-    return next((int(i) for i in near if math.acos(dots[i]) <= DEDUP_TOL), None)
+class _NearIndex:
+    """Grid lookup of the first ray within angle DEDUP_TOL of a query (see
+    the module docstring).  rays is the list that add extends, or the fixed
+    tuple the index was built over."""
+
+    def __init__(self, rays: Sequence[Ray3]):
+        self.rays = rays
+        self.tol = DEDUP_TOL
+        self.reach = 10.0 * self.tol
+        self.side = 100.0 * self.reach
+        self.cells: dict[tuple[int, int, int], list[int]] = {}
+        for k, r in enumerate(rays):
+            self._file(k, r)
+
+    def _file(self, k: int, r: Ray3) -> None:
+        s, d = self.side, self.reach
+        spans = (range(math.floor((c - d) / s), math.floor((c + d) / s) + 1) for c in (r.x, r.y, r.z))
+        for key in itertools.product(*spans):
+            self.cells.setdefault(key, []).append(k)
+
+    def add(self, r: Ray3) -> int:
+        self.rays.append(r)
+        self._file(len(self.rays) - 1, r)
+        return len(self.rays) - 1
+
+    def find(self, q: Ray3) -> int | None:
+        """Index of the first ray with acos(min(1, |dot|)) <= tol, or None."""
+        s, x, y, z = self.side, q.x, q.y, q.z
+        same = self.cells.get((math.floor(x / s), math.floor(y / s), math.floor(z / s)), [])
+        opposite = self.cells.get((math.floor(-x / s), math.floor(-y / s), math.floor(-z / s)))
+        for k in sorted(same + opposite) if opposite else same:
+            if math.acos(min(1.0, abs(self.rays[k].dot(q)))) <= self.tol:
+                return k
+        return None
 
 
 @dataclass(frozen=True)
@@ -149,6 +191,7 @@ class RaySet:
     merges: tuple[tuple[str, str], ...]
     copies: tuple[Mapping[str, int], ...] = ()
     provenance: Mapping[str, Any] = field(default_factory=dict)
+    grid: _NearIndex | None = field(default=None, compare=False, repr=False)
 
     @property
     def triad_label_count(self) -> int:
@@ -156,7 +199,14 @@ class RaySet:
         return sum(1 for lb in self.label_to_index if not lb.endswith("apex"))
 
     def index_of(self, r: Ray3) -> int | None:
-        return _first_within(_ray_matrix(self.rays), r.vec)
+        """Index of the first ray within angle DEDUP_TOL of r, or None.  The
+        grid is built on first use unless dedupe_rays left one for these
+        very rays (dataclasses.replace carries it over)."""
+        grid = self.grid
+        if grid is None or grid.rays is not self.rays:
+            grid = _NearIndex(self.rays)
+            object.__setattr__(self, "grid", grid)
+        return grid.find(r)
 
     def to_dict(self) -> dict:
         return {
@@ -172,39 +222,37 @@ def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
 
     Unlabeled rays are labeled by input position.
     """
-    reps = np.empty((len(rays), 3))
-    uniq: list[Ray3] = []
+    grid = _NearIndex([])
     label_to_index: dict[str, int] = {}
     merges: list[tuple[str, str]] = []
     for idx, ray in enumerate(rays):
         label = ray.label or f"r{idx}"
-        v = ray.vec
-        k = _first_within(reps[: len(uniq)], v)
+        k = grid.find(ray)
         if k is None:
-            k = len(uniq)
-            reps[k] = v
-            uniq.append(ray.relabel(label))
+            k = grid.add(ray if ray.label else ray.relabel(label))
         else:
-            merges.append((label, uniq[k].label))
+            merges.append((label, grid.rays[k].label))
         label_to_index[label] = k
+    grid.rays = tuple(grid.rays)  # the RaySet's own rays, so index_of reuses the grid
     return RaySet(
-        rays=tuple(uniq),
+        rays=grid.rays,
         label_to_index=label_to_index,
         merges=tuple(merges),
+        grid=grid,
     )
 
 
-def _align_gadget(g: GadgetSet) -> list[Ray3]:
-    """Rotate the gadget so c2 lies on the +y axis and the apex on +z, with
-    c3 in the x > 0 half of the x-z plane."""
+def _align_gadget(g: GadgetSet) -> list[list[float]]:
+    """The gadget's coordinates rotated so c2 lies on the +y axis and the
+    apex on +z, with c3 in the x > 0 half of the x-z plane."""
     w = g.rays[APEX].vec
     u = g.rays[GADGET_ROLES.index("c2")].vec
     rot = np.stack([np.cross(u, w), u, w])  # maps u x w -> x, u -> y, w -> z
-    rays = _transformed(rot, g.rays)
-    if rays[C3].x < 0.0:
+    rows = _transformed(rot, [r.vec for r in g.rays])
+    if rows[C3][0] < 0.0:
         flip = np.diag([-1.0, -1.0, 1.0])  # half turn about z; same rays for axis images
-        rays = _transformed(flip, rays)
-    return rays
+        rows = _transformed(flip, np.array(rows))
+    return rows
 
 
 def assemble_ks_set(
@@ -229,14 +277,17 @@ def assemble_ks_set(
     if schedule is None:
         schedule = default_schedule(step_angle)
 
-    copies: list[list[Ray3]] = [_align_gadget(gadget)]
+    # each copy is a list of ten coordinate rows; a step rotates one copy
+    # as a (10, 3) array
+    copies = [_align_gadget(gadget)]
     current = copies[0]
     for step in schedule:
         if step.axis_role not in GADGET_ROLES:
             raise ScheduleError(f"schedule references unknown axis role {step.axis_role!r}")
         axis_index = GADGET_ROLES.index(step.axis_role)
         for _ in range(step.repetitions):
-            current = _transformed(rotation_matrix(current[axis_index].vec, step.angle), current)
+            m = rotation_matrix(current[axis_index], step.angle)
+            current = _transformed(m, np.array(current))
             if step.emit:
                 copies.append(current)
 
@@ -244,10 +295,10 @@ def assemble_ks_set(
     # already occurs as some copy's c3 (or c1), so representatives stay triad
     # labels and the merge census counts triad-label overlaps directly
     labeled = [
-        cp[ri].relabel(f"g{ci + 1:02d}:{GADGET_ROLES[ri]}")
+        Ray3(*cp[ri], f"g{ci + 1:02d}:{GADGET_ROLES[ri]}")
         for ci, cp in enumerate(copies)
         for ri in range(1, len(GADGET_ROLES))
-    ] + [cp[APEX].relabel(f"g{ci + 1:02d}:apex") for ci, cp in enumerate(copies)]
+    ] + [Ray3(*cp[APEX], f"g{ci + 1:02d}:apex") for ci, cp in enumerate(copies)]
     deduped = dedupe_rays(labeled)
     copy_maps = tuple(
         {

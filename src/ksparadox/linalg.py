@@ -28,20 +28,24 @@ class NormalizationError(ValueError):
 
 
 @np.errstate(over="ignore")
-def _canonical_unit(v: np.ndarray) -> np.ndarray:
-    """Normalize and fix the overall sign: first component of magnitude
-    above SIGN_EPS is made positive (antipodal identification).  An
-    overflowing norm is rejected without a numpy warning."""
-    norm = math.sqrt(v.dot(v))  # np.linalg.norm's value, without its overhead
-    if not 1e-9 < norm < math.inf:
-        raise NormalizationError(f"cannot normalize {v!r} of norm {norm}")
-    v = v / norm
-    for c in v:
-        if abs(c) > SIGN_EPS:
-            if c < 0.0:
-                v = -v
-            break
-    return v
+def _canonical_units(vecs: Iterable[np.ndarray]) -> list[list[float]]:
+    """Normalize each vector and fix its overall sign: the first component
+    of magnitude above SIGN_EPS is made positive (antipodal identification).
+    An overflowing norm is rejected without a numpy warning; the errstate is
+    entered once per call, not once per vector."""
+    out = []
+    for v in vecs:
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's value, without its overhead
+        if not 1e-9 < norm < math.inf:
+            raise NormalizationError(f"cannot normalize {v!r} of norm {norm}")
+        u = (v / norm).tolist()
+        for c in u:
+            if abs(c) > SIGN_EPS:
+                if c < 0.0:
+                    u = [-a for a in u]
+                break
+        out.append(u)
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,8 @@ class Ray3:
 
     @classmethod
     def from_vector(cls, v: Iterable[float], label: str = "") -> "Ray3":
-        u = _canonical_unit(np.asarray(tuple(v), dtype=float))
-        return cls(float(u[0]), float(u[1]), float(u[2]), label)
+        ((x, y, z),) = _canonical_units([np.asarray(tuple(v), dtype=float)])
+        return cls(x, y, z, label)
 
     @property
     def vec(self) -> np.ndarray:

@@ -226,7 +226,16 @@ class TestCliCommands:
     def test_step_out_of_range_is_an_error_exit(self, capsys, command, step):
         assert main([*command, "--step-angle-deg", step]) == 1
         err = capsys.readouterr().err
-        assert f"error: angle {step} deg outside (0, 19.4712206] deg" in err
+        assert f"error: angle {step} deg outside [0.00010177775, 19.4712206] deg" in err
+
+    @pytest.mark.parametrize("target", [1e-9, 1e-7])
+    def test_tiny_step_is_an_error_exit(self, capsys, target):
+        # steps under MIN_GADGET_ANGLE (1.8e-6 rad) fail the range check
+        step = f"{math.degrees(target):.17g}"
+        assert main(["check-coloring", "--step-angle-deg", step]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: angle ")
+        assert line.endswith(" deg outside [0.00010177775, 19.4712206] deg")
 
     @pytest.mark.parametrize("command", RAY_COMMANDS, ids=" ".join)
     def test_gadget_parameters_must_realize_step(self, capsys, command):

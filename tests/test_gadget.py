@@ -13,6 +13,7 @@ from ksparadox.gadget import (
     GADGET_ROLES,
     GADGET_TRIADS,
     MAX_GADGET_ANGLE,
+    MIN_GADGET_ANGLE,
     AngleRangeError,
     DegenerateParameterError,
     build_gadget,
@@ -176,6 +177,21 @@ class TestGadgetForAngle:
         with pytest.raises(AngleRangeError, match=r"19\.4712206\] deg") as err:
             gadget_for_angle(math.radians(deg), (1.0, 1.0))
         assert f"{deg:.9g} deg" in str(err.value)
+
+    @pytest.mark.parametrize("target", [1e-9, 1e-7])
+    def test_tiny_angle_fails_the_range_check(self, target):
+        # below MIN_GADGET_ANGLE the solved gadget would miss by more than
+        # REALIZE_TOL; the range check says so before any solve
+        with pytest.raises(AngleRangeError, match=r"outside \[0\.00010177775, 19\.4712206\] deg"):
+            gadget_for_angle(target, None)
+
+    def test_every_angle_above_the_lower_end_is_realized(self):
+        # the realized angle misses by up to about 3 eps / angle, which
+        # MIN_GADGET_ANGLE keeps below the tolerance with room to spare
+        for target in np.geomspace(MIN_GADGET_ANGLE, 1e-4, 200):
+            gadget_for_angle(float(target), None)
+            t = solve_parameter_for_angle(float(target))
+            gadget_for_angle(float(target), (t, t))
 
     def test_nan_angle_fails_realize_check(self):
         # (1e200, 1) overflows the closed form to nan, which must not pass

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from ksparadox import ksgraph
 from ksparadox.gadget import (
+    C3,
     GADGET_EDGES,
     GADGET_ROLES,
     GADGET_TRIADS,
     build_gadget,
+    gadget_for_angle,
     offdiagonal_parameters_for_angle,
     solve_parameter_for_angle,
 )
@@ -21,18 +23,35 @@ from ksparadox.ksgraph import (
     DEDUP_TOL,
     DEFAULT_STEP_ANGLE,
     OrthogonalityGapError,
+    RaySet,
     RotationStep,
     ScheduleError,
     _edge_bound,
+    _NearIndex,
+    _transformed,
     assemble_ks_set,
     build_orthogonality_graph,
     dedupe_rays,
+    default_schedule,
     rotate_ray,
+    rotation_matrix,
 )
-from ksparadox.linalg import Context, Ray3, verify_completion
+from ksparadox.linalg import SIGN_EPS, Context, Ray3, verify_completion
 from ksparadox.solver import check_colorability
 
 AXES = tuple(Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _plain_scan(rays):
+    """label -> representative index by a plain first-occurrence loop over
+    all representatives, at the current ksgraph.DEDUP_TOL."""
+    expected, reps = {}, []
+    for idx, r in enumerate(rays):
+        k = next((k for k, u in enumerate(reps) if u.angle_to(r) <= ksgraph.DEDUP_TOL), len(reps))
+        if k == len(reps):
+            reps.append(r)
+        expected[r.label or f"r{idx}"] = k
+    return expected, reps
 
 
 class TestRotateRay:
@@ -91,22 +110,158 @@ class TestDedupeRays:
         t = DEDUP_TOL
         edge_cases = [(1, 0, 0), (1, 1.5 * t, 0), (1, 0.75 * t, 0), (1.1e-12, -1, 0), (0.9e-12, 1, 0)]
         rays = [Ray3.from_vector(v) for v in [*(picks + jitter), *edge_cases]]
-        expected, reps = {}, []
-        for idx, r in enumerate(rays):
-            k = next((k for k, u in enumerate(reps) if u.angle_to(r) <= DEDUP_TOL), len(reps))
-            if k == len(reps):
-                reps.append(r)
-            expected[f"r{idx}"] = k
         rs = dedupe_rays(rays)
-        assert rs.label_to_index == expected
+        assert rs.label_to_index == _plain_scan(rays)[0]
         assert 20 < len(rs.rays) < 60
         k = rs.label_to_index["r60"]
         assert [rs.label_to_index[f"r{i}"] for i in range(60, 65)] == [k, k + 1, k, k + 2, k + 2]
 
 
+def _jittered(rng, base, angle):
+    """base turned by angle in a random direction."""
+    b = np.asarray(base, dtype=float)
+    b = b / np.linalg.norm(b)
+    p = np.cross(b, rng.normal(size=3))
+    return math.cos(angle) * b + math.sin(angle) * p / np.linalg.norm(p)
+
+
+def _near_cell_faces(rng, reach, side):
+    """A unit direction whose x and y sit within reach of a cell face."""
+    x, y = (round(c / side) * side + rng.uniform(-reach, reach) for c in rng.uniform(-0.6, 0.6, 2))
+    return (x, y, rng.choice([-1.0, 1.0]) * math.sqrt(1.0 - x * x - y * y))
+
+
+class TestGridMatchesPlainScan:
+    # the grid lookup must return the plain scan's first occurrence: labels
+    # jittered around the tolerance, bases near the grid's cell faces, and
+    # near-antipodes whose first components straddle SIGN_EPS
+
+    @pytest.mark.parametrize("scale", [1.0, 1 / 3], ids=["tol", "tol/3"])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_dedupe_equals_plain_scan(self, scale, seed):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ksgraph, "DEDUP_TOL", DEDUP_TOL * scale)
+            tol = ksgraph.DEDUP_TOL
+            probe = _NearIndex([])
+            assert probe.tol == tol  # the grid reads the tolerance when built
+            # bases in the plane x = 0 jitter to either canonical sign
+            bases = [rng.normal(size=3) for _ in range(3)]
+            bases += [_near_cell_faces(rng, probe.reach, probe.side) for _ in range(3)]
+            bases += [(0.0, *rng.normal(size=2)) for _ in range(2)]
+            factors = rng.choice([0.0, 0.3, 0.6, 0.9, 1.1, 3.0], 64)
+            vecs = [_jittered(rng, bases[i], f * tol) for i, f in zip(rng.integers(0, 8, 64), factors)]
+            for a in rng.choice([0.5, 0.9, 1.1, 2.0], 4) * SIGN_EPS:
+                y, z = rng.normal(size=2)
+                vecs += [(a, y, z), (-a, -y, -z), (a, -y, -z), _jittered(rng, (a, y, z), 0.9 * tol)]
+            rays = [Ray3.from_vector(v) for v in rng.permutation(vecs)]
+            expected, reps = _plain_scan(rays)
+            rs = dedupe_rays(rays)
+            assert rs.label_to_index == expected
+            assert rs.rays == tuple(reps)
+            assert [rs.index_of(r) for r in rays] == [expected[f"r{i}"] for i in range(len(rays))]
+
+
 @pytest.fixture(scope="module")
 def rayset():
     return assemble_ks_set()
+
+
+class TestIndexOf:
+    def test_hand_built_set_builds_its_index_once(self):
+        rs = RaySet(rays=AXES, label_to_index={}, merges=())
+        assert rs.grid is None
+        assert [rs.index_of(a) for a in AXES] == [0, 1, 2]
+        grid = rs.grid
+        assert rs.index_of(Ray3.from_vector((0.5e-12, -1, 1e-8))) == 1  # a near-antipode of y
+        assert rs.index_of(Ray3.from_vector((1, 1, 0))) is None
+        assert rs.grid is grid
+
+    def test_dedupe_leaves_the_index_it_built(self, rayset):
+        grid = rayset.grid
+        assert grid is not None and grid.rays is rayset.rays
+        assert [rayset.index_of(a) for a in AXES] == [40, 7, 39]
+        assert rayset.grid is grid
+
+    def test_replace_carries_or_rebuilds_the_index(self, rayset):
+        same = dataclasses.replace(rayset, copies=())
+        assert same.grid is rayset.grid
+        assert [same.index_of(a) for a in AXES] == [40, 7, 39]
+        # new rays: the carried index no longer fits and is rebuilt
+        grown = dataclasses.replace(rayset, rays=AXES + rayset.rays)
+        assert [grown.index_of(a) for a in AXES] == [0, 1, 2]
+        assert grown.grid is not rayset.grid and grown.grid.rays is grown.rays
+
+
+def _sweep_args(name):
+    if name == "open-k40":  # legs of 39, 40 and 38 steps of 2.25 degrees: an open chain
+        step = math.radians(2.25)
+        pivot = RotationStep("c3", math.pi / 2.0, 1, emit=False)
+        legs = [RotationStep("c2", step, n) for n in (39, 40, 38)]
+        return step, (legs[0], pivot, legs[1], pivot, legs[2])
+    step = math.radians(90.0 / int(name[2:]))
+    return step, default_schedule(step)
+
+
+def _sweep(name):
+    return assemble_ks_set(*_sweep_args(name))
+
+
+class TestBitsKept:
+    # coordinates are printed to their last bits, and OpenBLAS picks its
+    # kernels per CPU: compare on this host, never against stored floats
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100)
+    def test_copy_rotation_equals_per_ray_rotation(self, seed):
+        rng = np.random.default_rng(seed)
+        copy = [Ray3.from_vector(rng.normal(size=3)) for _ in range(10)]
+        m = rotation_matrix(Ray3.from_vector(rng.normal(size=3)).vec, rng.uniform(0, 2 * math.pi))
+        rows = _transformed(m, np.array([(r.x, r.y, r.z) for r in copy]))
+        expected = [Ray3.from_vector(m @ r.vec) for r in copy]
+        assert [[c.hex() for c in row] for row in rows] == [
+            [e.x.hex(), e.y.hex(), e.z.hex()] for e in expected
+        ]
+
+    @pytest.mark.parametrize("name", ["k=5", "k=24", "open-k40"])
+    def test_sweep_equals_ray_by_ray_rebuild(self, name):
+        # the sweep rebuilt one Ray3 at a time with rotate_ray, deduped by
+        # the plain first-occurrence scan
+        step_angle, schedule = _sweep_args(name)
+        gadget = gadget_for_angle(step_angle, None)
+        w, u = gadget.ray("apex").vec, gadget.ray("c2").vec
+        copy = [Ray3.from_vector(np.stack([np.cross(u, w), u, w]) @ r.vec) for r in gadget.rays]
+        if copy[C3].x < 0.0:
+            copy = [Ray3.from_vector(np.diag([-1.0, -1.0, 1.0]) @ r.vec) for r in copy]
+        copies = [copy]
+        for step in schedule:
+            a = GADGET_ROLES.index(step.axis_role)
+            for _ in range(step.repetitions):
+                copy = [rotate_ray(r, copy[a], step.angle) for r in copy]
+                if step.emit:
+                    copies.append(copy)
+        labeled = [  # triad labels first, apex labels last
+            cp[ri].relabel(f"g{ci + 1:02d}:{GADGET_ROLES[ri]}")
+            for ci, cp in enumerate(copies)
+            for ri in range(1, len(GADGET_ROLES))
+        ] + [cp[0].relabel(f"g{ci + 1:02d}:apex") for ci, cp in enumerate(copies)]
+        expected, reps = _plain_scan(labeled)
+        merges = [
+            [lb, reps[expected[lb]].label] for lb in expected if reps[expected[lb]].label != lb
+        ]
+        rs = assemble_ks_set(step_angle, schedule)
+        d = rs.to_dict()
+        assert d["rays"] == [{"label": r.label, "xyz": [r.x, r.y, r.z]} for r in reps]
+        assert [[x.hex() for x in r["xyz"]] for r in d["rays"]] == [
+            [r.x.hex(), r.y.hex(), r.z.hex()] for r in reps
+        ]
+        assert d["merges"] == merges
+        assert d["copies"] == [
+            {role: expected[f"g{ci + 1:02d}:{role}"] for role in GADGET_ROLES}
+            for ci in range(len(copies))
+        ]
+        assert rs.label_to_index == expected
 
 
 class TestAssembleDefault:
@@ -280,15 +435,6 @@ class TestOrthogonalityGraph:
         g = OrthogonalityGraph.from_structure(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert g.triads == ((0, 1, 2),)
         assert g.rays is None
-
-
-def _sweep(name):
-    if name == "open-k40":  # legs of 39, 40 and 38 steps of 2.25 degrees: an open chain
-        step = math.radians(2.25)
-        pivot = RotationStep("c3", math.pi / 2.0, 1, emit=False)
-        legs = [RotationStep("c2", step, n) for n in (39, 40, 38)]
-        return assemble_ks_set(step, schedule=(legs[0], pivot, legs[1], pivot, legs[2]))
-    return assemble_ks_set(math.radians(90.0 / int(name[2:])))
 
 
 def _construction(rs, relations):
