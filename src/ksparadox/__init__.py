@@ -53,11 +53,9 @@ from .linalg import (
 )
 from .simulate import (
     GENERATOR_NAME,
-    ContextValueTable,
     EnsembleCounts,
     EnsembleSpec,
     check_additivity_relation,
-    contextual_hv_sample,
     empirical_spin_average,
     expected_spin_average,
     run_sequence,

@@ -13,9 +13,10 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from .gadget import GADGET_ROLES, GADGET_TRIADS
 from .ksgraph import OrthogonalityGraph, RaySet
 from .linalg import X_AXIS, Y_AXIS, Z_AXIS
-from .simulate import GENERATOR_NAME, ContextValueTable, EnsembleCounts
+from .simulate import GENERATOR_NAME, EnsembleCounts
 
 
 def fmt9(value: float) -> str:
@@ -85,48 +86,6 @@ def counts_to_csv(counts: Sequence[EnsembleCounts], seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def counts_to_json(counts: Sequence[EnsembleCounts], seed: int) -> str:
-    return to_json(
-        {
-            "generator": GENERATOR_NAME,
-            "seed": seed,
-            "stages": [
-                {
-                    "stage": c.stage,
-                    "theta_deg": math.degrees(c.theta),
-                    "n_plus": c.n_plus,
-                    "n_minus": c.n_minus,
-                    "N": c.total,
-                }
-                for c in counts
-            ],
-        }
-    )
-
-
-def table_to_csv(table: ContextValueTable) -> str:
-    lines = [
-        f"# generator={table.generator} seed={table.seed}",
-        "context,v1,v2,v3",
-    ]
-    for label, row in zip(table.context_labels, table.rows):
-        lines.append(f"{label},{row[0]},{row[1]},{row[2]}")
-    return "\n".join(lines) + "\n"
-
-
-def table_to_json(table: ContextValueTable) -> str:
-    return to_json(
-        {
-            "generator": table.generator,
-            "seed": table.seed,
-            "rows": {
-                label: list(row)
-                for label, row in zip(table.context_labels, table.rows)
-            },
-        }
-    )
-
-
 def to_json(document: dict | list) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
@@ -152,15 +111,11 @@ def ray_census(rs: RaySet) -> dict:
             )
     contexts = []
     for ci, cp in enumerate(rs.copies):
-        for triad_name, roles in (
-            ("A", ("a1", "a2", "a3")),
-            ("B", ("b1", "b2", "b3")),
-            ("C", ("c1", "c2", "c3")),
-        ):
+        for triad_name, triad in zip("ABC", GADGET_TRIADS):
             contexts.append(
                 {
                     "context": f"g{ci + 1:02d}.{triad_name}",
-                    "nodes": [cp[r] for r in roles],
+                    "nodes": [cp[GADGET_ROLES[i]] for i in triad],
                 }
             )
     return {

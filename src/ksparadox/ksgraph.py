@@ -39,7 +39,9 @@ and 3u from renormalising, so the |dot| of two rays moves by under
 17u (|a|_1 + |b|_1) <= 34 sqrt(3) u < 32 epsilons.  The last copy has had
 copies + 2 rotations (alignment, steps, two pivots), plus one term for the
 gadget's own vectors.  At k = 90 (bound 1.9e-12) edges measure <= 7.4e-15
-and the closest non-edge 2.8e-12.
+and the closest non-edge 2.8e-12.  At k = 95 three pairs outside the
+construction measure within the bound, so default_schedule stops at
+MAX_SWEEP_K = 90.
 """
 
 from __future__ import annotations
@@ -56,11 +58,13 @@ from .linalg import Ray3, _canonical_units
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
 DEDUP_TOL = 1e-7
+#: most steps per leg; from k = 95 on, non-construction pairs fall within _edge_bound
+MAX_SWEEP_K = 90
 
 
 class ScheduleError(ValueError):
     """A rotation schedule referenced a missing axis or broke the sweep, or
-    a step angle does not divide 90 degrees."""
+    a step angle does not divide 90 degrees or is below 90 / MAX_SWEEP_K."""
 
 
 class OrthogonalityGapError(ValueError):
@@ -157,7 +161,8 @@ def default_schedule(step_angle: float = DEFAULT_STEP_ANGLE) -> tuple[RotationSt
     k - 1 steps about c2, a 90-degree pivot about c3 then k steps about the
     new c2, and once more (legs 4/5/5 at the default 18 degrees).
 
-    Raises ScheduleError unless k is a positive integer to within 1e-9.
+    Raises ScheduleError unless k is a positive integer to within 1e-9 and
+    at most MAX_SWEEP_K.
     """
     k = math.pi / 2.0 / step_angle if step_angle > 0.0 else 0.0
     if not (math.isfinite(k) and k >= 1.0 and abs(k - round(k)) <= 1e-9):
@@ -165,6 +170,11 @@ def default_schedule(step_angle: float = DEFAULT_STEP_ANGLE) -> tuple[RotationSt
             f"step angle {math.degrees(step_angle)} deg does not divide 90 deg"
         )
     k = round(k)
+    if k > MAX_SWEEP_K:
+        raise ScheduleError(
+            f"step angle {math.degrees(step_angle)} deg gives {k} steps per leg; "
+            f"the edge rule holds up to {MAX_SWEEP_K} (steps of 1 deg)"
+        )
     pivot = RotationStep("c3", math.pi / 2.0, 1, emit=False)
     return (
         RotationStep("c2", step_angle, k - 1),

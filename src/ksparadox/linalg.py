@@ -152,10 +152,6 @@ def projector_from_vector(v: Sequence[float] | np.ndarray) -> Projector:
     return Projector(np.outer(u, u))
 
 
-def ray_projector(r: Ray3) -> Projector:
-    return projector_from_vector(r.vec)
-
-
 def spin_operator(theta: float) -> np.ndarray:
     """The spin observable at orientation theta, half the difference of the
     two branch projectors: (1/2) [[cos t, sin t], [sin t, -cos t]].
@@ -197,18 +193,16 @@ def spin1_overlap(state: Ray3, outcome: Ray3) -> float:
 class Context:
     """A complete measurement arrangement.
 
-    Spin-1: an orthonormal triad of outcome rays (pairwise dot below 1e-9),
-    with b_direction the average field direction.  Spin-1/2: an orientation
-    angle theta, with b_direction lying in the x-z plane (rotation is taken
-    about the laboratory y-axis).
+    Spin-1: an orthonormal triad of outcome rays (pairwise dot below 1e-9).
+    Spin-1/2: an orientation angle theta (rotation is taken about the
+    laboratory y-axis).
     """
 
-    b_direction: Ray3
     triad: tuple[Ray3, Ray3, Ray3] | None = None
     theta: float | None = None
 
     @classmethod
-    def spin1(cls, triad: Sequence[Ray3], b_direction: Ray3 | None = None) -> "Context":
+    def spin1(cls, triad: Sequence[Ray3]) -> "Context":
         rays = tuple(triad)
         if len(rays) != 3:
             raise ValueError("a spin-1 context needs exactly three rays")
@@ -219,36 +213,31 @@ class Context:
                         f"triad rays {rays[i].label or i!r} and {rays[j].label or j!r} "
                         "are not orthogonal"
                     )
-        return cls(b_direction=b_direction or rays[0], triad=rays)
+        return cls(triad=rays)
 
     @classmethod
     def spin_half(cls, theta: float) -> "Context":
         if not math.isfinite(theta):
             raise ValueError("theta must be finite")
-        b = Ray3.from_vector((math.sin(theta), 0.0, math.cos(theta)))
-        return cls(b_direction=b, theta=theta)
+        return cls(theta=theta)
 
     def projectors(self) -> tuple[Projector, ...]:
         if self.triad is not None:
-            return tuple(ray_projector(r) for r in self.triad)
+            return tuple(projector_from_vector(r.vec) for r in self.triad)
         plus, minus = spin_half_eigenvectors(self.theta)
         return projector_from_vector(plus.vec), projector_from_vector(minus.vec)
 
 
-def context_for_direction(direction: Ray3 | Sequence[float], label: str = "") -> Context:
+def context_for_direction(direction: Ray3) -> Context:
     """Spin-1 context for a field direction: the direction plus a
     deterministic orthonormal completion."""
-    d = direction if isinstance(direction, Ray3) else Ray3.from_vector(direction, label)
-    zxd = np.cross([0.0, 0.0, 1.0], d.vec)
+    zxd = np.cross([0.0, 0.0, 1.0], direction.vec)
     if np.linalg.norm(zxd) <= 1e-9:
         e1 = np.array([1.0, 0.0, 0.0])
     else:
         e1 = zxd / np.linalg.norm(zxd)
-    e2 = np.cross(d.vec, e1)
-    return Context.spin1(
-        (d, Ray3.from_vector(e1), Ray3.from_vector(e2)),
-        b_direction=d,
-    )
+    e2 = np.cross(direction.vec, e1)
+    return Context.spin1((direction, Ray3.from_vector(e1), Ray3.from_vector(e2)))
 
 
 def verify_completion(context: Context) -> float:

@@ -96,7 +96,7 @@ def _run_stages(
         if signs is None:
             signs = np.where(u < 0.5, 1, -1).astype(np.int8)
         else:
-            p_stay = math.cos((theta - prev_theta) / 2.0) ** 2
+            p_stay = transition_probability_spin_half(prev_theta, +1, theta)
             signs = np.where(u < p_stay, signs, -signs).astype(np.int8)
         prev_theta = theta
         n_plus = int(np.count_nonzero(signs == 1))
@@ -242,16 +242,6 @@ def vn_continuity_scan(psi_theta: float, grid: Sequence[float]) -> list[float]:
     ]
 
 
-@dataclass(frozen=True)
-class ContextValueTable:
-    """One sampled 0/1 value row per context; every row sums to exactly 1."""
-
-    context_labels: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-    seed: int
-    generator: str = GENERATOR_NAME
-
-
 def _context_probabilities(preparation: Ray3, context: Context) -> np.ndarray:
     if context.triad is None:
         raise ValueError("contextual sampling needs spin-1 (triad) contexts")
@@ -264,9 +254,12 @@ def sample_context_tables(
     n_samples: int,
     seed: int,
 ) -> np.ndarray:
-    """Bulk sampler: (n_samples, n_contexts) array of the triad member index
-    valued 1 in each draw.  Contexts are sampled independently of each other
-    with the squared-cosine weights of the preparation."""
+    """The contextual hidden-value model: an (n_samples, n_contexts) array of
+    the triad member valued 1 in each draw, chosen with probability
+    spin1_overlap against the preparation.  Contexts are sampled
+    independently, so contexts sharing a ray may disagree on its value.
+
+    Raises ValueError for a spin-1/2 context."""
     rng = np.random.default_rng(seed)
     u = rng.random((n_samples, len(contexts)))
     out = np.empty((n_samples, len(contexts)), dtype=np.int8)
@@ -275,24 +268,3 @@ def sample_context_tables(
         out[:, j] = np.minimum(np.searchsorted(cum, u[:, j], side="right"), 2)
     return out
 
-
-def contextual_hv_sample(
-    preparation: Ray3, contexts: Sequence[Context], seed: int
-) -> ContextValueTable:
-    """Draw one value table: independently per context, exactly one triad
-    member receives value 1, chosen with probability spin1_overlap against
-    the preparation.
-
-    Contexts sharing a ray may well disagree on it; nothing ties the draws
-    together, which is the whole point.
-    """
-    picks = sample_context_tables(preparation, contexts, 1, seed)[0]
-    rows = []
-    for pick in picks:
-        row = [0, 0, 0]
-        row[int(pick)] = 1
-        rows.append(tuple(row))
-    labels = tuple(
-        ctx.b_direction.label or f"context{j}" for j, ctx in enumerate(contexts)
-    )
-    return ContextValueTable(context_labels=labels, rows=tuple(rows), seed=seed)

@@ -24,9 +24,10 @@ from typing import Literal
 from .gadget import (
     APEX,
     C3,
-    GADGET_EDGES,
     GADGET_ROLES,
+    REALIZE_TOL,
     _gadget_lemma,
+    edge_residual,
     satisfying_masks,
 )
 from .ksgraph import OrthogonalityGraph, RaySet
@@ -345,13 +346,13 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     links = []
     for k, cp in enumerate(copies):
         rays = [chain.rays[cp[role]] for role in GADGET_ROLES]
-        residual = max(abs(rays[i].dot(rays[j])) for i, j in GADGET_EDGES)
+        residual = edge_residual(rays)
         if residual > LINK_ORTHO_TOL:
             raise ChainIntegrityError(
                 f"link {k}: orthogonality residual {residual} exceeds {LINK_ORTHO_TOL}"
             )
         angle = rays[APEX].angle_to(rays[C3])
-        if abs(angle - gadget_angle) > 1e-9:
+        if abs(angle - gadget_angle) > REALIZE_TOL:
             raise ChainIntegrityError(
                 f"link {k}: apex-c3 angle {angle} differs from {gadget_angle}"
             )

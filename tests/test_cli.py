@@ -54,27 +54,6 @@ class TestEmitters:
         assert len(lines) == 4
         assert lines[2].split(",")[-1] == "1000"
 
-    def test_counts_json(self):
-        from ksparadox.emit import counts_to_json
-
-        counts = run_sequence(EnsembleSpec.unpolarized(50, seed=2), [0.0])
-        doc = json.loads(counts_to_json(counts, seed=2))
-        assert doc["generator"] == "numpy.random.PCG64"
-        assert doc["stages"][0]["N"] == 50
-
-    def test_context_table_emitters(self):
-        from ksparadox.emit import table_to_csv, table_to_json
-        from ksparadox.linalg import Ray3, context_for_direction
-        from ksparadox.simulate import contextual_hv_sample
-
-        ctx = context_for_direction(Ray3.from_vector((0, 0, 1), "z"))
-        table = contextual_hv_sample(Ray3.from_vector((1, 1, 1)), [ctx], seed=4)
-        csv_text = table_to_csv(table)
-        assert csv_text.splitlines()[1] == "context,v1,v2,v3"
-        assert csv_text.splitlines()[2].startswith("z,")
-        doc = json.loads(table_to_json(table))
-        assert sum(doc["rows"]["z"]) == 1
-
 
 class TestCliCommands:
     def test_verify_bound(self, capsys):
@@ -236,6 +215,14 @@ class TestCliCommands:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: angle ")
         assert line.endswith(" deg outside [0.00010177775, 19.4712206] deg")
+
+    def test_oversized_sweep_is_an_error_exit(self, capsys):
+        # 0.0001125 deg passes the range and divides-90 checks but gives
+        # k = 800,000; the schedule is rejected before any copy is built
+        assert main(["check-coloring", "--step-angle-deg", "0.0001125"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: step angle ")
+        assert line.endswith(" steps per leg; the edge rule holds up to 90 (steps of 1 deg)")
 
     @pytest.mark.parametrize("command", RAY_COMMANDS, ids=" ".join)
     def test_gadget_parameters_must_realize_step(self, capsys, command):

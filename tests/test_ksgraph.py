@@ -360,6 +360,15 @@ class TestAssembleVariants:
         with pytest.raises(ScheduleError, match="does not divide 90"):
             assemble_ks_set(step_angle=math.radians(deg))
 
+    @pytest.mark.parametrize("k", [91, 95])
+    def test_sweep_above_k90_rejected(self, k):
+        with pytest.raises(ScheduleError, match="holds up to 90"):
+            default_schedule(math.radians(90.0 / k))
+
+    def test_k90_schedule_accepted(self):
+        legs = default_schedule(math.radians(1.0))
+        assert [step.repetitions for step in legs] == [89, 1, 90, 1, 90]
+
     def test_closed_k24_census(self):
         rs = assemble_ks_set(step_angle=math.radians(90.0 / 24))
         g = build_orthogonality_graph(rs)

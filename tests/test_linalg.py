@@ -13,7 +13,6 @@ from ksparadox.linalg import (
     Ray3,
     context_for_direction,
     projector_from_vector,
-    ray_projector,
     spin1_overlap,
     spin_half_eigenvectors,
     spin_operator,
@@ -217,6 +216,6 @@ class TestContexts:
             assert verify_completion(ctx) <= 1e-12
 
     def test_ray_projector_three_by_three(self):
-        p = ray_projector(Ray3.from_vector((0, 0, 1)))
+        p = projector_from_vector(Ray3.from_vector((0, 0, 1)).vec)
         assert p.entries.shape == (3, 3)
         assert p.trace() == pytest.approx(1.0, abs=1e-12)
