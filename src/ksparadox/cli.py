@@ -227,6 +227,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_vn(args: argparse.Namespace) -> int:
+    # every input is checked before the first line is printed
+    spec = EnsembleSpec(n=args.n, prep_theta=0.0, seed=args.seed) if args.ensemble else None
+    degrees = _degree_grid(args.grid) if args.continuity else None
     report = vn_value_additivity_failure()
     for row in report.rows:
         verdict = "consistent" if row.consistent else "not an allowed value"
@@ -234,19 +237,17 @@ def cmd_vn(args: argparse.Namespace) -> int:
             f"({fmt9(row.a)}) + ({fmt9(row.b)}) -> {fmt9(row.combined)}: {verdict}"
         )
     print(report.summary())
-    if args.ensemble:
-        spec = EnsembleSpec(n=args.n, prep_theta=0.0, prep_sign=+1, seed=args.seed)
+    if spec is not None:
         result = check_additivity_relation(spec)
         print(
             f"ensemble residual (n={result.n}, seed={result.seed}): "
             f"{fmt9(result.residual)} (sigma {fmt9(result.sigma)})"
         )
-    if args.continuity:
+    if degrees is not None:
         psi = math.radians(args.psi)
-        grid = [math.radians(d) for d in _degree_grid(args.grid)]
-        overlaps = vn_continuity_scan(psi, grid)
+        overlaps = vn_continuity_scan(psi, [math.radians(d) for d in degrees])
         print(f"continuity scan: {len(overlaps)} overlaps for psi = {fmt9(args.psi)} deg")
-        for d, val in zip(_degree_grid(args.grid), overlaps):
+        for d, val in zip(degrees, overlaps):
             print(f"phi {fmt9(d)} deg: {fmt9(val)}")
     return 0
 

@@ -8,7 +8,17 @@ coin at the first apparatus.
 
 All randomness comes from numpy's PCG64 generator, and the seed plus
 generator name travel with every result so runs are reproducible bit for
-bit.  Disjoint sub-ensembles derive their streams from (seed, stage index).
+bit.  The stages of run_sequence share one stream seeded by the seed;
+check_additivity_relation's disjoint sub-ensembles derive theirs from
+(seed, orientation index).
+
+Draws are made at most DRAW_BLOCK floats at a time into one reused
+buffer.  A Generator fills float64 draws from its stream in order, so the
+blocks hold the same values as one whole-array draw and the results do
+not depend on the block size.  An ensemble keeps one byte of state per
+particle (a flip bit against its base sign) plus the draw buffer, so its
+memory is n bytes and not n draws; the int8 sign arrays are built
+only when run_sequence is asked for them.
 """
 
 from __future__ import annotations
@@ -22,6 +32,12 @@ import numpy as np
 from .linalg import Context, Ray3, spin1_overlap, transition_probability_spin_half
 
 GENERATOR_NAME = "numpy.random.PCG64"
+DRAW_BLOCK = 1 << 16
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +60,7 @@ class EnsembleSpec:
             raise ValueError("preparation angle must be finite")
         if self.prep_sign not in (+1, -1):
             raise ValueError("prep_sign must be +1 or -1")
+        _check_seed(self.seed)
 
     @classmethod
     def prepared(cls, theta: float, sign: int, n: int, seed: int = 0) -> "EnsembleSpec":
@@ -83,26 +100,29 @@ def _run_stages(
     keep_branches: bool,
 ) -> tuple[list[EnsembleCounts], list[np.ndarray]]:
     n = spec.n
-    branches: list[np.ndarray] = []
-    if spec.prep_theta is None:
-        prev_theta = None
-        signs = None
-    else:
-        prev_theta = spec.prep_theta
-        signs = np.full(n, spec.prep_sign, dtype=np.int8)
+    # a particle's sign is base, or -base where flipped is set
+    base = +1 if spec.prep_theta is None else spec.prep_sign
+    prev_theta = spec.prep_theta
+    flipped = np.zeros(n, dtype=bool)
+    draws = np.empty(min(n, DRAW_BLOCK))
     counts = []
+    branches: list[np.ndarray] = []
     for stage, theta in enumerate(thetas, start=1):
-        u = rng.random(n)
-        if signs is None:
-            signs = np.where(u < 0.5, 1, -1).astype(np.int8)
+        # a draw at or above p_stay flips the particle's branch; an
+        # unpolarized first stage is a fair coin on unflipped particles
+        if prev_theta is None:
+            p_stay = 0.5
         else:
             p_stay = transition_probability_spin_half(prev_theta, +1, theta)
-            signs = np.where(u < p_stay, signs, -signs).astype(np.int8)
         prev_theta = theta
-        n_plus = int(np.count_nonzero(signs == 1))
+        for start in range(0, n, DRAW_BLOCK):
+            block = flipped[start:start + DRAW_BLOCK]
+            block ^= rng.random(out=draws[: len(block)]) >= p_stay
+        n_flipped = int(np.count_nonzero(flipped))
+        n_plus = n - n_flipped if base == +1 else n_flipped
         counts.append(EnsembleCounts(stage=stage, theta=theta, n_plus=n_plus, n_minus=n - n_plus))
         if keep_branches:
-            branches.append(signs.copy())
+            branches.append(np.where(flipped, np.int8(-base), np.int8(base)))
     return counts, branches
 
 
@@ -259,12 +279,20 @@ def sample_context_tables(
     spin1_overlap against the preparation.  Contexts are sampled
     independently, so contexts sharing a ray may disagree on its value.
 
-    Raises ValueError for a spin-1/2 context."""
-    rng = np.random.default_rng(seed)
-    u = rng.random((n_samples, len(contexts)))
+    Raises ValueError for a spin-1/2 context or a negative seed."""
+    _check_seed(seed)
+    # the pick is the first member whose cumulative overlap exceeds u, or
+    # member 2; overlaps are non-negative, so that is the number of the
+    # first two cumulative overlaps at or below u
+    cum = np.array(
+        [np.cumsum(_context_probabilities(preparation, ctx))[:2] for ctx in contexts]
+    ).reshape(len(contexts), 2)
     out = np.empty((n_samples, len(contexts)), dtype=np.int8)
-    for j, ctx in enumerate(contexts):
-        cum = np.cumsum(_context_probabilities(preparation, ctx))
-        out[:, j] = np.minimum(np.searchsorted(cum, u[:, j], side="right"), 2)
+    rows = max(1, DRAW_BLOCK // max(1, len(contexts)))
+    draws = np.empty((min(n_samples, rows), len(contexts)))
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_samples, rows):
+        block = out[start:start + rows]
+        u = rng.random(out=draws[: len(block)])
+        np.add(u >= cum[:, 0], u >= cum[:, 1], out=block, dtype=np.int8)
     return out
-

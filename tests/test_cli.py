@@ -189,6 +189,30 @@ class TestCliCommands:
         assert main(["simulate", "--prep", "sideways@3", "--measure", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--measure", "0", "--n", "10"], ["vn", "--ensemble", "--n", "10"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_an_error_exit(self, capsys, argv):
+        assert main([*argv, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["vn", "--ensemble", "--n", "0"], "ensemble size must be at least 1"),
+            (["vn", "--continuity", "--grid", "1"], "grid needs at least 2 points"),
+        ],
+    )
+    def test_vn_bad_input_prints_nothing_before_the_error(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_mismatched_gadget_flags(self, capsys):
         for command in RAY_COMMANDS:
             for flag in ("--gadget-x", "--gadget-y"):

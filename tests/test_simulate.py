@@ -1,10 +1,12 @@
 """Stern-Gerlach ensemble statistics and the hidden-value demonstrations."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from ksparadox import simulate
 from ksparadox.linalg import Ray3, context_for_direction
 from ksparadox.simulate import (
     GENERATOR_NAME,
@@ -83,6 +85,8 @@ class TestRunSequence:
             EnsembleSpec(n=5, prep_theta=float("inf"))
         with pytest.raises(ValueError):
             EnsembleSpec(n=5, prep_theta=0.0, prep_sign=2)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+            EnsembleSpec(n=5, prep_theta=0.0, seed=-3)
 
 
 class TestSpinAverages:
@@ -249,3 +253,133 @@ class TestContextualModel:
 
         with pytest.raises(ValueError):
             sample_context_tables(PREP, [Context.spin_half(0.0)], 1, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            sample_context_tables(PREP, [CTX_Z], 1, seed=-1)
+
+
+BLOCK = 1 << 16  # simulate.DRAW_BLOCK; literal here so the golden values stand alone
+GOLDEN_THETAS = (0.3, 1.1, 1.1, 2.0, 4.5)
+GOLDEN_SPECS = {
+    "up": lambda n: EnsembleSpec.prepared(0.7, +1, n, seed=3),
+    "down": lambda n: EnsembleSpec.prepared(0.7, -1, n, seed=3),
+    "unpolarized": lambda n: EnsembleSpec.unpolarized(n, seed=3),
+}
+# per-stage (n_plus, n_minus) and the sha256 of the concatenated int8 branch
+# arrays, recorded from the whole-array engine (one rng.random(n) per stage)
+GOLDEN_RUNS = {
+    ("up", 1): (
+        [(1, 0), (1, 0), (1, 0), (1, 0), (1, 0)],
+        "377a23f52c6b357696238c3318f677a082dd3430bb6691042bd550a5cda28ebb",
+    ),
+    ("up", 1000): (
+        [(965, 35), (819, 181), (819, 181), (684, 316), (356, 644)],
+        "27ad4cee07912ac23d8b3e4a0b040aed73c6139df13dc3491b587e4fc48f9553",
+    ),
+    ("up", 2 * BLOCK): (
+        [(125933, 5139), (107731, 23341), (107731, 23341), (91542, 39530), (44757, 86315)],
+        "b90dd5b0fec6e207678da342fe8bdd4550f78533d2bf4be8362e70b87736fa2c",
+    ),
+    ("up", 3 * BLOCK + 7): (
+        [(188856, 7759), (161258, 35357), (161258, 35357), (137466, 59149), (66908, 129707)],
+        "485fee4f068bd50bf79fbee3a408ddeba5cadbd022cd4278bf25a200547ba42d",
+    ),
+    ("down", 1): (
+        [(0, 1), (0, 1), (0, 1), (0, 1), (0, 1)],
+        "132369a3b7f24fa619785c4e2eee68855f5d46cbe0aaa19eadd0dbc2dd592c39",
+    ),
+    ("down", 1000): (
+        [(35, 965), (181, 819), (181, 819), (316, 684), (644, 356)],
+        "e055eb052aa32050d522ee743a3d28b4942be37447c9a4fecd10c11c9c3fcfcb",
+    ),
+    ("down", 2 * BLOCK): (
+        [(5139, 125933), (23341, 107731), (23341, 107731), (39530, 91542), (86315, 44757)],
+        "b1ee55e5a6c46fc0f567c093d48fb8d01afefe1c18541bda65063dda95c4aee9",
+    ),
+    ("down", 3 * BLOCK + 7): (
+        [(7759, 188856), (35357, 161258), (35357, 161258), (59149, 137466), (129707, 66908)],
+        "b14597f02b0ba30c9ac24325f63b21df16d2f0a49c49c5b07fcc7d5485642b14",
+    ),
+    ("unpolarized", 1): (
+        [(1, 0), (1, 0), (1, 0), (1, 0), (1, 0)],
+        "377a23f52c6b357696238c3318f677a082dd3430bb6691042bd550a5cda28ebb",
+    ),
+    ("unpolarized", 1000): (
+        [(502, 498), (492, 508), (492, 508), (495, 505), (511, 489)],
+        "784c9fb8275228a16626657a597f7789448b73e343fbe79bb0797c7aaf1ffe0c",
+    ),
+    ("unpolarized", 2 * BLOCK): (
+        [(65447, 65625), (65393, 65679), (65393, 65679), (65404, 65668), (65555, 65517)],
+        "7635b4acdb8ec5015990ba43630484e381fbb434b715f435f6b1faf91d59ab49",
+    ),
+    ("unpolarized", 3 * BLOCK + 7): (
+        [(98077, 98538), (98329, 98286), (98329, 98286), (98365, 98250), (98295, 98320)],
+        "4ccc8e25980278a37604d6943383563ae401c41f4f4fb6a7aaf20668f1569048",
+    ),
+}
+GOLDEN_ADDITIVITY = [
+    (
+        EnsembleSpec.prepared(0.4, -1, 3 * BLOCK + 7, seed=11),
+        ("-0x1.d759b42eb0e86p-2", "-0x1.db6efffd00070p-2", "-0x1.8d786091c9568p-3"),
+        "-0x1.9c90860d23e00p-10",
+    ),
+    (
+        EnsembleSpec.unpolarized(2 * BLOCK, seed=12),
+        ("0x1.3c00000000000p-10", "-0x1.9800000000000p-11", "0x1.8800000000000p-11"),
+        "-0x1.1b04f333f9de6p-9",
+    ),
+]
+# five contexts do not divide the block, and 40,000 rows span four blocks
+GOLDEN_CONTEXTS = [
+    context_for_direction(Ray3.from_vector(d))
+    for d in ((1, 2, 3), (0, 0, 1), (-1, 0.5, 2), (3, -1, 0.2), (0.1, 0.1, 1))
+]
+GOLDEN_PICKS = "947407cdad410910af3ab2eb52936c1c92230d5441d562a684ffe615010f8cb8"
+
+
+class TestGoldenStreams:
+    """Results pinned across commits: a kernel change must keep every draw."""
+
+    def test_sizes_straddle_the_draw_block(self):
+        assert simulate.DRAW_BLOCK == BLOCK
+
+    @pytest.mark.parametrize("key", list(GOLDEN_RUNS), ids=lambda k: f"{k[0]}-n{k[1]}")
+    def test_run_sequence(self, key):
+        name, n = key
+        counts, branches = run_sequence(
+            GOLDEN_SPECS[name](n), GOLDEN_THETAS, return_branches=True
+        )
+        digest = hashlib.sha256(b"".join(b.tobytes() for b in branches)).hexdigest()
+        assert ([(c.n_plus, c.n_minus) for c in counts], digest) == GOLDEN_RUNS[key]
+
+    @pytest.mark.parametrize("spec, averages, residual", GOLDEN_ADDITIVITY)
+    def test_additivity(self, spec, averages, residual):
+        result = check_additivity_relation(spec)
+        assert tuple(a.hex() for a in result.averages) == averages
+        assert result.residual.hex() == residual
+
+    def test_context_tables(self):
+        picks = sample_context_tables(PREP, GOLDEN_CONTEXTS, 40_000, seed=17)
+        assert picks.shape == (40_000, 5) and picks.dtype == np.int8
+        assert hashlib.sha256(picks.tobytes()).hexdigest() == GOLDEN_PICKS
+
+    @pytest.mark.parametrize(
+        "contexts, n_samples", [([], 7), (GOLDEN_CONTEXTS[:2], 0), ([], 0)]
+    )
+    def test_empty_context_tables(self, contexts, n_samples):
+        picks = sample_context_tables(PREP, contexts, n_samples, seed=0)
+        assert picks.shape == (n_samples, len(contexts))
+        assert picks.dtype == np.int8
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SPECS))
+def test_branch_arrays_agree_with_counts(name):
+    counts, branches = run_sequence(
+        GOLDEN_SPECS[name](3 * BLOCK + 7), GOLDEN_THETAS, return_branches=True
+    )
+    assert len(branches) == len(counts)
+    for c, b in zip(counts, branches):
+        assert b.dtype == np.int8 and b.shape == (c.total,)
+        assert set(np.unique(b).tolist()) <= {-1, 1}
+        assert int(np.count_nonzero(b == 1)) == c.n_plus
