@@ -229,7 +229,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_vn(args: argparse.Namespace) -> int:
     # every input is checked before the first line is printed
     spec = EnsembleSpec(n=args.n, prep_theta=0.0, seed=args.seed) if args.ensemble else None
-    degrees = _degree_grid(args.grid) if args.continuity else None
+    if args.continuity:
+        degrees = _degree_grid(args.grid)
+        overlaps = vn_continuity_scan(
+            math.radians(args.psi), [math.radians(d) for d in degrees]
+        )
     report = vn_value_additivity_failure()
     for row in report.rows:
         verdict = "consistent" if row.consistent else "not an allowed value"
@@ -243,9 +247,7 @@ def cmd_vn(args: argparse.Namespace) -> int:
             f"ensemble residual (n={result.n}, seed={result.seed}): "
             f"{fmt9(result.residual)} (sigma {fmt9(result.sigma)})"
         )
-    if degrees is not None:
-        psi = math.radians(args.psi)
-        overlaps = vn_continuity_scan(psi, [math.radians(d) for d in degrees])
+    if args.continuity:
         print(f"continuity scan: {len(overlaps)} overlaps for psi = {fmt9(args.psi)} deg")
         for d, val in zip(degrees, overlaps):
             print(f"phi {fmt9(d)} deg: {fmt9(val)}")
@@ -342,6 +344,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -19,11 +19,25 @@ not depend on the block size.  An ensemble keeps one byte of state per
 particle (a flip bit against its base sign) plus the draw buffer, so its
 memory is n bytes and not n draws; the int8 sign arrays are built
 only when run_sequence is asked for them.
+
+The rows (particles, or context-table rows) are split into one range of
+whole blocks per CPU this process may run on, and each range runs in its
+own thread.  A float64 draw uses exactly one 64-bit PCG64 output, so a
+range's generator starts from the seeded state jumped ahead past the
+draws of the rows before it (PCG64.advance, O(log n) steps) and draws
+the same values a whole-array draw would put there; after each stage it
+jumps past the other ranges' draws.  Results therefore do not depend on
+the worker count.  numpy releases the interpreter lock inside the draws
+and the compare and XOR ufuncs, so the ranges run in parallel, and each
+worker keeps its own draw buffer.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,9 +49,62 @@ GENERATOR_NAME = "numpy.random.PCG64"
 DRAW_BLOCK = 1 << 16
 
 
+def _check_integer(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed: int) -> None:
+    _check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_ranges(n: int, block: int, stride: int, entropy, work) -> list:
+    """Run work(lo, hi, rng) over [0, n) cut into one range of whole
+    blocks per worker and return the results in range order.
+
+    rng is a PCG64 Generator seeded from entropy and advanced by lo * stride
+    outputs: the stream position of row lo when each row draws stride
+    float64s.  Range 0 runs in the calling thread, so a single range starts
+    no thread; an exception in any range is raised again here once every
+    range has finished.
+    """
+    blocks = -(-n // block)
+    workers = max(1, min(_worker_count(), blocks))
+    cuts = [block * (blocks * i // workers) for i in range(workers)] + [n]
+    results: list = [None] * workers
+    errors: list = [None] * workers
+
+    def run(i: int) -> None:
+        lo, hi = cuts[i], cuts[i + 1]
+        rng = np.random.Generator(np.random.PCG64(entropy).advance(lo * stride))
+        try:
+            results[i] = work(lo, hi, rng)
+        except BaseException as exc:  # raised again by the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 @dataclass(frozen=True)
@@ -54,6 +121,7 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integer("ensemble size", self.n)
         if self.n < 1:
             raise ValueError("ensemble size must be at least 1")
         if self.prep_theta is not None and not math.isfinite(self.prep_theta):
@@ -94,7 +162,7 @@ class EnsembleCounts:
 
 
 def _run_stages(
-    rng: np.random.Generator,
+    entropy,
     spec: EnsembleSpec,
     thetas: Sequence[float],
     keep_branches: bool,
@@ -102,27 +170,36 @@ def _run_stages(
     n = spec.n
     # a particle's sign is base, or -base where flipped is set
     base = +1 if spec.prep_theta is None else spec.prep_sign
-    prev_theta = spec.prep_theta
-    flipped = np.zeros(n, dtype=bool)
-    draws = np.empty(min(n, DRAW_BLOCK))
+    # a draw at or above p_stay flips the particle's branch; an
+    # unpolarized first stage is a fair coin on unflipped particles
+    p_stays = [
+        0.5 if prev is None else transition_probability_spin_half(prev, +1, theta)
+        for prev, theta in zip([spec.prep_theta, *thetas], thetas)
+    ]
+    branches = [np.empty(n, dtype=np.int8) for _ in thetas] if keep_branches else []
+
+    def work(lo: int, hi: int, rng: np.random.Generator) -> list[int]:
+        # a particle's stages depend only on its own draws, so each range
+        # runs every stage without waiting for the others
+        flipped = np.zeros(hi - lo, dtype=bool)
+        draws = np.empty(min(hi - lo, DRAW_BLOCK))
+        n_flipped = []
+        for stage, p_stay in enumerate(p_stays):
+            for start in range(0, hi - lo, DRAW_BLOCK):
+                block = flipped[start:start + DRAW_BLOCK]
+                block ^= rng.random(out=draws[: len(block)]) >= p_stay
+            rng.bit_generator.advance(n - (hi - lo))
+            n_flipped.append(int(np.count_nonzero(flipped)))
+            if keep_branches:
+                branches[stage][lo:hi] = np.where(flipped, np.int8(-base), np.int8(base))
+        return n_flipped
+
     counts = []
-    branches: list[np.ndarray] = []
-    for stage, theta in enumerate(thetas, start=1):
-        # a draw at or above p_stay flips the particle's branch; an
-        # unpolarized first stage is a fair coin on unflipped particles
-        if prev_theta is None:
-            p_stay = 0.5
-        else:
-            p_stay = transition_probability_spin_half(prev_theta, +1, theta)
-        prev_theta = theta
-        for start in range(0, n, DRAW_BLOCK):
-            block = flipped[start:start + DRAW_BLOCK]
-            block ^= rng.random(out=draws[: len(block)]) >= p_stay
-        n_flipped = int(np.count_nonzero(flipped))
+    per_range = _in_ranges(n, DRAW_BLOCK, 1, entropy, work)
+    for stage, (theta, flips) in enumerate(zip(thetas, zip(*per_range)), start=1):
+        n_flipped = sum(flips)
         n_plus = n - n_flipped if base == +1 else n_flipped
         counts.append(EnsembleCounts(stage=stage, theta=theta, n_plus=n_plus, n_minus=n - n_plus))
-        if keep_branches:
-            branches.append(np.where(flipped, np.int8(-base), np.int8(base)))
     return counts, branches
 
 
@@ -140,8 +217,7 @@ def run_sequence(
         raise ValueError("apparatus list must be nonempty")
     if not all(map(math.isfinite, apparatuses)):
         raise ValueError(f"apparatus angles must be finite, got {list(apparatuses)}")
-    rng = np.random.default_rng(spec.seed)
-    counts, branches = _run_stages(rng, spec, apparatuses, return_branches)
+    counts, branches = _run_stages(spec.seed, spec, apparatuses, return_branches)
     if return_branches:
         return counts, branches
     return counts
@@ -191,8 +267,7 @@ def check_additivity_relation(spec: EnsembleSpec) -> AdditivityResult:
     variance = 0.0
     weights = (-1.0 / math.sqrt(2.0), 1.0, -1.0 / math.sqrt(2.0))
     for k, theta in enumerate(ADDITIVITY_THETAS):
-        rng = np.random.default_rng([spec.seed, k])
-        counts, _ = _run_stages(rng, spec, [theta], keep_branches=False)
+        counts, _ = _run_stages([spec.seed, k], spec, [theta], keep_branches=False)
         averages.append(empirical_spin_average(counts[0]))
         if spec.prep_theta is None:
             p = 0.5
@@ -253,10 +328,15 @@ def vn_continuity_scan(psi_theta: float, grid: Sequence[float]) -> list[float]:
 
     The scan is continuous in phi and fills (0, 1), so no dispersion-free
     constraint forcing every overlap to 0 or 1 can hold; only the aligned
-    and opposite orientations reach the endpoints.
+    and opposite orientations reach the endpoints.  Raises ValueError for
+    an empty grid or an angle that is not finite.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
+    if not math.isfinite(psi_theta):
+        raise ValueError(f"psi angle must be finite, got {psi_theta}")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("grid angles must be finite")
     return [
         transition_probability_spin_half(psi_theta, +1, phi, +1) for phi in grid
     ]
@@ -279,7 +359,11 @@ def sample_context_tables(
     spin1_overlap against the preparation.  Contexts are sampled
     independently, so contexts sharing a ray may disagree on its value.
 
-    Raises ValueError for a spin-1/2 context or a negative seed."""
+    Raises ValueError for a spin-1/2 context, a negative seed or a negative
+    n_samples, and TypeError for an n_samples that is not an integer."""
+    _check_integer("n_samples", n_samples)
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be a non-negative integer, got {n_samples}")
     _check_seed(seed)
     # the pick is the first member whose cumulative overlap exceeds u, or
     # member 2; overlaps are non-negative, so that is the number of the
@@ -289,10 +373,13 @@ def sample_context_tables(
     ).reshape(len(contexts), 2)
     out = np.empty((n_samples, len(contexts)), dtype=np.int8)
     rows = max(1, DRAW_BLOCK // max(1, len(contexts)))
-    draws = np.empty((min(n_samples, rows), len(contexts)))
-    rng = np.random.default_rng(seed)
-    for start in range(0, n_samples, rows):
-        block = out[start:start + rows]
-        u = rng.random(out=draws[: len(block)])
-        np.add(u >= cum[:, 0], u >= cum[:, 1], out=block, dtype=np.int8)
+
+    def work(lo: int, hi: int, rng: np.random.Generator) -> None:
+        draws = np.empty((min(hi - lo, rows), len(contexts)))
+        for start in range(lo, hi, rows):
+            block = out[start:min(start + rows, hi)]
+            u = rng.random(out=draws[: len(block)])
+            np.add(u >= cum[:, 0], u >= cum[:, 1], out=block, dtype=np.int8)
+
+    _in_ranges(n_samples, rows, len(contexts), seed, work)
     return out

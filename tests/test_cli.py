@@ -205,6 +205,7 @@ class TestCliCommands:
         [
             (["vn", "--ensemble", "--n", "0"], "ensemble size must be at least 1"),
             (["vn", "--continuity", "--grid", "1"], "grid needs at least 2 points"),
+            (["vn", "--continuity", "--psi", "nan"], "psi angle must be finite, got nan"),
         ],
     )
     def test_vn_bad_input_prints_nothing_before_the_error(self, capsys, argv, message):
@@ -212,6 +213,38 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "callee, argv",
+        [
+            ("run_sequence", ["simulate", "--measure", "10", "--n", "10"]),
+            ("minimize_gadget_cosine", ["verify-bound", "--grid", "5"]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (
+                MemoryError("Unable to allocate 9.09 TiB"),
+                "error: out of memory: Unable to allocate 9.09 TiB",
+            ),
+            (MemoryError(), "error: out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_allocation_failure_is_an_error_exit(
+        self, capsys, monkeypatch, callee, argv, exc, line
+    ):
+        # raised by a stand-in: a real oversized array may be accepted by a
+        # host that overcommits memory
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(f"ksparadox.cli.{callee}", fail)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
 
     def test_mismatched_gadget_flags(self, capsys):
         for command in RAY_COMMANDS:

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -87,6 +89,11 @@ class TestRunSequence:
             EnsembleSpec(n=5, prep_theta=0.0, prep_sign=2)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
             EnsembleSpec(n=5, prep_theta=0.0, seed=-3)
+        with pytest.raises(TypeError, match="ensemble size must be an integer, got 2.5"):
+            EnsembleSpec(n=2.5, prep_theta=0.0)
+        with pytest.raises(TypeError, match="seed must be an integer, got 2.5"):
+            EnsembleSpec(n=5, prep_theta=0.0, seed=2.5)
+        assert EnsembleSpec(n=np.int64(5), prep_theta=0.0).n == 5
 
 
 class TestSpinAverages:
@@ -184,6 +191,13 @@ class TestVnReports:
         with pytest.raises(ValueError):
             vn_continuity_scan(0.0, [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_angles_rejected(self, bad):
+        with pytest.raises(ValueError, match="psi angle must be finite"):
+            vn_continuity_scan(bad, [0.0, 1.0])
+        with pytest.raises(ValueError, match="grid angles must be finite"):
+            vn_continuity_scan(0.0, [0.0, bad])
+
 
 PREP = Ray3.from_vector((1.0, 1.0, 1.0))
 CTX_Z = context_for_direction(Ray3.from_vector((0, 0, 1), "z"))
@@ -257,6 +271,14 @@ class TestContextualModel:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             sample_context_tables(PREP, [CTX_Z], 1, seed=-1)
+
+    def test_sample_count_validation(self):
+        with pytest.raises(ValueError, match="n_samples must be a non-negative integer, got -1"):
+            sample_context_tables(PREP, [CTX_Z], -1, seed=0)
+        with pytest.raises(TypeError, match="n_samples must be an integer, got 2.5"):
+            sample_context_tables(PREP, [CTX_Z], 2.5, seed=0)
+        with pytest.raises(TypeError, match="seed must be an integer, got 2.5"):
+            sample_context_tables(PREP, [CTX_Z], 1, seed=2.5)
 
 
 BLOCK = 1 << 16  # simulate.DRAW_BLOCK; literal here so the golden values stand alone
@@ -383,3 +405,95 @@ def test_branch_arrays_agree_with_counts(name):
         assert b.dtype == np.int8 and b.shape == (c.total,)
         assert set(np.unique(b).tolist()) <= {-1, 1}
         assert int(np.count_nonzero(b == 1)) == c.n_plus
+
+
+WORKER_COUNTS = (2, 3, 5)
+PARALLEL_SIZES = (1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 200_003)
+PARALLEL_CONTEXTS = [
+    context_for_direction(Ray3.from_vector(d))
+    for d in ((1, 2, 3), (0, 0, 1), (-1, 0.5, 2), (3, -1, 0.2)) * 5
+]
+
+
+def _with_workers(monkeypatch, count, call):
+    # up to five workers on any host, switching as often as the
+    # interpreter allows, so ranges interleave at every bytecode
+    monkeypatch.setattr(simulate, "_worker_count", lambda: count)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return call()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestParallelEngine:
+    """Any worker count draws the one stream a single worker draws."""
+
+    @pytest.mark.parametrize("n", PARALLEL_SIZES)
+    @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
+    def test_run_sequence_independent_of_workers(self, monkeypatch, name, n):
+        spec = GOLDEN_SPECS[name](n)
+
+        def call():
+            counts, branches = run_sequence(spec, GOLDEN_THETAS, return_branches=True)
+            digest = hashlib.sha256(b"".join(b.tobytes() for b in branches)).hexdigest()
+            return counts, digest
+
+        expected = _with_workers(monkeypatch, 1, call)
+        for count in WORKER_COUNTS:
+            assert _with_workers(monkeypatch, count, call) == expected, count
+
+    @pytest.mark.parametrize("n", PARALLEL_SIZES)
+    @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
+    def test_additivity_independent_of_workers(self, monkeypatch, name, n):
+        spec = GOLDEN_SPECS[name](n)
+
+        def call():
+            result = check_additivity_relation(spec)
+            return [a.hex() for a in result.averages], result.residual.hex()
+
+        expected = _with_workers(monkeypatch, 1, call)
+        for count in WORKER_COUNTS:
+            assert _with_workers(monkeypatch, count, call) == expected, count
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 65_537])
+    @pytest.mark.parametrize("n_contexts", [1, 16, 17])
+    def test_context_tables_independent_of_workers(self, monkeypatch, n_contexts, n_samples):
+        contexts = PARALLEL_CONTEXTS[:n_contexts]
+
+        def call():
+            picks = sample_context_tables(PREP, contexts, n_samples, seed=21)
+            return picks.shape, hashlib.sha256(picks.tobytes()).hexdigest()
+
+        expected = _with_workers(monkeypatch, 1, call)
+        assert expected[0] == (n_samples, n_contexts)
+        for count in WORKER_COUNTS:
+            assert _with_workers(monkeypatch, count, call) == expected, count
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(simulate, "_worker_count", lambda: 5)
+        monkeypatch.setattr(simulate.threading, "Thread", no_thread)
+        run_sequence(EnsembleSpec.unpolarized(BLOCK, seed=1), [0.5, 1.5])
+        check_additivity_relation(EnsembleSpec.prepared(0.2, -1, BLOCK, seed=1))
+        sample_context_tables(PREP, PARALLEL_CONTEXTS[:1], BLOCK, seed=1)
+        sample_context_tables(PREP, PARALLEL_CONTEXTS[:16], BLOCK // 16, seed=1)
+
+    def test_exception_in_a_later_range_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_worker_count", lambda: 3)
+        seen = []
+
+        def work(lo, hi, rng):
+            seen.append((lo, hi))
+            if lo == 2 * BLOCK:
+                raise RuntimeError(f"range at {lo} failed")
+            return lo
+
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"range at {2 * BLOCK} failed"):
+            simulate._in_ranges(3 * BLOCK, BLOCK, 1, 0, work)
+        assert sorted(seen) == [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK)]
+        assert threading.active_count() == threads_before
