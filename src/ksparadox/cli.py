@@ -20,7 +20,6 @@ from .emit import (
     fmt9,
     graph_to_dot,
     parse_dot_counts,
-    ray_census,
     to_json,
 )
 from .gadget import (
@@ -102,10 +101,8 @@ def cmd_check_coloring(args: argparse.Namespace) -> int:
             )
     else:
         chain = forcing_chain_check(math.radians(args.step_angle_deg), source)
-        census = ray_census(source)
         print(
-            f"rays: {census['distinct_rays']} "
-            f"(from {census['triad_labels']} labeled), "
+            f"rays: {len(source.rays)} (from {source.triad_label_count} labeled), "
             f"edges: {len(graph.edges)}, triads: {len(graph.triads)}"
         )
         print(f"verdict: {verdict.outcome}")

@@ -90,64 +90,31 @@ def to_json(document: dict | list) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def ray_census(rs: RaySet) -> dict:
-    """Counts and groupings of the assembled ray set.
-
-    Reports labeled versus distinct totals, the merge count, how many
-    labels land on each coordinate axis, and the per-copy context grouping
-    (three triads per gadget copy).
-    """
-    triad_labels = rs.triad_label_count
-    axis_hits = {}
-    for name, axis in (("x", X_AXIS), ("y", Y_AXIS), ("z", Z_AXIS)):
-        idx = rs.index_of(axis)
-        if idx is None:
-            axis_hits[name] = []
-        else:
-            axis_hits[name] = sorted(
-                lb
-                for lb, k in rs.label_to_index.items()
-                if k == idx and not lb.endswith("apex")
-            )
-    contexts = []
-    for ci, cp in enumerate(rs.copies):
-        for triad_name, triad in zip("ABC", GADGET_TRIADS):
-            contexts.append(
-                {
-                    "context": f"g{ci + 1:02d}.{triad_name}",
-                    "nodes": [cp[GADGET_ROLES[i]] for i in triad],
-                }
-            )
-    return {
-        "distinct_rays": len(rs.rays),
-        "triad_labels": triad_labels,
-        "triad_label_merges": triad_labels - len(
-            {k for lb, k in rs.label_to_index.items() if not lb.endswith("apex")}
-        ),
-        "copies": len(rs.copies),
-        "axis_label_hits": axis_hits,
-        "contexts": contexts,
-        "provenance": dict(rs.provenance),
-    }
-
-
 def census_text(rs: RaySet) -> str:
-    """Human-readable census: summary plus the context-grouped ray table."""
-    census = ray_census(rs)
+    """Human-readable census of the assembled ray set.
+
+    Reports labeled versus distinct totals, the merge count, which triad
+    labels land on each coordinate axis, and the rays of each copy's three
+    contexts (three triads per gadget copy).
+    """
+    triad_index = {lb: k for lb, k in rs.label_to_index.items() if not lb.endswith("apex")}
+    merged = len(triad_index) - len(set(triad_index.values()))
     lines = [
-        f"distinct rays: {census['distinct_rays']}",
-        f"labeled triad rays: {census['triad_labels']} "
-        f"({census['triad_label_merges']} merged)",
-        f"gadget copies: {census['copies']}",
+        f"distinct rays: {len(rs.rays)}",
+        f"labeled triad rays: {len(triad_index)} ({merged} merged)",
+        f"gadget copies: {len(rs.copies)}",
     ]
-    for name, hits in census["axis_label_hits"].items():
+    for name, axis in (("x", X_AXIS), ("y", Y_AXIS), ("z", Z_AXIS)):
+        idx = rs.index_of(axis)  # None for an absent axis matches no label
+        hits = sorted(lb for lb, k in triad_index.items() if k == idx)
         lines.append(f"axis {name}: {len(hits)} triad labels ({', '.join(hits)})")
     lines.append("")
-    for ctx in census["contexts"]:
-        nodes = ctx["nodes"]
-        coords = ", ".join(
-            "(" + " ".join(fmt9(c) for c in (rs.rays[k].x, rs.rays[k].y, rs.rays[k].z)) + ")"
-            for k in nodes
-        )
-        lines.append(f"{ctx['context']}: nodes {nodes} {coords}")
+    for ci, cp in enumerate(rs.copies):
+        for triad_name, triad in zip("ABC", GADGET_TRIADS):
+            nodes = [cp[GADGET_ROLES[i]] for i in triad]
+            coords = ", ".join(
+                "(" + " ".join(fmt9(c) for c in (rs.rays[k].x, rs.rays[k].y, rs.rays[k].z)) + ")"
+                for k in nodes
+            )
+            lines.append(f"g{ci + 1:02d}.{triad_name}: nodes {nodes} {coords}")
     return "\n".join(lines) + "\n"

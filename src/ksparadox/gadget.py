@@ -288,7 +288,11 @@ class BoundReport:
     angle: float
 
 
-def minimize_gadget_cosine(grid_n: int = 401, refine_iters: int = 6) -> BoundReport:
+#: zoom steps of minimize_gadget_cosine's local refinement
+REFINE_ITERS = 6
+
+
+def minimize_gadget_cosine(grid_n: int = 401) -> BoundReport:
     """Minimize the apex-to-c3 cosine over (x, y) in [-2, 2]^2.
 
     Coarse grid scan followed by local grid refinement (zoom factor 5 per
@@ -305,7 +309,7 @@ def minimize_gadget_cosine(grid_n: int = 401, refine_iters: int = 6) -> BoundRep
     bi, bj = hits[0]
     cx, cy = float(xs[bi]), float(xs[bj])
     half = float(xs[1] - xs[0])
-    for _ in range(refine_iters):
+    for _ in range(REFINE_ITERS):
         lx = np.linspace(cx - half, cx + half, 21)
         ly = np.linspace(cy - half, cy + half, 21)
         rx, ry = np.meshgrid(lx, ly, indexing="ij")

@@ -230,13 +230,16 @@ class RaySet:
 def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
     """Merge rays within angle DEDUP_TOL; representative = first occurrence.
 
-    Unlabeled rays are labeled by input position.
+    Unlabeled rays are labeled by input position.  Raises ValueError when
+    two rays carry the same label, generated ones included.
     """
     grid = _NearIndex([])
     label_to_index: dict[str, int] = {}
     merges: list[tuple[str, str]] = []
     for idx, ray in enumerate(rays):
         label = ray.label or f"r{idx}"
+        if label in label_to_index:
+            raise ValueError(f"label {label!r} of input ray {idx} is already taken")
         k = grid.find(ray)
         if k is None:
             k = grid.add(ray if ray.label else ray.relabel(label))
@@ -353,15 +356,24 @@ class OrthogonalityGraph:
         edges: Sequence[tuple[int, int]],
         triads: Sequence[tuple[int, int, int]] | None = None,
     ) -> "OrthogonalityGraph":
-        """Abstract graph (no geometry); triads default to all triangles."""
+        """Abstract graph (no geometry); triads default to all triangles.
+
+        Raises ValueError for an edge or triad with a node outside
+        [0, node_count) or a repeated member, and for an edge listed twice.
+        """
         norm_edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+        norm_triads = () if triads is None else tuple(sorted(tuple(sorted(t)) for t in triads))
+        for kind, members in [("edge", e) for e in norm_edges] + [("triad", t) for t in norm_triads]:
+            if not (0 <= members[0] and members[-1] < node_count):
+                raise ValueError(f"{kind} {members} has a node outside [0, {node_count})")
+            if len(set(members)) < len(members):
+                raise ValueError(f"{kind} {members} repeats a node")
+        twice = next((e for e, f in zip(norm_edges, norm_edges[1:]) if e == f), None)
+        if twice is not None:
+            raise ValueError(f"edge {twice} is listed twice")
         if triads is None:
-            triads = _triangles(node_count, norm_edges)
-        return cls(
-            node_count=node_count,
-            edges=norm_edges,
-            triads=tuple(sorted(tuple(sorted(t)) for t in triads)),
-        )
+            norm_triads = _triangles(node_count, norm_edges)
+        return cls(node_count=node_count, edges=norm_edges, triads=norm_triads)
 
     def adjacency(self) -> list[set[int]]:
         return _adjacency(self.node_count, self.edges)

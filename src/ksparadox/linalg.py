@@ -97,7 +97,6 @@ class SpinHalfVector:
 
     c0: float
     c1: float
-    theta: float
     branch: int
 
     @property
@@ -114,8 +113,8 @@ def spin_half_eigenvectors(theta: float) -> tuple[SpinHalfVector, SpinHalfVector
     Returns an orthonormal (plus, minus) pair.
     """
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    plus = SpinHalfVector(c, s, theta, +1)
-    minus = SpinHalfVector(-s, c, theta, -1)
+    plus = SpinHalfVector(c, s, +1)
+    minus = SpinHalfVector(-s, c, -1)
     return plus, minus
 
 

@@ -271,11 +271,9 @@ def enumerate_all_colorings(
 
 @dataclass(frozen=True)
 class LinkReport:
-    """One gadget copy of the chain, viewed as an apex -> c3 forcing link;
-    forced is the role graph's lemma, the same for every link."""
+    """The measured margins of one gadget copy of the chain, viewed as an
+    apex -> c3 forcing link."""
 
-    index: int
-    forced: bool
     max_edge_residual: float
     angle: float
 
@@ -284,26 +282,24 @@ class LinkReport:
 class ChainReport:
     """Forcing audit of the swept gadget chain.
 
-    contradiction_confirmed means: every link forces value(apex) = 1 to
-    propagate to its c3, the links close into a cycle whose shared rays
-    include all three coordinate axes, and those axes are mutually
-    orthogonal -- so any admissible assignment gives the axes equal values,
-    which no exactly-one-of-three triad can absorb.
+    all_links_forced is the ten-role graph's lemma, apex = 1 forces c3 = 1,
+    held once for every link.  contradiction_confirmed means: every link
+    forces value(apex) = 1 to propagate to its c3, the links close into a
+    cycle whose shared rays include all three coordinate axes, and those
+    axes are mutually orthogonal -- so any admissible assignment gives the
+    axes equal values, which no exactly-one-of-three triad can absorb.
     """
 
     links: tuple[LinkReport, ...]
+    all_links_forced: bool
     cyclic: bool
     axis_nodes: tuple[int, int, int] | None
     axes_on_chain: bool
     contradiction_confirmed: bool
 
-    @property
-    def all_links_forced(self) -> bool:
-        return all(link.forced for link in self.links)
-
     def summary(self) -> list[str]:
         lines = [
-            f"links: {len(self.links)}, forced: {sum(l.forced for l in self.links)}",
+            f"links: {len(self.links)}, forced: {len(self.links) if self.all_links_forced else 0}",
             f"cyclic closure: {self.cyclic}",
         ]
         if self.axis_nodes is not None:
@@ -356,9 +352,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
             raise ChainIntegrityError(
                 f"link {k}: apex-c3 angle {angle} differs from {gadget_angle}"
             )
-        links.append(
-            LinkReport(index=k, forced=forced, max_edge_residual=residual, angle=angle)
-        )
+        links.append(LinkReport(max_edge_residual=residual, angle=angle))
 
     axis_nodes = tuple(chain.index_of(ax) for ax in (X_AXIS, Y_AXIS, Z_AXIS))
     axes_present = all(i is not None for i in axis_nodes)
@@ -370,17 +364,11 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
         for b in axis_nodes
         if a < b
     )
-    contradiction = (
-        bool(links)
-        and all(l.forced for l in links)
-        and cyclic
-        and axes_on_chain
-        and axes_orthogonal
-    )
     return ChainReport(
         links=tuple(links),
+        all_links_forced=forced,
         cyclic=cyclic,
         axis_nodes=axis_nodes if axes_present else None,
         axes_on_chain=axes_on_chain,
-        contradiction_confirmed=contradiction,
+        contradiction_confirmed=forced and cyclic and axes_on_chain and axes_orthogonal,
     )

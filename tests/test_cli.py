@@ -113,6 +113,18 @@ class TestCliCommands:
         for name in files:
             assert (tmp_path / name).read_bytes() == (PAPER117 / name).read_bytes(), name
 
+    def test_check_coloring_10_degree_stdout(self, capsys):
+        assert main(["check-coloring", "--step-angle-deg", "10"]) == 0
+        assert capsys.readouterr().out == (
+            "rays: 213 (from 243 labeled), edges: 372, triads: 79\n"
+            "verdict: UNSAT\n"
+            "search: 452 decisions, 1862 propagations, depth 17\n"
+            "chain: links: 27, forced: 27\n"
+            "chain: cyclic closure: True\n"
+            "chain: coordinate axes at nodes (72, 7, 71), on chain: True\n"
+            "chain: contradiction: equal values forced on a mutually orthogonal triple\n"
+        )
+
     def test_step_angle_not_dividing_90_is_an_error_exit(self, capsys):
         assert main(["check-coloring", "--step-angle-deg", "17"]) == 1
         assert "error:" in capsys.readouterr().err

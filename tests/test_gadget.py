@@ -111,7 +111,7 @@ class TestBoundMinimization:
         assert set(report.grid_minima) == {(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)}
 
     def test_coarse_grid_stays_above_bound(self):
-        report = minimize_gadget_cosine(grid_n=11, refine_iters=0)
+        report = minimize_gadget_cosine(grid_n=11)
         assert report.min_cosine >= BOUND_COSINE - 1e-3
 
 

@@ -1,6 +1,7 @@
 """Rotation sweep, deduplication, and the orthogonality graph."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksparadox import ksgraph
+from ksparadox.emit import census_text
 from ksparadox.gadget import (
     C3,
     GADGET_EDGES,
@@ -115,6 +117,16 @@ class TestDedupeRays:
         assert 20 < len(rs.rays) < 60
         k = rs.label_to_index["r60"]
         assert [rs.label_to_index[f"r{i}"] for i in range(60, 65)] == [k, k + 1, k, k + 2, k + 2]
+
+    @pytest.mark.parametrize(
+        "first, second", [("a", "a"), ("r1", "")], ids=["explicit", "generated"]
+    )
+    def test_repeated_label_rejected(self, first, second):
+        # the second ray's label, explicit or generated from its position,
+        # is already the first ray's
+        rays = [Ray3.from_vector((1, 0, 0), first), Ray3.from_vector((0, 1, 0), second)]
+        with pytest.raises(ValueError, match=f"label '{first}' of input ray 1"):
+            dedupe_rays(rays)
 
 
 def _jittered(rng, base, angle):
@@ -392,6 +404,41 @@ class TestAssembleVariants:
         assert math.acos(min(1.0, float(np.max(dots)))) >= 10 * DEDUP_TOL
 
 
+class TestCensusGoldens:
+    """sha256 of census_text beyond the paper117 reference: a sweep with
+    merges off the axes, the diagonal family's shared rays, and an open
+    chain whose x axis is absent and whose z axis is only an apex label."""
+
+    def test_closed_10_degree_sweep(self):
+        rs = assemble_ks_set(math.radians(10.0))
+        text = census_text(rs)
+        assert len(rs.rays) == 213
+        assert "labeled triad rays: 243 (30 merged)" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9e66f4e48daadba8f1d94ffd7fc9596d5447025af622b392f048e32afd04b9b5"
+        )
+
+    def test_diagonal_18_degree_set(self):
+        t = solve_parameter_for_angle(math.radians(18.0))
+        rs = assemble_ks_set(math.radians(18.0), gadget_params=(t, t))
+        assert len(rs.rays) == 105
+        assert hashlib.sha256(census_text(rs).encode()).hexdigest() == (
+            "b10d21dfc45eb098fe639179cf7b337cdab090688b9421b46e752c9967ff1def"
+        )
+
+    def test_open_chain_absent_and_apex_only_axes(self):
+        step = math.radians(18.0)
+        rs = assemble_ks_set(step, schedule=(RotationStep("c2", step, 2),))
+        text = census_text(rs)
+        assert rs.index_of(AXES[0]) is None
+        assert rs.index_of(AXES[2]) is not None
+        assert "axis x: 0 triad labels ()\n" in text
+        assert "axis z: 0 triad labels ()\n" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3931b3ff0e6865d224c9c5ea3c343fcd9e73dc31ef37a1bd40b52ee791ba8c59"
+        )
+
+
 class TestOrthogonalityGraph:
     def test_axes_triangle(self):
         g = build_orthogonality_graph(AXES)
@@ -444,6 +491,25 @@ class TestOrthogonalityGraph:
         g = OrthogonalityGraph.from_structure(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert g.triads == ((0, 1, 2),)
         assert g.rays is None
+
+    @pytest.mark.parametrize(
+        "edges, triads, message",
+        [
+            ([(1, 1)], None, r"edge \(1, 1\) repeats a node"),
+            ([(0, 1), (1, 0)], None, r"edge \(0, 1\) is listed twice"),
+            ([(-1, 0)], None, r"edge \(-1, 0\) has a node outside \[0, 3\)"),
+            ([(0, 5)], None, r"edge \(0, 5\) has a node outside \[0, 3\)"),
+            ([(0, 1)], [(0, 1, 3)], r"triad \(0, 1, 3\) has a node outside \[0, 3\)"),
+            ([(0, 1)], [(0, 1, 1)], r"triad \(0, 1, 1\) repeats a node"),
+        ],
+        ids=["self-loop", "repeated-edge", "negative-node", "node-past-count",
+             "triad-node-past-count", "triad-repeats-node"],
+    )
+    def test_abstract_structure_rejects_bad_nodes(self, edges, triads, message):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        with pytest.raises(ValueError, match=message):
+            OrthogonalityGraph.from_structure(3, edges, triads)
 
 
 def _construction(rs, relations):

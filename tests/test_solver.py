@@ -185,7 +185,7 @@ class TestForcingChain:
         rs = assemble_ks_set(schedule=())
         report = forcing_chain_check(math.radians(18.0), rs)
         assert len(report.links) == 1
-        assert report.links[0].forced
+        assert report.all_links_forced
         assert not report.cyclic
         assert not report.contradiction_confirmed
 
