@@ -256,16 +256,17 @@ def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
 
 
 def _align_gadget(g: GadgetSet) -> list[list[float]]:
-    """The gadget's coordinates rotated so c2 lies on the +y axis and the
-    apex on +z, with c3 in the x > 0 half of the x-z plane."""
+    """The gadget's coordinates rotated so c2 lies on the y axis, the apex
+    on z, and c3 on the ray (sin a, 0, cos a) for the apex-c3 angle a: the
+    ray onto which a turn by +a about c2 carries the apex.  That holds for
+    parameters (x, y) of either sign."""
     w = g.rays[APEX].vec
     u = g.rays[GADGET_ROLES.index("c2")].vec
+    c3 = g.rays[C3].vec
     rot = np.stack([np.cross(u, w), u, w])  # maps u x w -> x, u -> y, w -> z
-    rows = _transformed(rot, [r.vec for r in g.rays])
-    if rows[C3][0] < 0.0:
-        flip = np.diag([-1.0, -1.0, 1.0])  # half turn about z; same rays for axis images
-        rows = _transformed(flip, np.array(rows))
-    return rows
+    if (rot[0] @ c3) * (rot[2] @ c3) < 0.0:
+        rot[:2] = -rot[:2]  # then a half turn about z, exact in floating point
+    return _transformed(rot, [r.vec for r in g.rays])
 
 
 def assemble_ks_set(
@@ -351,29 +352,26 @@ class OrthogonalityGraph:
 
     @classmethod
     def from_structure(
-        cls,
-        node_count: int,
-        edges: Sequence[tuple[int, int]],
-        triads: Sequence[tuple[int, int, int]] | None = None,
+        cls, node_count: int, edges: Sequence[tuple[int, int]]
     ) -> "OrthogonalityGraph":
-        """Abstract graph (no geometry); triads default to all triangles.
+        """Abstract graph (no geometry); its triads are all its triangles.
 
-        Raises ValueError for an edge or triad with a node outside
-        [0, node_count) or a repeated member, and for an edge listed twice.
+        Raises ValueError for a negative node_count, for an edge with a node
+        outside [0, node_count) or a repeated member, and for an edge listed
+        twice.
         """
+        if node_count < 0:
+            raise ValueError(f"node_count {node_count} is negative")
         norm_edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-        norm_triads = () if triads is None else tuple(sorted(tuple(sorted(t)) for t in triads))
-        for kind, members in [("edge", e) for e in norm_edges] + [("triad", t) for t in norm_triads]:
-            if not (0 <= members[0] and members[-1] < node_count):
-                raise ValueError(f"{kind} {members} has a node outside [0, {node_count})")
-            if len(set(members)) < len(members):
-                raise ValueError(f"{kind} {members} repeats a node")
+        for e in norm_edges:
+            if not (0 <= e[0] and e[1] < node_count):
+                raise ValueError(f"edge {e} has a node outside [0, {node_count})")
+            if e[0] == e[1]:
+                raise ValueError(f"edge {e} repeats a node")
         twice = next((e for e, f in zip(norm_edges, norm_edges[1:]) if e == f), None)
         if twice is not None:
             raise ValueError(f"edge {twice} is listed twice")
-        if triads is None:
-            norm_triads = _triangles(node_count, norm_edges)
-        return cls(node_count=node_count, edges=norm_edges, triads=norm_triads)
+        return cls(node_count, norm_edges, _triangles(node_count, norm_edges))
 
     def adjacency(self) -> list[set[int]]:
         return _adjacency(self.node_count, self.edges)

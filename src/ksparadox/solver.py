@@ -112,7 +112,6 @@ class SolverVerdict:
     stats: SolverStats
     certificate: bytes | None = None
     certificate_digest: str | None = None
-    degenerate: bool = False
 
     def to_dict(self) -> dict:
         d = {
@@ -126,8 +125,6 @@ class SolverVerdict:
         }
         if self.witness is not None:
             d["witness"] = {str(k): v for k, v in sorted(self.witness.values.items())}
-        if self.degenerate:
-            d["degenerate"] = True
         return d
 
 
@@ -140,21 +137,10 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
     triad-membership plus degree count, ties by node index) and try value 1
     before 0, so verdicts, witnesses, and certificates are deterministic.
     The search is one loop over an assignment trail, not a recursion, so its
-    depth is not bounded by the interpreter's recursion limit.
-
-    A triad-free graph is trivially satisfied by the all-0 assignment and is
-    flagged degenerate.
+    depth is not bounded by the interpreter's recursion limit.  Triad-free and
+    empty graphs run the same search.
     """
     n = g.node_count
-    if not g.triads:
-        witness = ValueAssignment({i: 0 for i in range(n)})
-        return SolverVerdict(
-            outcome="SAT",
-            witness=witness,
-            stats=SolverStats(0, 0, 0),
-            degenerate=True,
-        )
-
     adj = [sorted(s) for s in g.adjacency()]
     triads_of: list[list[int]] = [[] for _ in range(n)]
     for ti, t in enumerate(g.triads):

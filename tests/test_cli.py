@@ -125,6 +125,14 @@ class TestCliCommands:
             "chain: contradiction: equal values forced on a mutually orthogonal triple\n"
         )
 
+    def test_check_coloring_negative_gadget_x_is_the_default_sweep(self, capsys):
+        # (-x, y) realizes 18 deg too; the seed copy is oriented to close the sweep
+        assert main(["check-coloring"]) == 0
+        default = capsys.readouterr().out
+        _, y = offdiagonal_parameters_for_angle(math.radians(18.0))
+        assert main(["check-coloring", "--gadget-x", "-1", "--gadget-y", repr(y)]) == 0
+        assert capsys.readouterr().out == default
+
     def test_step_angle_not_dividing_90_is_an_error_exit(self, capsys):
         assert main(["check-coloring", "--step-angle-deg", "17"]) == 1
         assert "error:" in capsys.readouterr().err

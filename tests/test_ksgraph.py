@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ksparadox import ksgraph
 from ksparadox.emit import census_text
 from ksparadox.gadget import (
-    C3,
     GADGET_EDGES,
     GADGET_ROLES,
     GADGET_TRIADS,
@@ -39,7 +38,7 @@ from ksparadox.ksgraph import (
     rotation_matrix,
 )
 from ksparadox.linalg import SIGN_EPS, Context, Ray3, verify_completion
-from ksparadox.solver import check_colorability
+from ksparadox.solver import check_colorability, forcing_chain_check
 
 AXES = tuple(Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
@@ -242,10 +241,11 @@ class TestBitsKept:
         # the plain first-occurrence scan
         step_angle, schedule = _sweep_args(name)
         gadget = gadget_for_angle(step_angle, None)
-        w, u = gadget.ray("apex").vec, gadget.ray("c2").vec
-        copy = [Ray3.from_vector(np.stack([np.cross(u, w), u, w]) @ r.vec) for r in gadget.rays]
-        if copy[C3].x < 0.0:
-            copy = [Ray3.from_vector(np.diag([-1.0, -1.0, 1.0]) @ r.vec) for r in copy]
+        w, u, c3 = gadget.ray("apex").vec, gadget.ray("c2").vec, gadget.ray("c3").vec
+        rot = np.stack([np.cross(u, w), u, w])
+        if (rot[0] @ c3) * (rot[2] @ c3) < 0.0:
+            rot[:2] = -rot[:2]
+        copy = [Ray3.from_vector(rot @ r.vec) for r in gadget.rays]
         copies = [copy]
         for step in schedule:
             a = GADGET_ROLES.index(step.axis_role)
@@ -404,6 +404,29 @@ class TestAssembleVariants:
         assert math.acos(min(1.0, float(np.max(dots)))) >= 10 * DEDUP_TOL
 
 
+class TestSweepOrientation:
+    """(+-x, +-y) realize the same apex-c3 angle; each sign choice must seed
+    the sweep with c3 where the first step about c2 carries the apex."""
+
+    @pytest.mark.parametrize(
+        "deg, census", [(18.0, (117, 204, 43)), (10.0, (213, 372, 79))], ids=["18deg", "10deg"]
+    )
+    @pytest.mark.parametrize(
+        "sx, sy", [(1, 1), (-1, 1), (1, -1), (-1, -1)], ids=["+x+y", "-x+y", "+x-y", "-x-y"]
+    )
+    def test_every_sign_gives_the_closed_sweep(self, deg, census, sx, sy):
+        step = math.radians(deg)
+        x, y = offdiagonal_parameters_for_angle(step)
+        rs = assemble_ks_set(step, gadget_params=(sx * x, sy * y))
+        g = build_orthogonality_graph(rs)
+        assert (len(rs.rays), len(g.edges), len(g.triads)) == census
+        verdict = check_colorability(g)
+        reference = check_colorability(build_orthogonality_graph(assemble_ks_set(step)))
+        assert verdict.outcome == "UNSAT"
+        assert verdict.stats == reference.stats
+        assert forcing_chain_check(step, rs).contradiction_confirmed
+
+
 class TestCensusGoldens:
     """sha256 of census_text beyond the paper117 reference: a sweep with
     merges off the axes, the diagonal family's shared rays, and an open
@@ -492,24 +515,32 @@ class TestOrthogonalityGraph:
         assert g.triads == ((0, 1, 2),)
         assert g.rays is None
 
+    def test_abstract_structure_without_edges_has_no_triads(self):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        assert OrthogonalityGraph.from_structure(3, []).triads == ()
+
+    def test_abstract_structure_rejects_negative_node_count(self):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        with pytest.raises(ValueError, match="node_count -2 is negative"):
+            OrthogonalityGraph.from_structure(-2, [])
+
     @pytest.mark.parametrize(
-        "edges, triads, message",
+        "edges, message",
         [
-            ([(1, 1)], None, r"edge \(1, 1\) repeats a node"),
-            ([(0, 1), (1, 0)], None, r"edge \(0, 1\) is listed twice"),
-            ([(-1, 0)], None, r"edge \(-1, 0\) has a node outside \[0, 3\)"),
-            ([(0, 5)], None, r"edge \(0, 5\) has a node outside \[0, 3\)"),
-            ([(0, 1)], [(0, 1, 3)], r"triad \(0, 1, 3\) has a node outside \[0, 3\)"),
-            ([(0, 1)], [(0, 1, 1)], r"triad \(0, 1, 1\) repeats a node"),
+            ([(1, 1)], r"edge \(1, 1\) repeats a node"),
+            ([(0, 1), (1, 0)], r"edge \(0, 1\) is listed twice"),
+            ([(-1, 0)], r"edge \(-1, 0\) has a node outside \[0, 3\)"),
+            ([(0, 5)], r"edge \(0, 5\) has a node outside \[0, 3\)"),
         ],
-        ids=["self-loop", "repeated-edge", "negative-node", "node-past-count",
-             "triad-node-past-count", "triad-repeats-node"],
+        ids=["self-loop", "repeated-edge", "negative-node", "node-past-count"],
     )
-    def test_abstract_structure_rejects_bad_nodes(self, edges, triads, message):
+    def test_abstract_structure_rejects_bad_nodes(self, edges, message):
         from ksparadox.ksgraph import OrthogonalityGraph
 
         with pytest.raises(ValueError, match=message):
-            OrthogonalityGraph.from_structure(3, edges, triads)
+            OrthogonalityGraph.from_structure(3, edges)
 
 
 def _construction(rs, relations):
