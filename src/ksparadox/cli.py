@@ -86,6 +86,8 @@ def cmd_build_set(args: argparse.Namespace) -> int:
 
 
 def cmd_check_coloring(args: argparse.Namespace) -> int:
+    if args.single_gadget and args.census:
+        raise ValueError("--census needs the swept set; it does not apply with --single-gadget")
     source = _flag_rays(args, args.single_gadget)
     graph = build_orthogonality_graph(source)
     verdict = check_colorability(graph)

@@ -72,7 +72,15 @@ class AngleRangeError(ValueError):
 
 
 def raw_gadget_vectors(x: float, y: float) -> tuple[np.ndarray, ...]:
-    """The ten construction vectors before normalization, in role order."""
+    """The ten construction vectors before normalization, in role order.
+
+    Raises DegenerateParameterError when y**3 overflows a float."""
+    try:
+        y3 = y**3
+    except OverflowError:
+        raise DegenerateParameterError(
+            f"parameters ({x}, {y}) overflow the construction vectors"
+        ) from None
     return (
         np.array([-x * y, x, -1.0]),
         np.array([0.0, 1.0, x]),
@@ -83,7 +91,7 @@ def raw_gadget_vectors(x: float, y: float) -> tuple[np.ndarray, ...]:
         np.array([0.0, 0.0, 1.0]),
         np.array([-1.0, -y, -x * y]),
         np.array([-y * (1 + x * x), 1 - x * x * y * y, x * (1 + y * y)]),
-        np.array([-x * y**3 * (1 + x * x), x * (1 + 2 * y * y + x * x * y * y), -(1 + y * y)]),
+        np.array([-x * y3 * (1 + x * x), x * (1 + 2 * y * y + x * x * y * y), -(1 + y * y)]),
     )
 
 
@@ -121,8 +129,9 @@ def build_gadget(x: float, y: float) -> GadgetSet:
     """Construct the ten-ray gadget at parameters (x, y).
 
     Rays come back unit-normalized and sign-canonical, labeled by role.
-    Raises DegenerateParameterError for non-finite parameters and
-    NormalizationError when a construction vector's norm overflows.
+    Raises DegenerateParameterError for non-finite parameters or when y**3
+    overflows, and NormalizationError when a construction vector's norm
+    overflows.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DegenerateParameterError(f"parameters must be finite, got ({x}, {y})")

@@ -28,8 +28,9 @@ draws of the rows before it (PCG64.advance, O(log n) steps) and draws
 the same values a whole-array draw would put there; after each stage it
 jumps past the other ranges' draws.  Results therefore do not depend on
 the worker count.  numpy releases the interpreter lock inside the draws
-and the compare and XOR ufuncs, so the ranges run in parallel, and each
-worker keeps its own draw buffer.
+and the compare and XOR ufuncs, so the ranges run in parallel.  The
+calling thread allocates the flip bits and one draw buffer per range,
+and each range works in its own slice and buffer.
 """
 
 from __future__ import annotations
@@ -69,6 +70,24 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _range_cuts(n: int, block: int) -> list[int]:
+    """Range i of _in_ranges is [cuts[i], cuts[i + 1]): one range of whole
+    blocks per worker."""
+    blocks = -(-n // block)
+    workers = max(1, min(_worker_count(), blocks))
+    return [block * (blocks * i // workers) for i in range(workers)] + [n]
+
+
+def _draw_buffers(n: int, block: int, stride: int) -> list[np.ndarray]:
+    """One (min(n, block), stride) draw buffer per range that _in_ranges
+    cuts, allocated in the calling thread: a buffer a worker thread
+    allocates may stay with that thread's malloc arena once freed.  Any
+    buffer fits any range; a range takes one with list.pop, which is
+    atomic.  _in_ranges reads the worker count again, so the two agree
+    unless the process's CPU affinity changes in between."""
+    return list(np.empty((len(_range_cuts(n, block)) - 1, min(n, block), stride)))
+
+
 def _in_ranges(n: int, block: int, stride: int, entropy, work) -> list:
     """Run work(lo, hi, rng) over [0, n) cut into one range of whole
     blocks per worker and return the results in range order.
@@ -79,9 +98,8 @@ def _in_ranges(n: int, block: int, stride: int, entropy, work) -> list:
     no thread; an exception in any range is raised again here once every
     range has finished.
     """
-    blocks = -(-n // block)
-    workers = max(1, min(_worker_count(), blocks))
-    cuts = [block * (blocks * i // workers) for i in range(workers)] + [n]
+    cuts = _range_cuts(n, block)
+    workers = len(cuts) - 1
     results: list = [None] * workers
     errors: list = [None] * workers
 
@@ -178,20 +196,22 @@ def _run_stages(
     ]
     branches = [np.empty(n, dtype=np.int8) for _ in thetas] if keep_branches else []
 
+    flipped = np.zeros(n, dtype=bool)
+    pool = _draw_buffers(n, DRAW_BLOCK, 1)
+
     def work(lo: int, hi: int, rng: np.random.Generator) -> list[int]:
         # a particle's stages depend only on its own draws, so each range
         # runs every stage without waiting for the others
-        flipped = np.zeros(hi - lo, dtype=bool)
-        draws = np.empty(min(hi - lo, DRAW_BLOCK))
+        mine, draws = flipped[lo:hi], pool.pop()[:, 0]
         n_flipped = []
         for stage, p_stay in enumerate(p_stays):
             for start in range(0, hi - lo, DRAW_BLOCK):
-                block = flipped[start:start + DRAW_BLOCK]
+                block = mine[start:start + DRAW_BLOCK]
                 block ^= rng.random(out=draws[: len(block)]) >= p_stay
             rng.bit_generator.advance(n - (hi - lo))
-            n_flipped.append(int(np.count_nonzero(flipped)))
+            n_flipped.append(int(np.count_nonzero(mine)))
             if keep_branches:
-                branches[stage][lo:hi] = np.where(flipped, np.int8(-base), np.int8(base))
+                branches[stage][lo:hi] = np.where(mine, np.int8(-base), np.int8(base))
         return n_flipped
 
     counts = []
@@ -374,8 +394,10 @@ def sample_context_tables(
     out = np.empty((n_samples, len(contexts)), dtype=np.int8)
     rows = max(1, DRAW_BLOCK // max(1, len(contexts)))
 
+    pool = _draw_buffers(n_samples, rows, len(contexts))
+
     def work(lo: int, hi: int, rng: np.random.Generator) -> None:
-        draws = np.empty((min(hi - lo, rows), len(contexts)))
+        draws = pool.pop()
         for start in range(lo, hi, rows):
             block = out[start:min(start + rows, hi)]
             u = rng.random(out=draws[: len(block)])

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,6 +203,25 @@ class TestCliCommands:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: cannot normalize")
 
+    @pytest.mark.parametrize("x", ["1e200", "1"])
+    def test_overflowing_y_cubed_is_an_error_exit(self, capsys, x):
+        assert main(["verify-gadget", "--x", x, "--y", "1e200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: parameters ({float(x)}, 1e+200) overflow the construction vectors\n"
+        )
+
+    def test_census_with_single_gadget_is_an_error_exit(self, capsys, tmp_path):
+        census = tmp_path / "census.txt"
+        assert main(["check-coloring", "--single-gadget", "--census", str(census)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --census needs the swept set; it does not apply with --single-gadget\n"
+        )
+        assert not census.exists()
+
     def test_non_finite_apparatus_is_an_error_exit(self, capsys):
         for angle in ("nan", "inf"):
             assert main(["simulate", "--measure", "0", "--measure", angle, "--n", "10"]) == 1
@@ -322,3 +344,30 @@ class TestCliCommands:
     def test_single_gadget_needs_no_schedule(self, capsys, command):
         # 17 deg does not divide 90, but one gadget is never swept
         assert main([*command, "--step-angle-deg", "17"]) == 0
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from ksparadox.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['check-coloring'])",
+        "from ksparadox.ksgraph import RotationStep, assemble_ks_set, build_orthogonality_graph\n"
+        "step = math.radians(2.25)\n"
+        "pivot = RotationStep('c3', math.pi / 2, 1, emit=False)\n"
+        "legs = [RotationStep('c2', step, n) for n in (39, 40, 38)]\n"
+        "build_orthogonality_graph(assemble_ks_set(step, (legs[0], pivot, legs[1], pivot, legs[2])))",
+    ],
+    ids=["check-coloring", "open-k40 graph"],
+)
+def test_ray_set_path_does_not_import_numpy_ma(code):
+    # np.unique, np.setdiff1d and np.isin import numpy.ma (numpy 2.4), which
+    # costs the CLI process its import time and about 2 MB of memory
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = f"import contextlib, io, math, sys\n{code}\nprint('numpy.ma' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestBuildGadget:
             build_gadget(float("nan"), 1.0)
         with pytest.raises(DegenerateParameterError):
             build_gadget(1.0, float("inf"))
+
+    @pytest.mark.parametrize("x", [1e200, 1.0])
+    def test_overflowing_y_cubed_rejected(self, x):
+        # y**3 of a Python float raises OverflowError, whose text is an errno tuple
+        message = re.escape(f"parameters ({x}, 1e+200) overflow the construction vectors")
+        with pytest.raises(DegenerateParameterError, match=f"^{message}$"):
+            build_gadget(x, 1e200)
 
     def test_serialization_shape(self):
         doc = build_gadget(1.0, 0.5).to_dict()

@@ -37,7 +37,7 @@ from ksparadox.ksgraph import (
     rotate_ray,
     rotation_matrix,
 )
-from ksparadox.linalg import SIGN_EPS, Context, Ray3, verify_completion
+from ksparadox.linalg import SIGN_EPS, Context, Ray3, _canonical_units, verify_completion
 from ksparadox.solver import check_colorability, forcing_chain_check
 
 AXES = tuple(Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -219,9 +219,49 @@ def _sweep(name):
     return assemble_ks_set(*_sweep_args(name))
 
 
+def _reference_rows(m, vecs):
+    """Canonical coordinates of m @ v (or v, when m is None) one vector at a
+    time: math.sqrt(w.dot(w)), divide, then make the first component above
+    SIGN_EPS positive."""
+    out = []
+    for v in vecs:
+        w = np.array(v) if m is None else m @ np.array(v)
+        u = (w / math.sqrt(w.dot(w))).tolist()
+        lead = next(c for c in u if abs(c) > SIGN_EPS)
+        out.append([-c for c in u] if lead < 0.0 else u)
+    return out
+
+
+def _hexed(rows):
+    return [[c.hex() for c in row] for row in rows]
+
+
+# components the sign rule must skip (|c| <= SIGN_EPS) or must not skip
+TINY = (0.0, 1e-13, -1e-13, 2e-12, -2e-12)
+
+
 class TestBitsKept:
     # coordinates are printed to their last bits, and OpenBLAS picks its
     # kernels per CPU: compare on this host, never against stored floats
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.sampled_from([1, 10]),
+        turn=st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_stacked_rotation_equals_per_row_reference(self, seed, rows, turn):
+        rng = np.random.default_rng(seed)
+        vecs = rng.normal(size=(rows, 3))
+        # tiny components ahead of a normal last one; a zero angle keeps them
+        tiny = rng.random((rows, 3)) < 0.5
+        tiny[:, 2] = False
+        vecs[tiny] = rng.choice(TINY, size=int(tiny.sum()))
+        vecs *= rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
+        axis = Ray3.from_vector(rng.normal(size=3)).vec
+        m = rotation_matrix(axis, rng.uniform(0, 2 * math.pi) if turn else 0.0)
+        assert _hexed(_canonical_units(vecs).tolist()) == _hexed(_reference_rows(None, vecs))
+        assert _hexed(_transformed(m, vecs).tolist()) == _hexed(_reference_rows(m, vecs))
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100)
@@ -237,20 +277,22 @@ class TestBitsKept:
 
     @pytest.mark.parametrize("name", ["k=5", "k=24", "open-k40"])
     def test_sweep_equals_ray_by_ray_rebuild(self, name):
-        # the sweep rebuilt one Ray3 at a time with rotate_ray, deduped by
-        # the plain first-occurrence scan
+        # the sweep rebuilt one ray at a time by _reference_rows, which
+        # shares no code with the stacked path, and deduped by the plain
+        # first-occurrence scan
         step_angle, schedule = _sweep_args(name)
         gadget = gadget_for_angle(step_angle, None)
         w, u, c3 = gadget.ray("apex").vec, gadget.ray("c2").vec, gadget.ray("c3").vec
         rot = np.stack([np.cross(u, w), u, w])
         if (rot[0] @ c3) * (rot[2] @ c3) < 0.0:
             rot[:2] = -rot[:2]
-        copy = [Ray3.from_vector(rot @ r.vec) for r in gadget.rays]
+        copy = [Ray3(*row) for row in _reference_rows(rot, [r.vec for r in gadget.rays])]
         copies = [copy]
         for step in schedule:
             a = GADGET_ROLES.index(step.axis_role)
             for _ in range(step.repetitions):
-                copy = [rotate_ray(r, copy[a], step.angle) for r in copy]
+                m = rotation_matrix(copy[a].vec, step.angle)
+                copy = [Ray3(*row) for row in _reference_rows(m, [r.vec for r in copy])]
                 if step.emit:
                     copies.append(copy)
         labeled = [  # triad labels first, apex labels last
@@ -543,6 +585,24 @@ class TestOrthogonalityGraph:
             OrthogonalityGraph.from_structure(3, edges)
 
 
+def _reference_edges(rays, copies):
+    """The pairs within _edge_bound(copies), from the full n x n product."""
+    mat = np.array([(r.x, r.y, r.z) for r in rays], dtype=float).reshape(-1, 3)
+    close = np.triu(np.abs(mat @ mat.T) <= _edge_bound(copies), 1)
+    return tuple((int(i), int(j)) for i, j in np.argwhere(close))
+
+
+def _frame_rays(count, seed):
+    """count rays from seeded orthonormal frames, shuffled so that the
+    orthogonal pairs straddle the 128-row blocks of the edge scan."""
+    rng = np.random.default_rng(seed)
+    rays = []
+    for _ in range(-(-count // 3)):
+        rot = rotation_matrix(Ray3.from_vector(rng.normal(size=3)).vec, rng.uniform(0, 2 * math.pi))
+        rays += [Ray3.from_vector(rot[:, k]) for k in range(3)]
+    return [rays[k] for k in rng.permutation(len(rays))[:count]]
+
+
 def _construction(rs, relations):
     return {
         tuple(sorted(cp[GADGET_ROLES[i]] for i in rel)) for cp in rs.copies for rel in relations
@@ -577,6 +637,22 @@ class TestConstructionCertificate:
         np.fill_diagonal(dots, np.inf)
         assert dots.min() >= 10 * bound
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 127, 128, 129, 257])
+    def test_ray_list_edges_equal_full_product(self, count):
+        rays = _frame_rays(count, seed=count)
+        g = build_orthogonality_graph(rays)
+        assert g.edges == _reference_edges(rays, 0)
+        assert len(g.edges) >= count - 2  # frames cut by the shuffle lose a few pairs
+
+    @pytest.mark.parametrize("name", ["k=5", "k=24", "k=90", "diagonal", "open-k40"])
+    def test_sweep_edges_equal_full_product(self, name):
+        if name == "diagonal":
+            t = solve_parameter_for_angle(math.radians(18.0))
+            rs = assemble_ks_set(gadget_params=(t, t))
+        else:
+            rs = _sweep(name)
+        assert build_orthogonality_graph(rs).edges == _reference_edges(rs.rays, len(rs.copies))
+
     def test_k24_near_orthogonal_pairs_are_not_edges(self):
         # within 1e-7 but not orthogonal: |dot| 3.0e-8 and 8.1e-8
         rs = _sweep("k=24")
@@ -594,6 +670,24 @@ class TestConstructionCertificate:
         copies[7] = tampered
         with pytest.raises(OrthogonalityGapError, match=r"^\d+ construction pairs have \|dot\| >"):
             build_orthogonality_graph(dataclasses.replace(rs, copies=tuple(copies)))
+
+    @pytest.mark.parametrize(
+        "index, moves, count",
+        [
+            (7, {"apex": "c3"}, 2),
+            (3, {"b3": "a2"}, 3),  # one of the three is the self-pair (a2, a2)
+            (0, {"a1": "b1", "a3": "b1"}, 3),  # (a2, b1) arises twice, counts once
+        ],
+    )
+    def test_tampered_copy_counts_distinct_missing_pairs(self, index, moves, count):
+        rs = assemble_ks_set()
+        copies = list(rs.copies)
+        copies[index] = {**copies[index], **{r: copies[index][m] for r, m in moves.items()}}
+        tampered = dataclasses.replace(rs, copies=tuple(copies))
+        edges = _reference_edges(rs.rays, len(copies))
+        assert len(_construction(tampered, GADGET_EDGES) - set(edges)) == count
+        with pytest.raises(OrthogonalityGapError, match=rf"^{count} construction pairs have "):
+            build_orthogonality_graph(tampered)
 
     def test_exact_extra_pair_becomes_edge(self):
         # one more ray, orthogonal to node 0 only: a pair no copy accounts for
