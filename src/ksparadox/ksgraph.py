@@ -13,10 +13,11 @@ coordinate axes each occur seven times (five as c2 of one leg, once as a
 c3, once as a c1); every other ray is unique to its copy.
 
 The 1e-7 dedup tolerance sits well inside the measured guard band.  Labels
-that merge sit at angle 0 from their representative, or at most 2.1e-8 rad
-(k = 36), because acos near 1 cannot resolve less than about 1.5e-8.  The
+that merge sit at angle 0 from their representative, or at most 2.6e-8 rad
+(k = 90), because acos near 1 cannot resolve less than about 1.5e-8.  The
 smallest separation between distinct rays shrinks with k: 3.2e-3 rad at
-k = 5, 7.5e-5 at k = 24 and 9.6e-6 on the open 2.25-degree chain.
+k = 5, 7.5e-5 at k = 24, 9.6e-6 on the open 2.25-degree chain and 3.7e-7
+(3.7 tolerances) at k = 90.
 
 Each copy is rotated as one (10, 3) array V by the stacked product
 m @ V[:, :, None] and renormalised by the roots of the stacked squared
@@ -27,18 +28,13 @@ prints: over 20,000 random 10-row copies none differed.  V @ m.T sums
 in another order and changed a coordinate in 99.96% of them;
 einsum('ij,ij->i') norms differed from v.dot(v) in 96.5%.
 
-Dedup finds a label's representative in a grid (_NearIndex), not by a
-scan.  With tau = DEDUP_TOL when the grid is built, each representative is
-filed in every cube of side 1000 tau that its box of +-10 tau touches; a
-query q reads the cubes of q and -q and tests their rays in index order by
-the scan's own rule, acos(min(1, |dot|)) <= tau.  It returns the scan's
-first occurrence, because every ray that passes is filed there: with |dot|
-off by a few epsilons, a ray passing the test lies within angle
-tau + 5e-8 of q or -q, and the chord is shorter than the angle, so inside
-the 10 tau reach for any tau above 6e-9 (tenfold at 1e-7).  On the sweeps
-up to k = 90 a ray is filed in 1.3 to 1.5 cubes (a zero coordinate straddles
-a face) and no cube holds more than three rays.  dedupe_rays leaves its
-grid on the RaySet for index_of.
+Dedup and the edges share one scan (_upper_pairs) of the pairs i < j.
+Dedup keeps the pairs with |dot| >= cos(2 tau), tau = DEDUP_TOL when it
+runs, and decides each by the scalar rule acos(min(1, |dot|)) <= tau.
+That floor sits 3 tau^2 / 2 below cos tau, 15 units in the last place
+of 1 or more for tau >= 1e-7 / 3, and a BLAS |dot| is within a few units
+of the scalar one, so the scan can only admit extra pairs, which the
+rule then turns down.
 
 Graph edges are the ray pairs with |dot| within the construction's float
 error, 32 (copies + 3) machine epsilons (_edge_bound).  Per rotation, with u
@@ -58,7 +54,6 @@ np.isin would import numpy.ma (numpy 2.4) on every run.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
@@ -114,42 +109,6 @@ def rotate_ray(r: Ray3, axis: Ray3, angle: float) -> Ray3:
 def _ray_matrix(rays: Sequence[Ray3]) -> np.ndarray:
     """(n, 3) array of the rays' unit vectors."""
     return np.array([(r.x, r.y, r.z) for r in rays], dtype=float).reshape(-1, 3)
-
-
-class _NearIndex:
-    """Grid lookup of the first ray within angle DEDUP_TOL of a query (see
-    the module docstring).  rays is the list that add extends, or the fixed
-    tuple the index was built over."""
-
-    def __init__(self, rays: Sequence[Ray3]):
-        self.rays = rays
-        self.tol = DEDUP_TOL
-        self.reach = 10.0 * self.tol
-        self.side = 100.0 * self.reach
-        self.cells: dict[tuple[int, int, int], list[int]] = {}
-        for k, r in enumerate(rays):
-            self._file(k, r)
-
-    def _file(self, k: int, r: Ray3) -> None:
-        s, d = self.side, self.reach
-        spans = (range(math.floor((c - d) / s), math.floor((c + d) / s) + 1) for c in (r.x, r.y, r.z))
-        for key in itertools.product(*spans):
-            self.cells.setdefault(key, []).append(k)
-
-    def add(self, r: Ray3) -> int:
-        self.rays.append(r)
-        self._file(len(self.rays) - 1, r)
-        return len(self.rays) - 1
-
-    def find(self, q: Ray3) -> int | None:
-        """Index of the first ray with acos(min(1, |dot|)) <= tol, or None."""
-        s, x, y, z = self.side, q.x, q.y, q.z
-        same = self.cells.get((math.floor(x / s), math.floor(y / s), math.floor(z / s)), [])
-        opposite = self.cells.get((math.floor(-x / s), math.floor(-y / s), math.floor(-z / s)))
-        for k in sorted(same + opposite) if opposite else same:
-            if math.acos(min(1.0, abs(self.rays[k].dot(q)))) <= self.tol:
-                return k
-        return None
 
 
 @dataclass(frozen=True)
@@ -213,7 +172,6 @@ class RaySet:
     merges: tuple[tuple[str, str], ...]
     copies: tuple[Mapping[str, int], ...] = ()
     provenance: Mapping[str, Any] = field(default_factory=dict)
-    grid: _NearIndex | None = field(default=None, compare=False, repr=False)
 
     @property
     def triad_label_count(self) -> int:
@@ -221,14 +179,8 @@ class RaySet:
         return sum(1 for lb in self.label_to_index if not lb.endswith("apex"))
 
     def index_of(self, r: Ray3) -> int | None:
-        """Index of the first ray within angle DEDUP_TOL of r, or None.  The
-        grid is built on first use unless dedupe_rays left one for these
-        very rays (dataclasses.replace carries it over)."""
-        grid = self.grid
-        if grid is None or grid.rays is not self.rays:
-            grid = _NearIndex(self.rays)
-            object.__setattr__(self, "grid", grid)
-        return grid.find(r)
+        """Index of the first ray within angle DEDUP_TOL of r, or None."""
+        return next((k for k, q in enumerate(self.rays) if q.angle_to(r) <= DEDUP_TOL), None)
 
     def to_dict(self) -> dict:
         return {
@@ -245,26 +197,28 @@ def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
     Unlabeled rays are labeled by input position.  Raises ValueError when
     two rays carry the same label, generated ones included.
     """
-    grid = _NearIndex([])
+    floor = math.cos(2.0 * DEDUP_TOL)  # admits every pair the rule passes (module docstring)
+    first, second = _upper_pairs(_ray_matrix(rays), lambda d: d >= floor)
+    rep = list(range(len(rays)))  # input position of each ray's representative
+    # the pairs ascend, so all pairs (h, i) come before (i, j): rep[i] is final
+    for i, j in zip(first.tolist(), second.tolist()):
+        if rep[j] == j and rep[i] == i and rays[i].angle_to(rays[j]) <= DEDUP_TOL:
+            rep[j] = i
+    kept: list[Ray3] = []
+    index: dict[int, int] = {}  # input position of a representative -> its ray
     label_to_index: dict[str, int] = {}
     merges: list[tuple[str, str]] = []
-    for idx, ray in enumerate(rays):
+    for idx, (ray, r) in enumerate(zip(rays, rep)):
         label = ray.label or f"r{idx}"
         if label in label_to_index:
             raise ValueError(f"label {label!r} of input ray {idx} is already taken")
-        k = grid.find(ray)
-        if k is None:
-            k = grid.add(ray if ray.label else ray.relabel(label))
+        if r == idx:
+            index[idx] = len(kept)
+            kept.append(ray if ray.label else ray.relabel(label))
         else:
-            merges.append((label, grid.rays[k].label))
-        label_to_index[label] = k
-    grid.rays = tuple(grid.rays)  # the RaySet's own rays, so index_of reuses the grid
-    return RaySet(
-        rays=grid.rays,
-        label_to_index=label_to_index,
-        merges=tuple(merges),
-        grid=grid,
-    )
+            merges.append((label, kept[index[r]].label))
+        label_to_index[label] = index[r]
+    return RaySet(rays=tuple(kept), label_to_index=label_to_index, merges=tuple(merges))
 
 
 def _align_gadget(g: GadgetSet) -> np.ndarray:
@@ -406,6 +360,20 @@ def _triangles(
     )
 
 
+def _upper_pairs(mat: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of mat's rows whose |dot| passes keep, as two index
+    arrays in ascending (i, j) order."""
+    firsts, seconds = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, len(mat), 128):  # row blocks of the upper triangle: no n x n float matrix
+        dots = mat[lo : lo + 128] @ mat[lo:].T
+        # nonzero walks each block row by row, so the pairs ascend
+        rows, cols = np.nonzero(keep(np.abs(dots, out=dots)))
+        upper = cols > rows
+        firsts.append(rows[upper] + lo)
+        seconds.append(cols[upper] + lo)
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
 def _edge_bound(copies: int) -> float:
     """Float-error bound on |dot| after copies gadget copies (module docstring)."""
     return 32 * (copies + 3) * float(np.finfo(float).eps)
@@ -421,17 +389,10 @@ def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> Or
     rays = tuple(getattr(source, "rays", source))
     copies = getattr(source, "copies", ())
     bound = _edge_bound(len(copies))
-    n, mat = len(rays), _ray_matrix(rays)
-    firsts, seconds = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo in range(0, n, 128):  # row blocks of the upper triangle: no n x n float matrix
-        dots = mat[lo : lo + 128] @ mat[lo:].T
-        rows, cols = np.nonzero(np.abs(dots, out=dots) <= bound)
-        upper = cols > rows
-        firsts.append(rows[upper] + lo)
-        seconds.append(cols[upper] + lo)
-    first, second = np.concatenate(firsts), np.concatenate(seconds)
-    # keys ascend, as nonzero walks each block row by row; the sentinel n * n
-    # exceeds every pair's key, so each search lands on an entry
+    n = len(rays)
+    first, second = _upper_pairs(_ray_matrix(rays), lambda d: d <= bound)
+    # keys ascend with the pairs; the sentinel n * n exceeds every pair's
+    # key, so each search lands on an entry
     keys = np.append(first * n + second, n * n)
     roles = np.array([[cp[r] for r in GADGET_ROLES] for cp in copies], dtype=np.intp)
     pairs = roles.reshape(-1, len(GADGET_ROLES))[:, np.array(GADGET_EDGES)]

@@ -78,28 +78,22 @@ def _range_cuts(n: int, block: int) -> list[int]:
     return [block * (blocks * i // workers) for i in range(workers)] + [n]
 
 
-def _draw_buffers(n: int, block: int, stride: int) -> list[np.ndarray]:
-    """One (min(n, block), stride) draw buffer per range that _in_ranges
-    cuts, allocated in the calling thread: a buffer a worker thread
-    allocates may stay with that thread's malloc arena once freed.  Any
-    buffer fits any range; a range takes one with list.pop, which is
-    atomic.  _in_ranges reads the worker count again, so the two agree
-    unless the process's CPU affinity changes in between."""
-    return list(np.empty((len(_range_cuts(n, block)) - 1, min(n, block), stride)))
-
-
 def _in_ranges(n: int, block: int, stride: int, entropy, work) -> list:
-    """Run work(lo, hi, rng) over [0, n) cut into one range of whole
+    """Run work(lo, hi, rng, draws) over [0, n) cut into one range of whole
     blocks per worker and return the results in range order.
 
     rng is a PCG64 Generator seeded from entropy and advanced by lo * stride
     outputs: the stream position of row lo when each row draws stride
-    float64s.  Range 0 runs in the calling thread, so a single range starts
-    no thread; an exception in any range is raised again here once every
-    range has finished.
+    float64s.  draws is the range's own (min(n, block), stride) buffer,
+    allocated here in the calling thread: a buffer a worker thread
+    allocates may stay with that thread's malloc arena once freed.  Range 0
+    runs in the calling thread, so a single range starts no thread; an
+    exception in any range is raised again here once every range has
+    finished.
     """
     cuts = _range_cuts(n, block)
     workers = len(cuts) - 1
+    buffers = np.empty((workers, min(n, block), stride))
     results: list = [None] * workers
     errors: list = [None] * workers
 
@@ -107,7 +101,7 @@ def _in_ranges(n: int, block: int, stride: int, entropy, work) -> list:
         lo, hi = cuts[i], cuts[i + 1]
         rng = np.random.Generator(np.random.PCG64(entropy).advance(lo * stride))
         try:
-            results[i] = work(lo, hi, rng)
+            results[i] = work(lo, hi, rng, buffers[i])
         except BaseException as exc:  # raised again by the caller below
             errors[i] = exc
 
@@ -197,12 +191,11 @@ def _run_stages(
     branches = [np.empty(n, dtype=np.int8) for _ in thetas] if keep_branches else []
 
     flipped = np.zeros(n, dtype=bool)
-    pool = _draw_buffers(n, DRAW_BLOCK, 1)
 
-    def work(lo: int, hi: int, rng: np.random.Generator) -> list[int]:
+    def work(lo: int, hi: int, rng: np.random.Generator, draws: np.ndarray) -> list[int]:
         # a particle's stages depend only on its own draws, so each range
         # runs every stage without waiting for the others
-        mine, draws = flipped[lo:hi], pool.pop()[:, 0]
+        mine, draws = flipped[lo:hi], draws[:, 0]
         n_flipped = []
         for stage, p_stay in enumerate(p_stays):
             for start in range(0, hi - lo, DRAW_BLOCK):
@@ -394,10 +387,7 @@ def sample_context_tables(
     out = np.empty((n_samples, len(contexts)), dtype=np.int8)
     rows = max(1, DRAW_BLOCK // max(1, len(contexts)))
 
-    pool = _draw_buffers(n_samples, rows, len(contexts))
-
-    def work(lo: int, hi: int, rng: np.random.Generator) -> None:
-        draws = pool.pop()
+    def work(lo: int, hi: int, rng: np.random.Generator, draws: np.ndarray) -> None:
         for start in range(lo, hi, rows):
             block = out[start:min(start + rows, hi)]
             u = rng.random(out=draws[: len(block)])

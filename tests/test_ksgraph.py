@@ -28,7 +28,6 @@ from ksparadox.ksgraph import (
     RotationStep,
     ScheduleError,
     _edge_bound,
-    _NearIndex,
     _transformed,
     assemble_ks_set,
     build_orthogonality_graph,
@@ -136,18 +135,12 @@ def _jittered(rng, base, angle):
     return math.cos(angle) * b + math.sin(angle) * p / np.linalg.norm(p)
 
 
-def _near_cell_faces(rng, reach, side):
-    """A unit direction whose x and y sit within reach of a cell face."""
-    x, y = (round(c / side) * side + rng.uniform(-reach, reach) for c in rng.uniform(-0.6, 0.6, 2))
-    return (x, y, rng.choice([-1.0, 1.0]) * math.sqrt(1.0 - x * x - y * y))
+class TestDedupeMatchesPlainScan:
+    # the shared pair scan, its cos(2 tol) floor and the rule must give the
+    # plain scan's first occurrence: labels jittered around the tolerance,
+    # and near-antipodes whose first components straddle SIGN_EPS
 
-
-class TestGridMatchesPlainScan:
-    # the grid lookup must return the plain scan's first occurrence: labels
-    # jittered around the tolerance, bases near the grid's cell faces, and
-    # near-antipodes whose first components straddle SIGN_EPS
-
-    @pytest.mark.parametrize("scale", [1.0, 1 / 3], ids=["tol", "tol/3"])
+    @pytest.mark.parametrize("scale", [3.0, 1.0, 1 / 3], ids=["3tol", "tol", "tol/3"])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_dedupe_equals_plain_scan(self, scale, seed):
@@ -155,14 +148,12 @@ class TestGridMatchesPlainScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ksgraph, "DEDUP_TOL", DEDUP_TOL * scale)
             tol = ksgraph.DEDUP_TOL
-            probe = _NearIndex([])
-            assert probe.tol == tol  # the grid reads the tolerance when built
             # bases in the plane x = 0 jitter to either canonical sign
             bases = [rng.normal(size=3) for _ in range(3)]
-            bases += [_near_cell_faces(rng, probe.reach, probe.side) for _ in range(3)]
             bases += [(0.0, *rng.normal(size=2)) for _ in range(2)]
             factors = rng.choice([0.0, 0.3, 0.6, 0.9, 1.1, 3.0], 64)
-            vecs = [_jittered(rng, bases[i], f * tol) for i, f in zip(rng.integers(0, 8, 64), factors)]
+            picks = rng.integers(0, len(bases), 64)
+            vecs = [_jittered(rng, bases[i], f * tol) for i, f in zip(picks, factors)]
             for a in rng.choice([0.5, 0.9, 1.1, 2.0], 4) * SIGN_EPS:
                 y, z = rng.normal(size=2)
                 vecs += [(a, y, z), (-a, -y, -z), (a, -y, -z), _jittered(rng, (a, y, z), 0.9 * tol)]
@@ -173,6 +164,24 @@ class TestGridMatchesPlainScan:
             assert rs.rays == tuple(reps)
             assert [rs.index_of(r) for r in rays] == [expected[f"r{i}"] for i in range(len(rays))]
 
+    @pytest.mark.parametrize("count", [0, 1, 128, 129])
+    def test_block_edges_of_the_pair_scan(self, count):
+        # from 128 rays on, the last two are a near-repeat and a near-antipode
+        # of ray 0; at 129 the antipode is row 128, in the scan's second block
+        rng = np.random.default_rng(count)
+        rays = _frame_rays(count, seed=count)
+        if count >= 128:
+            v = rays[0].vec
+            rays[-2:] = [Ray3.from_vector(_jittered(rng, s * v, 0.3 * DEDUP_TOL)) for s in (1, -1)]
+        expected, reps = _plain_scan(rays)
+        rs = dedupe_rays(rays)
+        assert rs.label_to_index == expected
+        assert rs.rays == tuple(reps)
+        if count >= 128:
+            assert rs.merges == ((f"r{count - 2}", "r0"), (f"r{count - 1}", "r0"))
+        else:
+            assert rs.merges == ()
+
 
 @pytest.fixture(scope="module")
 def rayset():
@@ -180,29 +189,24 @@ def rayset():
 
 
 class TestIndexOf:
+    # index_of is a first-occurrence scan with the dedup rule; each test
+    # below asserts its results on one kind of set
+
     def test_hand_built_set_builds_its_index_once(self):
         rs = RaySet(rays=AXES, label_to_index={}, merges=())
-        assert rs.grid is None
         assert [rs.index_of(a) for a in AXES] == [0, 1, 2]
-        grid = rs.grid
         assert rs.index_of(Ray3.from_vector((0.5e-12, -1, 1e-8))) == 1  # a near-antipode of y
         assert rs.index_of(Ray3.from_vector((1, 1, 0))) is None
-        assert rs.grid is grid
+        assert [rs.index_of(a) for a in AXES] == [0, 1, 2]
 
     def test_dedupe_leaves_the_index_it_built(self, rayset):
-        grid = rayset.grid
-        assert grid is not None and grid.rays is rayset.rays
         assert [rayset.index_of(a) for a in AXES] == [40, 7, 39]
-        assert rayset.grid is grid
 
     def test_replace_carries_or_rebuilds_the_index(self, rayset):
         same = dataclasses.replace(rayset, copies=())
-        assert same.grid is rayset.grid
         assert [same.index_of(a) for a in AXES] == [40, 7, 39]
-        # new rays: the carried index no longer fits and is rebuilt
         grown = dataclasses.replace(rayset, rays=AXES + rayset.rays)
         assert [grown.index_of(a) for a in AXES] == [0, 1, 2]
-        assert grown.grid is not rayset.grid and grown.grid.rays is grown.rays
 
 
 def _sweep_args(name):
@@ -616,6 +620,36 @@ SWEEPS = ("k=5", "k=24", "open-k40")
 def sweep(request):
     rs = _sweep(request.param)
     return rs, build_orthogonality_graph(rs)
+
+
+def _dedup_input(name):
+    """A sweep's RaySet and the labeled rays that its assembly deduped."""
+    seen = []
+
+    def spy(rays):
+        seen.append(list(rays))
+        return dedupe_rays(rays)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ksgraph, "dedupe_rays", spy)
+        rs = _sweep(name)
+    return rs, seen[0]
+
+
+@pytest.mark.parametrize("name", [*SWEEPS, "k=90"])
+def test_measured_dedup_margins(name):
+    # merged labels sit within a third of the tolerance of their
+    # representative (2.58e-8 rad at k = 90 at most: three units in the last
+    # place of the |dot|), distinct rays more than three tolerances apart
+    # (3.71e-7 rad at k = 90)
+    rs, labeled = _dedup_input(name)
+    merged = max(r.angle_to(rs.rays[rs.label_to_index[r.label]]) for r in labeled)
+    vecs = np.array([r.vec for r in rs.rays])
+    dots = np.abs(vecs @ vecs.T)
+    np.fill_diagonal(dots, 0.0)
+    closest = math.acos(min(1.0, float(dots.max())))
+    assert merged <= DEDUP_TOL / 3
+    assert closest > 3 * DEDUP_TOL
 
 
 class TestConstructionCertificate:

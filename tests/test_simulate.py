@@ -1,6 +1,7 @@
 """Stern-Gerlach ensemble statistics and the hidden-value demonstrations."""
 
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -8,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from ksparadox import simulate
+from ksparadox import cli, simulate
 from ksparadox.linalg import Ray3, context_for_direction
 from ksparadox.simulate import (
     GENERATOR_NAME,
@@ -486,7 +487,7 @@ class TestParallelEngine:
         monkeypatch.setattr(simulate, "_worker_count", lambda: 3)
         seen = []
 
-        def work(lo, hi, rng):
+        def work(lo, hi, rng, draws):
             seen.append((lo, hi))
             if lo == 2 * BLOCK:
                 raise RuntimeError(f"range at {lo} failed")
@@ -497,3 +498,23 @@ class TestParallelEngine:
             simulate._in_ranges(3 * BLOCK, BLOCK, 1, 0, work)
         assert sorted(seen) == [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK)]
         assert threading.active_count() == threads_before
+
+    def test_worker_count_growing_during_a_call(self, monkeypatch, capsys):
+        # the CPU affinity may grow between two reads of the worker count:
+        # the first read sees one CPU, every later read two
+        n = 3 * BLOCK + 7
+        spec = GOLDEN_SPECS["unpolarized"](n)
+        argv = ["simulate", "--measure", "0", "--measure", "45", "--n", str(n), "--seed", "3"]
+        expected = run_sequence(spec, GOLDEN_THETAS)
+        assert cli.main(argv) == 0
+        expected_out = capsys.readouterr().out
+
+        def growing():
+            reads = itertools.chain([1], itertools.repeat(2))
+            monkeypatch.setattr(simulate, "_worker_count", lambda: next(reads))
+
+        growing()
+        assert run_sequence(spec, GOLDEN_THETAS) == expected
+        growing()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected_out
