@@ -8,37 +8,35 @@ coin at the first apparatus.
 
 All randomness comes from numpy's PCG64 generator, and the seed plus
 generator name travel with every result so runs are reproducible bit for
-bit.  The stages of run_sequence share one stream seeded by the seed;
+bit.  The stages of run_sequence derive their streams from the seed;
 check_additivity_relation's disjoint sub-ensembles derive theirs from
 (seed, orientation index).
 
-Draws are made at most DRAW_BLOCK floats at a time into one reused
-buffer.  A Generator fills float64 draws from its stream in order, so the
-blocks hold the same values as one whole-array draw and the results do
-not depend on the block size.  An ensemble keeps one byte of state per
-particle (a flip bit against its base sign) plus the draw buffer, so its
-memory is n bytes and not n draws; the int8 sign arrays are built
-only when run_sequence is asked for them.
+At a stage every particle leaves its branch's sign with the same
+probability q, the opposite-sign transition probability from the previous
+orientation (1/2 for an unpolarized first stage), whatever that sign is.
+So the number f of particles whose sign differs from the base sign is a
+Markov chain, f' = f - Binomial(f, q) + Binomial(n - f, q), and the
+engine draws exactly that: two binomials per stage from a PCG64 stream
+seeded by the first child of SeedSequence(entropy).  The counts cost
+O(stages) time and memory, whatever n.  The per-stage int8 sign arrays,
+built only when run_sequence is asked for them, realize the drawn counts
+from the second child: each stage flips a uniform subset of the drawn size
+among the flipped particles and another among the unflipped ones.  The
+particles are exchangeable, so given the counts those subsets have the law
+of independent per-particle flips, and the counts do not depend on
+whether the arrays were asked for.
 
-The rows (particles, or context-table rows) are split into one range of
-whole blocks per CPU this process may run on, and each range runs in its
-own thread.  A float64 draw uses exactly one 64-bit PCG64 output, so a
-range's generator starts from the seeded state jumped ahead past the
-draws of the rows before it (PCG64.advance, O(log n) steps) and draws
-the same values a whole-array draw would put there; after each stage it
-jumps past the other ranges' draws.  Results therefore do not depend on
-the worker count.  numpy releases the interpreter lock inside the draws
-and the compare and XOR ufuncs, so the ranges run in parallel.  The
-calling thread allocates the flip bits and one draw buffer per range,
-and each range works in its own slice and buffer.
+sample_context_tables draws its uniforms at most DRAW_BLOCK floats at a
+time into one reused buffer.  A Generator fills float64 draws from its
+stream in order, so the blocks hold the same values as one whole-array
+draw and the tables do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,62 +61,6 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
-def _worker_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _range_cuts(n: int, block: int) -> list[int]:
-    """Range i of _in_ranges is [cuts[i], cuts[i + 1]): one range of whole
-    blocks per worker."""
-    blocks = -(-n // block)
-    workers = max(1, min(_worker_count(), blocks))
-    return [block * (blocks * i // workers) for i in range(workers)] + [n]
-
-
-def _in_ranges(n: int, block: int, stride: int, entropy, work) -> list:
-    """Run work(lo, hi, rng, draws) over [0, n) cut into one range of whole
-    blocks per worker and return the results in range order.
-
-    rng is a PCG64 Generator seeded from entropy and advanced by lo * stride
-    outputs: the stream position of row lo when each row draws stride
-    float64s.  draws is the range's own (min(n, block), stride) buffer,
-    allocated here in the calling thread: a buffer a worker thread
-    allocates may stay with that thread's malloc arena once freed.  Range 0
-    runs in the calling thread, so a single range starts no thread; an
-    exception in any range is raised again here once every range has
-    finished.
-    """
-    cuts = _range_cuts(n, block)
-    workers = len(cuts) - 1
-    buffers = np.empty((workers, min(n, block), stride))
-    results: list = [None] * workers
-    errors: list = [None] * workers
-
-    def run(i: int) -> None:
-        lo, hi = cuts[i], cuts[i + 1]
-        rng = np.random.Generator(np.random.PCG64(entropy).advance(lo * stride))
-        try:
-            results[i] = work(lo, hi, rng, buffers[i])
-        except BaseException as exc:  # raised again by the caller below
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Ensemble size, preparation, and random seed.
@@ -136,6 +78,8 @@ class EnsembleSpec:
         _check_integer("ensemble size", self.n)
         if self.n < 1:
             raise ValueError("ensemble size must be at least 1")
+        if self.n > 2**63 - 1:  # the binomial draws take int64 counts
+            raise ValueError(f"ensemble size must be at most 2**63 - 1, got {self.n}")
         if self.prep_theta is not None and not math.isfinite(self.prep_theta):
             raise ValueError("preparation angle must be finite")
         if self.prep_sign not in (+1, -1):
@@ -180,40 +124,40 @@ def _run_stages(
     keep_branches: bool,
 ) -> tuple[list[EnsembleCounts], list[np.ndarray]]:
     n = spec.n
-    # a particle's sign is base, or -base where flipped is set
+    # a particle's sign is base, or -base where it is flipped
     base = +1 if spec.prep_theta is None else spec.prep_sign
-    # a draw at or above p_stay flips the particle's branch; an
-    # unpolarized first stage is a fair coin on unflipped particles
-    p_stays = [
-        0.5 if prev is None else transition_probability_spin_half(prev, +1, theta)
+    qs = [
+        0.5 if prev is None else transition_probability_spin_half(prev, +1, theta, -1)
         for prev, theta in zip([spec.prep_theta, *thetas], thetas)
     ]
-    branches = [np.empty(n, dtype=np.int8) for _ in thetas] if keep_branches else []
-
-    flipped = np.zeros(n, dtype=bool)
-
-    def work(lo: int, hi: int, rng: np.random.Generator, draws: np.ndarray) -> list[int]:
-        # a particle's stages depend only on its own draws, so each range
-        # runs every stage without waiting for the others
-        mine, draws = flipped[lo:hi], draws[:, 0]
-        n_flipped = []
-        for stage, p_stay in enumerate(p_stays):
-            for start in range(0, hi - lo, DRAW_BLOCK):
-                block = mine[start:start + DRAW_BLOCK]
-                block ^= rng.random(out=draws[: len(block)]) >= p_stay
-            rng.bit_generator.advance(n - (hi - lo))
-            n_flipped.append(int(np.count_nonzero(mine)))
-            if keep_branches:
-                branches[stage][lo:hi] = np.where(mine, np.int8(-base), np.int8(base))
-        return n_flipped
-
-    counts = []
-    per_range = _in_ranges(n, DRAW_BLOCK, 1, entropy, work)
-    for stage, (theta, flips) in enumerate(zip(thetas, zip(*per_range)), start=1):
-        n_flipped = sum(flips)
-        n_plus = n - n_flipped if base == +1 else n_flipped
+    count_seed, branch_seed = np.random.SeedSequence(entropy).spawn(2)
+    rng = np.random.Generator(np.random.PCG64(count_seed))
+    counts, moves, flipped = [], [], 0
+    for stage, (theta, q) in enumerate(zip(thetas, qs), start=1):
+        back, new = int(rng.binomial(flipped, q)), int(rng.binomial(n - flipped, q))
+        moves.append((back, new))
+        flipped += new - back
+        n_plus = n - flipped if base == +1 else flipped
         counts.append(EnsembleCounts(stage=stage, theta=theta, n_plus=n_plus, n_minus=n - n_plus))
+    branches = _realize_branches(branch_seed, n, base, moves) if keep_branches else []
     return counts, branches
+
+
+def _realize_branches(
+    seed, n: int, base: int, moves: list[tuple[int, int]]
+) -> list[np.ndarray]:
+    """The int8 sign array after each stage: per drawn (back, new) move, a
+    uniform subset of back flipped particles flips back and a uniform
+    subset of new unflipped ones flips."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    flipped = np.zeros(n, dtype=bool)
+    branches = []
+    for back, new in moves:
+        was, was_not = np.flatnonzero(flipped), np.flatnonzero(~flipped)
+        flipped[rng.choice(was, back, replace=False, shuffle=False)] = False
+        flipped[rng.choice(was_not, new, replace=False, shuffle=False)] = True
+        branches.append(np.where(flipped, np.int8(-base), np.int8(base)))
+    return branches
 
 
 def run_sequence(
@@ -386,12 +330,10 @@ def sample_context_tables(
     ).reshape(len(contexts), 2)
     out = np.empty((n_samples, len(contexts)), dtype=np.int8)
     rows = max(1, DRAW_BLOCK // max(1, len(contexts)))
-
-    def work(lo: int, hi: int, rng: np.random.Generator, draws: np.ndarray) -> None:
-        for start in range(lo, hi, rows):
-            block = out[start:min(start + rows, hi)]
-            u = rng.random(out=draws[: len(block)])
-            np.add(u >= cum[:, 0], u >= cum[:, 1], out=block, dtype=np.int8)
-
-    _in_ranges(n_samples, rows, len(contexts), seed, work)
+    draws = np.empty((min(n_samples, rows), len(contexts)))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for start in range(0, n_samples, rows):
+        block = out[start:start + rows]
+        u = rng.random(out=draws[: len(block)])
+        np.add(u >= cum[:, 0], u >= cum[:, 1], out=block, dtype=np.int8)
     return out

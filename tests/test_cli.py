@@ -227,6 +227,20 @@ class TestCliCommands:
             assert main(["simulate", "--measure", "0", "--measure", angle, "--n", "10"]) == 1
             assert "error: apparatus angles must be finite" in capsys.readouterr().err
 
+    def test_oversized_ensemble_is_an_error_exit(self, capsys):
+        assert main(["simulate", "--n", str(2**63), "--measure", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ensemble size must be at most 2**63 - 1, got {2**63}\n"
+
+    def test_huge_ensemble_allocates_nothing_per_particle(self, capsys):
+        argv = ["simulate", "--n", "100000000000", "--measure", "0", "--measure", "90"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("stage 1 @ 0 deg: n+=")
+        n_plus, n_minus = (int(part[3:]) for part in lines[2].split(": ")[1].split()[:2])
+        assert n_plus + n_minus == 100_000_000_000
+
     def test_bad_prep_is_an_error_exit(self, capsys):
         assert main(["simulate", "--prep", "sideways@3", "--measure", "0"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -248,6 +262,10 @@ class TestCliCommands:
             (["vn", "--ensemble", "--n", "0"], "ensemble size must be at least 1"),
             (["vn", "--continuity", "--grid", "1"], "grid needs at least 2 points"),
             (["vn", "--continuity", "--psi", "nan"], "psi angle must be finite, got nan"),
+            (
+                ["vn", "--ensemble", "--n", str(2**63)],
+                f"ensemble size must be at most 2**63 - 1, got {2**63}",
+            ),
         ],
     )
     def test_vn_bad_input_prints_nothing_before_the_error(self, capsys, argv, message):

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import math
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,6 +95,17 @@ class TestRunSequence:
         with pytest.raises(TypeError, match="seed must be an integer, got 2.5"):
             EnsembleSpec(n=5, prep_theta=0.0, seed=2.5)
         assert EnsembleSpec(n=np.int64(5), prep_theta=0.0).n == 5
+
+    def test_ensemble_size_limit(self):
+        with pytest.raises(
+            ValueError, match=r"ensemble size must be at most 2\*\*63 - 1, got 9223372036854775808"
+        ):
+            EnsembleSpec.unpolarized(2**63)
+        # the counts take no memory per particle, so the largest size runs
+        spec = EnsembleSpec.prepared(0.0, -1, 2**63 - 1, seed=1)
+        counts = run_sequence(spec, [0.0, 1.0, 2.5])
+        assert counts[0].n_minus == 2**63 - 1
+        assert all(c.total == 2**63 - 1 and 0 < c.n_plus < c.total for c in counts[1:])
 
 
 class TestSpinAverages:
@@ -285,72 +296,73 @@ class TestContextualModel:
 BLOCK = 1 << 16  # simulate.DRAW_BLOCK; literal here so the golden values stand alone
 GOLDEN_THETAS = (0.3, 1.1, 1.1, 2.0, 4.5)
 GOLDEN_SPECS = {
-    "up": lambda n: EnsembleSpec.prepared(0.7, +1, n, seed=3),
-    "down": lambda n: EnsembleSpec.prepared(0.7, -1, n, seed=3),
-    "unpolarized": lambda n: EnsembleSpec.unpolarized(n, seed=3),
+    "up": lambda n, seed=3: EnsembleSpec.prepared(0.7, +1, n, seed=seed),
+    "down": lambda n, seed=3: EnsembleSpec.prepared(0.7, -1, n, seed=seed),
+    "unpolarized": lambda n, seed=3: EnsembleSpec.unpolarized(n, seed=seed),
 }
 # per-stage (n_plus, n_minus) and the sha256 of the concatenated int8 branch
-# arrays, recorded from the whole-array engine (one rng.random(n) per stage)
+# arrays, recorded from the two-binomial engine (counts from the first child
+# of SeedSequence(seed), branch flips from the second)
 GOLDEN_RUNS = {
     ("up", 1): (
-        [(1, 0), (1, 0), (1, 0), (1, 0), (1, 0)],
-        "377a23f52c6b357696238c3318f677a082dd3430bb6691042bd550a5cda28ebb",
+        [(1, 0), (1, 0), (1, 0), (0, 1), (1, 0)],
+        "078402939744a5931334fb664d958ab2ce258e2fc409a1b3735b70a8e1a166a8",
     ),
     ("up", 1000): (
-        [(965, 35), (819, 181), (819, 181), (684, 316), (356, 644)],
-        "27ad4cee07912ac23d8b3e4a0b040aed73c6139df13dc3491b587e4fc48f9553",
+        [(964, 36), (844, 156), (844, 156), (714, 286), (323, 677)],
+        "14f06c73e15e1f4713addd925a0805a6b154a971d283feba8823b6e19ea66aae",
     ),
     ("up", 2 * BLOCK): (
-        [(125933, 5139), (107731, 23341), (107731, 23341), (91542, 39530), (44757, 86315)],
-        "b90dd5b0fec6e207678da342fe8bdd4550f78533d2bf4be8362e70b87736fa2c",
+        [(125847, 5225), (107585, 23487), (107585, 23487), (91538, 39534), (44533, 86539)],
+        "dd2bfaf0fa204cae621b4c4a6c176eb4c71c78dfb0900814bd2a474c54c650a5",
     ),
     ("up", 3 * BLOCK + 7): (
-        [(188856, 7759), (161258, 35357), (161258, 35357), (137466, 59149), (66908, 129707)],
-        "485fee4f068bd50bf79fbee3a408ddeba5cadbd022cd4278bf25a200547ba42d",
+        [(188791, 7824), (161385, 35230), (161385, 35230), (137350, 59265), (66818, 129797)],
+        "ebaa876bd4165f9b7241b8b13db1e1f98763e94992ce5055e0763b77399a281e",
     ),
     ("down", 1): (
-        [(0, 1), (0, 1), (0, 1), (0, 1), (0, 1)],
-        "132369a3b7f24fa619785c4e2eee68855f5d46cbe0aaa19eadd0dbc2dd592c39",
+        [(0, 1), (0, 1), (0, 1), (1, 0), (0, 1)],
+        "0b275f0b5d486c955ba2e5e614404bb139ce9c4461b163c77839dcbeae773f21",
     ),
     ("down", 1000): (
-        [(35, 965), (181, 819), (181, 819), (316, 684), (644, 356)],
-        "e055eb052aa32050d522ee743a3d28b4942be37447c9a4fecd10c11c9c3fcfcb",
+        [(36, 964), (156, 844), (156, 844), (286, 714), (677, 323)],
+        "845bd3aec5a39f27e42f725577609308150c58428c836bf9611c76572ada94cd",
     ),
     ("down", 2 * BLOCK): (
-        [(5139, 125933), (23341, 107731), (23341, 107731), (39530, 91542), (86315, 44757)],
-        "b1ee55e5a6c46fc0f567c093d48fb8d01afefe1c18541bda65063dda95c4aee9",
+        [(5225, 125847), (23487, 107585), (23487, 107585), (39534, 91538), (86539, 44533)],
+        "bf6fb7636c776eaf6063e134fe1648c51bc4fe8ea2867e1d61fd90d59ca517b0",
     ),
     ("down", 3 * BLOCK + 7): (
-        [(7759, 188856), (35357, 161258), (35357, 161258), (59149, 137466), (129707, 66908)],
-        "b14597f02b0ba30c9ac24325f63b21df16d2f0a49c49c5b07fcc7d5485642b14",
+        [(7824, 188791), (35230, 161385), (35230, 161385), (59265, 137350), (129797, 66818)],
+        "7530d4c9573c85e499e35f425168f2bbc5b99f90e67caeef8691bc4ad29f373a",
     ),
     ("unpolarized", 1): (
-        [(1, 0), (1, 0), (1, 0), (1, 0), (1, 0)],
-        "377a23f52c6b357696238c3318f677a082dd3430bb6691042bd550a5cda28ebb",
+        [(0, 1), (0, 1), (0, 1), (1, 0), (0, 1)],
+        "0b275f0b5d486c955ba2e5e614404bb139ce9c4461b163c77839dcbeae773f21",
     ),
     ("unpolarized", 1000): (
-        [(502, 498), (492, 508), (492, 508), (495, 505), (511, 489)],
-        "784c9fb8275228a16626657a597f7789448b73e343fbe79bb0797c7aaf1ffe0c",
+        [(487, 513), (490, 510), (490, 510), (493, 507), (504, 496)],
+        "8a2c307c40df04cf4c30e6b35794231009e8692318d52373bd0674c8c5e3862a",
     ),
     ("unpolarized", 2 * BLOCK): (
-        [(65447, 65625), (65393, 65679), (65393, 65679), (65404, 65668), (65555, 65517)],
-        "7635b4acdb8ec5015990ba43630484e381fbb434b715f435f6b1faf91d59ab49",
+        [(65402, 65670), (65453, 65619), (65453, 65619), (65383, 65689), (65474, 65598)],
+        "ef00da5f3ef55fa1bfcba807ea26de5f9279cef84469518861fc9e5ca1474cab",
     ),
     ("unpolarized", 3 * BLOCK + 7): (
-        [(98077, 98538), (98329, 98286), (98329, 98286), (98365, 98250), (98295, 98320)],
-        "4ccc8e25980278a37604d6943383563ae401c41f4f4fb6a7aaf20668f1569048",
+        [(98143, 98472), (98207, 98408), (98207, 98408), (98121, 98494), (98230, 98385)],
+        "0da7a13f92faed08b9f232d51e397b9fa29002da8b72a5ef0535aeba1e377683",
     ),
 }
 GOLDEN_ADDITIVITY = [
     (
         EnsembleSpec.prepared(0.4, -1, 3 * BLOCK + 7, seed=11),
-        ("-0x1.d759b42eb0e86p-2", "-0x1.db6efffd00070p-2", "-0x1.8d786091c9568p-3"),
-        "-0x1.9c90860d23e00p-10",
+        ("-0x1.d6f30a739247bp-2", "-0x1.daf9abb96f4f5p-2", "-0x1.8e485eac786d9p-3"),
+        "-0x1.264ae8c0a2e00p-10",
     ),
     (
         EnsembleSpec.unpolarized(2 * BLOCK, seed=12),
-        ("0x1.3c00000000000p-10", "-0x1.9800000000000p-11", "0x1.8800000000000p-11"),
-        "-0x1.1b04f333f9de6p-9",
+        ("-0x1.6400000000000p-10", "-0x1.2600000000000p-9", "-0x1.6600000000000p-10"),
+        "-0x1.4c80c6c424670p-12",
     ),
 ]
 # five contexts do not divide the block, and 40,000 rows span four blocks
@@ -414,26 +426,41 @@ PARALLEL_CONTEXTS = [
     context_for_direction(Ray3.from_vector(d))
     for d in ((1, 2, 3), (0, 0, 1), (-1, 0.5, 2), (3, -1, 0.2)) * 5
 ]
+# sha256 of sample_context_tables(PREP, PARALLEL_CONTEXTS[:n_contexts],
+# n_samples, seed=21), recorded from the engine that split the rows across
+# CPU threads: the one-stream sampler must keep every draw
+PARALLEL_PICKS = {
+    (1, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    (1, 65_537): "5d2e6383ebeb0131382275d07c52e569699f696a799d9d909f1a383938c4a4fd",
+    (16, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (16, 1): "757bd28908ade917e47ec72024d5ade0e2c5df9e4df2c579083a644b4b2472fd",
+    (16, 65_537): "a2f8e195b45cc8b5400a922bc75a0f8d4c271e95fe8773a2b05b5142e54693e4",
+    (17, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (17, 1): "dacd11e8f71e3c623d74d405dbf6be4cce36a713ab2ebfa20259d26246e7878e",
+    (17, 65_537): "520bd2fdb8997f31a9b2aa4dcf505e5128f22f85b251af08713bcb3ff95ea947",
+}
 
 
-def _with_workers(monkeypatch, count, call):
-    # up to five workers on any host, switching as often as the
-    # interpreter allows, so ranges interleave at every bytecode
-    monkeypatch.setattr(simulate, "_worker_count", lambda: count)
+def _in_workers(count, call):
+    # count threads make the call at once, switching as often as the
+    # interpreter allows, so the calls interleave at every bytecode
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        return call()
+        with ThreadPoolExecutor(max_workers=count) as pool:
+            return [f.result() for f in [pool.submit(call) for _ in range(count)]]
     finally:
         sys.setswitchinterval(interval)
 
 
 class TestParallelEngine:
-    """Any worker count draws the one stream a single worker draws."""
+    """Calls made from several threads at once each draw the stream that
+    one call draws alone: the engine keeps no state between calls."""
 
     @pytest.mark.parametrize("n", PARALLEL_SIZES)
     @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
-    def test_run_sequence_independent_of_workers(self, monkeypatch, name, n):
+    def test_run_sequence_independent_of_workers(self, name, n):
         spec = GOLDEN_SPECS[name](n)
 
         def call():
@@ -441,80 +468,133 @@ class TestParallelEngine:
             digest = hashlib.sha256(b"".join(b.tobytes() for b in branches)).hexdigest()
             return counts, digest
 
-        expected = _with_workers(monkeypatch, 1, call)
+        expected = call()
         for count in WORKER_COUNTS:
-            assert _with_workers(monkeypatch, count, call) == expected, count
+            assert _in_workers(count, call) == [expected] * count, count
 
     @pytest.mark.parametrize("n", PARALLEL_SIZES)
     @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
-    def test_additivity_independent_of_workers(self, monkeypatch, name, n):
+    def test_additivity_independent_of_workers(self, name, n):
         spec = GOLDEN_SPECS[name](n)
 
         def call():
             result = check_additivity_relation(spec)
             return [a.hex() for a in result.averages], result.residual.hex()
 
-        expected = _with_workers(monkeypatch, 1, call)
+        expected = call()
         for count in WORKER_COUNTS:
-            assert _with_workers(monkeypatch, count, call) == expected, count
+            assert _in_workers(count, call) == [expected] * count, count
 
     @pytest.mark.parametrize("n_samples", [0, 1, 65_537])
     @pytest.mark.parametrize("n_contexts", [1, 16, 17])
-    def test_context_tables_independent_of_workers(self, monkeypatch, n_contexts, n_samples):
+    def test_context_tables_independent_of_workers(self, n_contexts, n_samples):
         contexts = PARALLEL_CONTEXTS[:n_contexts]
 
         def call():
             picks = sample_context_tables(PREP, contexts, n_samples, seed=21)
             return picks.shape, hashlib.sha256(picks.tobytes()).hexdigest()
 
-        expected = _with_workers(monkeypatch, 1, call)
-        assert expected[0] == (n_samples, n_contexts)
+        expected = ((n_samples, n_contexts), PARALLEL_PICKS[n_contexts, n_samples])
+        assert call() == expected
         for count in WORKER_COUNTS:
-            assert _with_workers(monkeypatch, count, call) == expected, count
+            assert _in_workers(count, call) == [expected] * count, count
 
-    def test_one_block_starts_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(simulate, "_worker_count", lambda: 5)
-        monkeypatch.setattr(simulate.threading, "Thread", no_thread)
-        run_sequence(EnsembleSpec.unpolarized(BLOCK, seed=1), [0.5, 1.5])
-        check_additivity_relation(EnsembleSpec.prepared(0.2, -1, BLOCK, seed=1))
-        sample_context_tables(PREP, PARALLEL_CONTEXTS[:1], BLOCK, seed=1)
-        sample_context_tables(PREP, PARALLEL_CONTEXTS[:16], BLOCK // 16, seed=1)
+def test_cli_simulate_matches_library(capsys):
+    degrees = ("0", "45", "45", "130")
+    n = 3 * BLOCK + 7
+    spec = GOLDEN_SPECS["unpolarized"](n)
+    counts = run_sequence(spec, [math.radians(float(d)) for d in degrees])
+    argv = ["simulate", "--n", str(n), "--seed", "3"]
+    for d in degrees:
+        argv += ["--measure", d]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"generator: {GENERATOR_NAME}, seed: 3"
+    assert [line.split(": ")[1].split(" up-fraction")[0] for line in lines[1:]] == [
+        f"n+={c.n_plus} n-={c.n_minus}" for c in counts
+    ]
 
-    def test_exception_in_a_later_range_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_worker_count", lambda: 3)
-        seen = []
 
-        def work(lo, hi, rng, draws):
-            seen.append((lo, hi))
-            if lo == 2 * BLOCK:
-                raise RuntimeError(f"range at {lo} failed")
-            return lo
+EXACT_LAW_SEEDS = 2_000
+EXACT_LAW_N = 1_000
+EXACT_LAW_Z = 5.0  # a true law fails a given check with probability below 1e-6
 
-        threads_before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"range at {2 * BLOCK} failed"):
-            simulate._in_ranges(3 * BLOCK, BLOCK, 1, 0, work)
-        assert sorted(seen) == [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK)]
-        assert threading.active_count() == threads_before
 
-    def test_worker_count_growing_during_a_call(self, monkeypatch, capsys):
-        # the CPU affinity may grow between two reads of the worker count:
-        # the first read sees one CPU, every later read two
-        n = 3 * BLOCK + 7
-        spec = GOLDEN_SPECS["unpolarized"](n)
-        argv = ["simulate", "--measure", "0", "--measure", "45", "--n", str(n), "--seed", "3"]
-        expected = run_sequence(spec, GOLDEN_THETAS)
-        assert cli.main(argv) == 0
-        expected_out = capsys.readouterr().out
+def _flipped_fractions(spec, thetas):
+    """The closed-form fraction r of particles whose sign differs from the
+    base sign after each stage: r' = r (1 - q) + (1 - r) q."""
+    r, prev, fractions = 0.0, spec.prep_theta, []
+    for theta in thetas:
+        q = 0.5 if prev is None else math.sin((theta - prev) / 2.0) ** 2
+        r = r * (1.0 - q) + (1.0 - r) * q
+        prev = theta
+        fractions.append(r)
+    return fractions
 
-        def growing():
-            reads = itertools.chain([1], itertools.repeat(2))
-            monkeypatch.setattr(simulate, "_worker_count", lambda: next(reads))
 
-        growing()
-        assert run_sequence(spec, GOLDEN_THETAS) == expected
-        growing()
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == expected_out
+class TestExactLaw:
+    """Each particle's sign is a two-state Markov chain that flips with the
+    same probability q from either sign, so the flipped count after a stage
+    is Binomial(n, r) with r from the closed-form recursion."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
+    def test_flipped_count_mean_and_variance_per_stage(self, name):
+        n, seeds = EXACT_LAW_N, EXACT_LAW_SEEDS
+        specs = [GOLDEN_SPECS[name](n, seed) for seed in range(seeds)]
+        base = specs[0].prep_sign if specs[0].prep_theta is not None else +1
+        flipped = np.array(
+            [
+                [c.n_minus if base == +1 else c.n_plus for c in run_sequence(spec, GOLDEN_THETAS)]
+                for spec in specs
+            ]
+        )
+        for stage, r in enumerate(_flipped_fractions(specs[0], GOLDEN_THETAS)):
+            f = flipped[:, stage]
+            var = n * r * (1.0 - r)
+            # binomial fourth central moment, and the standard error of the
+            # unbiased sample variance
+            mu4 = var * (1.0 + 3.0 * (n - 2) * r * (1.0 - r))
+            var_se = math.sqrt((mu4 - var**2 * (seeds - 3) / (seeds - 1)) / seeds)
+            z_mean = (f.mean() - n * r) / math.sqrt(var / seeds)
+            z_var = (f.var(ddof=1) - var) / var_se
+            assert abs(z_mean) <= EXACT_LAW_Z, (stage, z_mean)
+            assert abs(z_var) <= EXACT_LAW_Z, (stage, z_var)
+
+    def test_flips_fall_uniformly_on_the_particles(self):
+        # given a stage's flipped count f, the flipped particles are a
+        # uniform f-subset, so the number of them in a fixed half of the
+        # particles is hypergeometric with mean f / 2
+        n = EXACT_LAW_N
+        halves = {"low": np.arange(n) < n // 2, "even": np.arange(n) % 2 == 0}
+        excess = {name: [] for name in halves}
+        variance = []
+        for seed in range(200):
+            spec = GOLDEN_SPECS["up"](n, seed)
+            _, branches = run_sequence(spec, GOLDEN_THETAS, return_branches=True)
+            for b in branches:
+                f = int(np.count_nonzero(b == -1))
+                variance.append(f * (n - f) / (4.0 * (n - 1)))
+                for name, half in halves.items():
+                    excess[name].append(np.count_nonzero(b[half] == -1) - f / 2)
+        for name in halves:
+            z = sum(excess[name]) / math.sqrt(sum(variance))
+            assert abs(z) <= EXACT_LAW_Z, (name, z)
+
+    @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
+    def test_counts_do_not_depend_on_branches(self, name):
+        for n in (1, 1000, 3 * BLOCK + 7):
+            spec = GOLDEN_SPECS[name](n)
+            counts, _ = run_sequence(spec, GOLDEN_THETAS, return_branches=True)
+            assert run_sequence(spec, GOLDEN_THETAS) == counts
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_repeated_orientation_flips_no_branch(self, sign):
+        spec = EnsembleSpec.prepared(0.7, sign, 3 * BLOCK + 7, seed=5)
+        counts, branches = run_sequence(spec, [0.7, 2.0, 2.0, 2.0], return_branches=True)
+        assert np.all(branches[0] == sign)
+        assert counts[0].n_plus == (spec.n if sign == +1 else 0)
+        assert 0 < counts[1].n_plus < spec.n
+        for (c, b), (c_next, b_next) in itertools.pairwise(zip(counts[1:], branches[1:])):
+            assert c_next.n_plus == c.n_plus
+            assert np.array_equal(b_next, b)
