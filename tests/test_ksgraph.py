@@ -427,6 +427,16 @@ class TestAssembleVariants:
         legs = default_schedule(math.radians(1.0))
         assert [step.repetitions for step in legs] == [89, 1, 90, 1, 90]
 
+    @pytest.mark.parametrize("k", range(5, 91))
+    def test_closed_sweep_closed_form_census(self, k):
+        # every closed sweep has 24k - 3 rays, 42k - 6 edges and 9k - 2
+        # triads, and its chain closes: a wrong merge or a missing edge breaks one
+        step = math.radians(90.0 / k)
+        rs = assemble_ks_set(step)
+        g = build_orthogonality_graph(rs)
+        assert (len(rs.rays), len(g.edges), len(g.triads)) == (24 * k - 3, 42 * k - 6, 9 * k - 2)
+        assert forcing_chain_check(step, rs).contradiction_confirmed
+
     def test_closed_k24_census(self):
         rs = assemble_ks_set(step_angle=math.radians(90.0 / 24))
         g = build_orthogonality_graph(rs)
