@@ -12,13 +12,6 @@ the 135 labeled triad rays collapse to 117 distinct rays: the three
 coordinate axes each occur seven times (five as c2 of one leg, once as a
 c3, once as a c1); every other ray is unique to its copy.
 
-The 1e-7 dedup tolerance sits well inside the measured guard band.  Labels
-that merge sit at angle 0 from their representative, or at most 2.6e-8 rad
-(k = 90), because acos near 1 cannot resolve less than about 1.5e-8.  The
-smallest separation between distinct rays shrinks with k: 3.2e-3 rad at
-k = 5, 7.5e-5 at k = 24, 9.6e-6 on the open 2.25-degree chain and 3.7e-7
-(3.7 tolerances) at k = 90.
-
 Each copy is rotated as one (10, 3) array V by the stacked product
 m @ V[:, :, None] and renormalised by the roots of the stacked squared
 norms V[:, None, :] @ V[:, :, None].  numpy's matmul loop calls per row
@@ -28,28 +21,31 @@ prints: over 20,000 random 10-row copies none differed.  V @ m.T sums
 in another order and changed a coordinate in 99.96% of them;
 einsum('ij,ij->i') norms differed from v.dot(v) in 96.5%.
 
-Dedup and the edges share one scan (_upper_pairs) of the pairs i < j.
-Dedup keeps the pairs with |dot| >= cos(2 tau), tau = DEDUP_TOL when it
-runs, and decides each by the scalar rule acos(min(1, |dot|)) <= tau.
-That floor sits 3 tau^2 / 2 below cos tau, 15 units in the last place
-of 1 or more for tau >= 1e-7 / 3, and a BLAS |dot| is within a few units
-of the scalar one, so the scan can only admit extra pairs, which the
-rule then turns down.
+Dedup and the edges share one float-error rule: one scan (_upper_pairs)
+of the pairs i < j and one bound, 32 (copies + 3) machine epsilons
+(_edge_bound).  Two labels name one ray when their cross product has norm
+|u x v| within the bound; two rays are an edge when |u . v| is.  Per
+rotation, with u half an epsilon, a coordinate of a unit ray gains at most
+6u sqrt(3) from rotation_matrix's entries (cos or sin to 2u, four
+roundings), 3u from m @ v and 3u from renormalising, so the |dot| of two
+rays moves by under 17u (|a|_1 + |b|_1) <= 34 sqrt(3) u < 32 epsilons.
+The last copy has had copies + 2 rotations (alignment, steps, two pivots),
+plus one term for the gadget's own vectors.  At k = 90 (bound 1.9e-12)
+edges measure <= 7.4e-15 and the closest non-edge 2.8e-12.  Labels sit at
+most 1.2% of the bound from their representative (1.0e-14 at k = 41) and
+distinct rays 1.9e5 bounds apart or more (3.7e-7 at k = 90).  At k = 95
+three pairs outside the construction measure within the bound, so
+default_schedule stops at MAX_SWEEP_K = 90.
 
-Graph edges are the ray pairs with |dot| within the construction's float
-error, 32 (copies + 3) machine epsilons (_edge_bound).  Per rotation, with u
-half an epsilon, a coordinate of a unit ray gains at most 6u sqrt(3) from
-rotation_matrix's entries (cos or sin to 2u, four roundings), 3u from m @ v
-and 3u from renormalising, so the |dot| of two rays moves by under
-17u (|a|_1 + |b|_1) <= 34 sqrt(3) u < 32 epsilons.  The last copy has had
-copies + 2 rotations (alignment, steps, two pivots), plus one term for the
-gadget's own vectors.  At k = 90 (bound 1.9e-12) edges measure <= 7.4e-15
-and the closest non-edge 2.8e-12.  At k = 95 three pairs outside the
-construction measure within the bound, so default_schedule stops at
-MAX_SWEEP_K = 90.  The scan computes each pair once, in row blocks of the
-upper triangle, and finds the construction pairs among the edges with one
-np.searchsorted on the ascending keys i n + j; np.unique, np.setdiff1d and
-np.isin would import numpy.ma (numpy 2.4) on every run.
+Dedup scans for |dot| >= 1 - bound, which misses no merge: a pair within
+the bound has 1 - |dot| of bound^2 / 2 plus a few units in the last place.
+np.cross gives the norm; sqrt(1 - dot^2), like acos, cannot resolve less
+than about 1.5e-8.  Each label joins the first label it merges with (one
+np.minimum.at), and each cluster must be a clique, or dedup raises
+ValueError: the rule is not transitive on that input.  The graph finds
+the construction pairs among the edges with one np.searchsorted on the
+ascending keys i n + j; np.unique, np.setdiff1d and np.isin would import
+numpy.ma (numpy 2.4) on every run.
 """
 
 from __future__ import annotations
@@ -64,7 +60,6 @@ from .gadget import APEX, C3, GADGET_EDGES, GADGET_ROLES, GadgetSet, gadget_for_
 from .linalg import Ray3, _canonical_units
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
-DEDUP_TOL = 1e-7
 #: most steps per leg; from k = 95 on, non-construction pairs fall within _edge_bound
 MAX_SWEEP_K = 90
 
@@ -108,7 +103,7 @@ def rotate_ray(r: Ray3, axis: Ray3, angle: float) -> Ray3:
 
 def _ray_matrix(rays: Sequence[Ray3]) -> np.ndarray:
     """(n, 3) array of the rays' unit vectors."""
-    return np.array([(r.x, r.y, r.z) for r in rays], dtype=float).reshape(-1, 3)
+    return np.array([[r.x for r in rays], [r.y for r in rays], [r.z for r in rays]]).T.copy()
 
 
 @dataclass(frozen=True)
@@ -179,8 +174,9 @@ class RaySet:
         return sum(1 for lb in self.label_to_index if not lb.endswith("apex"))
 
     def index_of(self, r: Ray3) -> int | None:
-        """Index of the first ray within angle DEDUP_TOL of r, or None."""
-        return next((k for k, q in enumerate(self.rays) if q.angle_to(r) <= DEDUP_TOL), None)
+        """Index of the first ray that dedup merges with r (by the set's bound), or None."""
+        near = np.linalg.norm(np.cross(_ray_matrix(self.rays), r.vec), axis=-1)
+        return next(iter(np.flatnonzero(near <= _edge_bound(len(self.copies))).tolist()), None)
 
     def to_dict(self) -> dict:
         return {
@@ -192,32 +188,36 @@ class RaySet:
 
 
 def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
-    """Merge rays within angle DEDUP_TOL; representative = first occurrence.
+    """Merge rays within |u x v| <= _edge_bound(0), the bound of a ray list,
+    into their first occurrence.  Unlabeled rays are labeled by input
+    position.  Raises ValueError for a label taken twice, generated ones
+    included, and where the rule is not transitive (module docstring)."""
+    return _dedupe(rays, _edge_bound(0))
 
-    Unlabeled rays are labeled by input position.  Raises ValueError when
-    two rays carry the same label, generated ones included.
-    """
-    floor = math.cos(2.0 * DEDUP_TOL)  # admits every pair the rule passes (module docstring)
-    first, second = _upper_pairs(_ray_matrix(rays), lambda d: d >= floor)
-    rep = list(range(len(rays)))  # input position of each ray's representative
-    # the pairs ascend, so all pairs (h, i) come before (i, j): rep[i] is final
-    for i, j in zip(first.tolist(), second.tolist()):
-        if rep[j] == j and rep[i] == i and rays[i].angle_to(rays[j]) <= DEDUP_TOL:
-            rep[j] = i
+
+def _dedupe(rays: Sequence[Ray3], bound: float) -> RaySet:
+    mat = _ray_matrix(rays)
+    first, second = _upper_pairs(mat, lambda d: d >= 1.0 - bound)
+    same = np.linalg.norm(np.cross(mat[first], mat[second]), axis=-1) <= bound
+    first, second = first[same], second[same]
+    rep = np.arange(len(rays))  # input position of each ray's representative
+    np.minimum.at(rep, second, first)
+    sizes = np.bincount(rep)  # a clique of m rays shares its rep and has m (m - 1) / 2 pairs
+    if (rep[first] != rep[second]).any() or len(first) != (sizes * (sizes - 1) // 2).sum():
+        raise ValueError(f"merging rays within |u x v| <= {bound:.3g} is not transitive here")
+    index = (np.cumsum(rep == np.arange(len(rays))) - 1)[rep]  # each input ray's distinct ray
     kept: list[Ray3] = []
-    index: dict[int, int] = {}  # input position of a representative -> its ray
     label_to_index: dict[str, int] = {}
     merges: list[tuple[str, str]] = []
-    for idx, (ray, r) in enumerate(zip(rays, rep)):
+    for idx, (ray, k) in enumerate(zip(rays, index.tolist())):
         label = ray.label or f"r{idx}"
         if label in label_to_index:
             raise ValueError(f"label {label!r} of input ray {idx} is already taken")
-        if r == idx:
-            index[idx] = len(kept)
+        if k == len(kept):  # a representative: every earlier one is kept
             kept.append(ray if ray.label else ray.relabel(label))
         else:
-            merges.append((label, kept[index[r]].label))
-        label_to_index[label] = index[r]
+            merges.append((label, kept[k].label))
+        label_to_index[label] = k
     return RaySet(rays=tuple(kept), label_to_index=label_to_index, merges=tuple(merges))
 
 
@@ -279,7 +279,7 @@ def assemble_ks_set(
         for ci, cp in enumerate(rows)
         for ri in range(1, len(GADGET_ROLES))
     ] + [Ray3(*cp[APEX], f"g{ci + 1:02d}:apex") for ci, cp in enumerate(rows)]
-    deduped = dedupe_rays(labeled)
+    deduped = _dedupe(labeled, _edge_bound(len(copies)))
     copy_maps = tuple(
         {
             role: deduped.label_to_index[f"g{ci + 1:02d}:{role}"]
@@ -297,7 +297,6 @@ def assemble_ks_set(
             "schedule": [
                 [s.axis_role, s.angle, s.repetitions, s.emit] for s in schedule
             ],
-            "dedup_tol": DEDUP_TOL,
         },
     )
 

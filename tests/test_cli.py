@@ -82,6 +82,7 @@ class TestCliCommands:
         doc = json.loads(out_path.read_text())
         assert len(doc["rays"]) == 117
         assert len(doc["copies"]) == 15
+        assert set(doc["provenance"]) == {"gadget_x", "gadget_y", "schedule", "step_angle"}
 
     def test_check_coloring_defaults_unsat_exit_zero(self, capsys, tmp_path):
         verdict_path = tmp_path / "verdict.json"

@@ -21,7 +21,6 @@ from ksparadox.gadget import (
     solve_parameter_for_angle,
 )
 from ksparadox.ksgraph import (
-    DEDUP_TOL,
     DEFAULT_STEP_ANGLE,
     OrthogonalityGapError,
     RaySet,
@@ -42,16 +41,47 @@ from ksparadox.solver import check_colorability, forcing_chain_check
 AXES = tuple(Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
-def _plain_scan(rays):
+def _cross_norm(u, v):
+    """|u x v| of two rays, one pair at a time in plain floats (np.cross per
+    pair made the open-k40 rebuild take 15 s)."""
+    return math.hypot(u.y * v.z - u.z * v.y, u.z * v.x - u.x * v.z, u.x * v.y - u.y * v.x)
+
+
+def _plain_scan(rays, bound):
     """label -> representative index by a plain first-occurrence loop over
-    all representatives, at the current ksgraph.DEDUP_TOL."""
+    all representatives, merging at |u x v| <= bound."""
     expected, reps = {}, []
     for idx, r in enumerate(rays):
-        k = next((k for k, u in enumerate(reps) if u.angle_to(r) <= ksgraph.DEDUP_TOL), len(reps))
+        k = next((k for k, u in enumerate(reps) if _cross_norm(u, r) <= bound), len(reps))
         if k == len(reps):
             reps.append(r)
         expected[r.label or f"r{idx}"] = k
     return expected, reps
+
+
+def _is_equivalence(rays, expected, bound):
+    """Whether the plain scan's clusters are exactly the classes of the
+    relation |u x v| <= bound, read from the full n x n cross products."""
+    mat = np.array([r.vec for r in rays]).reshape(-1, 3)
+    related = np.linalg.norm(np.cross(mat[:, None], mat[None]), axis=-1) <= bound
+    cls = np.array([expected[r.label or f"r{i}"] for i, r in enumerate(rays)])
+    return bool(np.array_equal(related, cls[:, None] == cls[None]))
+
+
+def _assert_dedup_is_reference(rays):
+    """dedupe_rays gives the plain scan when the rule is an equivalence on
+    the rays, and raises otherwise; returns which of the two held."""
+    bound = ksgraph._edge_bound(0)
+    expected, reps = _plain_scan(rays, bound)
+    if not _is_equivalence(rays, expected, bound):
+        with pytest.raises(ValueError, match="is not transitive here"):
+            dedupe_rays(rays)
+        return False
+    rs = dedupe_rays(rays)
+    assert rs.label_to_index == expected
+    assert rs.rays == tuple(reps)
+    assert [rs.index_of(r) for r in rays] == [expected[f"r{i}"] for i in range(len(rays))]
+    return True
 
 
 class TestRotateRay:
@@ -100,21 +130,40 @@ class TestDedupeRays:
         assert ("dup", "first") in rs.merges
 
     def test_matches_pairwise_scan(self):
-        # jittered copies of 20 directions, well inside or outside the
-        # tolerance; then a ray within tolerance of two representatives, and
-        # near-antipodes whose canonical signs differ (first component about
-        # SIGN_EPS), against a plain first-occurrence scan
+        # jittered copies of 20 directions, well inside or outside the bound;
+        # then rays within and beyond the bound of (1, 0, 0), and
+        # near-antipodes whose canonical signs differ (first components
+        # straddle SIGN_EPS, |u x v| half the bound), against a plain
+        # first-occurrence scan
         rng = np.random.default_rng(5)
+        b = _edge_bound(0)
         picks = rng.normal(size=(20, 3))[rng.integers(0, 20, size=60)]
-        jitter = rng.normal(size=(60, 3)) * rng.choice([1e-9, 1e-6], size=(60, 1))
-        t = DEDUP_TOL
-        edge_cases = [(1, 0, 0), (1, 1.5 * t, 0), (1, 0.75 * t, 0), (1.1e-12, -1, 0), (0.9e-12, 1, 0)]
+        jitter = rng.normal(size=(60, 3)) * rng.choice([1e-2 * b, 10 * b], size=(60, 1))
+        edge_cases = [
+            (1, 0, 0),
+            (1, 0.5 * b, 0),
+            (1, 3 * b, 0),
+            (SIGN_EPS + b / 4, -1, 0),
+            (b / 4 - SIGN_EPS, 1, 0),
+        ]
         rays = [Ray3.from_vector(v) for v in [*(picks + jitter), *edge_cases]]
+        assert _assert_dedup_is_reference(rays)
         rs = dedupe_rays(rays)
-        assert rs.label_to_index == _plain_scan(rays)[0]
         assert 20 < len(rs.rays) < 60
         k = rs.label_to_index["r60"]
-        assert [rs.label_to_index[f"r{i}"] for i in range(60, 65)] == [k, k + 1, k, k + 2, k + 2]
+        assert [rs.label_to_index[f"r{i}"] for i in range(60, 65)] == [k, k, k + 1, k + 2, k + 2]
+
+    @pytest.mark.parametrize(
+        "ys",
+        [(0, 1.5, 3), (1.5, 0, 3), (0, 3, 1.5), (0, -1.9, 1.9, 3.8)],
+        ids=["chain", "star", "chain-reordered", "star-and-tail"],
+    )
+    def test_non_transitive_rule_rejected(self, ys):
+        # rays (1, y 1e-14, 0): those 1.5e-14 or 1.9e-14 apart are within
+        # _edge_bound(0) = 2.1e-14, those 3e-14 or more apart are not; in the
+        # last, the three merged pairs number as many as a 3-clique has
+        with pytest.raises(ValueError, match="is not transitive here"):
+            dedupe_rays([Ray3.from_vector((1, y * 1e-14, 0)) for y in ys])
 
     @pytest.mark.parametrize(
         "first, second", [("a", "a"), ("r1", "")], ids=["explicit", "generated"]
@@ -127,42 +176,66 @@ class TestDedupeRays:
             dedupe_rays(rays)
 
 
-def _jittered(rng, base, angle):
-    """base turned by angle in a random direction."""
+def _jittered(rng, base, angle, toward=None):
+    """base turned by angle on its great circle through toward (random by
+    default)."""
     b = np.asarray(base, dtype=float)
     b = b / np.linalg.norm(b)
-    p = np.cross(b, rng.normal(size=3))
+    p = np.cross(b, rng.normal(size=3) if toward is None else toward)
     return math.cos(angle) * b + math.sin(angle) * p / np.linalg.norm(p)
 
 
+def _jittered_set(rng, factors, great_circles):
+    """Rays jittered by factors of the current ksgraph._edge_bound(0) about
+    five bases, on one great circle per base or in random directions, in
+    either sign; then near-antipodes whose first components straddle
+    SIGN_EPS within 0.8 bounds, and one 2e-12 off each; shuffled."""
+    b = ksgraph._edge_bound(0)
+    # bases whose first component is SIGN_EPS jitter to either canonical sign
+    bases = [rng.normal(size=3) for _ in range(3)]
+    bases += [(SIGN_EPS, math.cos(t), math.sin(t)) for t in rng.uniform(0, 2 * math.pi, 2)]
+    toward = [rng.normal(size=3) if great_circles else None for _ in bases]
+    picks = rng.integers(0, len(bases), 64)
+    vecs = [
+        rng.choice([-1.0, 1.0]) * _jittered(rng, bases[i], f * b, toward[i])
+        for i, f in zip(picks, rng.choice(factors, 64))
+    ]
+    for s in rng.choice([-0.4, -0.2, 0.2, 0.4], 4):
+        a, t = SIGN_EPS + s * b, rng.uniform(0, 2 * math.pi)
+        y, z = math.cos(t), math.sin(t)
+        vecs += [(a, y, z), (-a, -y, -z), (a - 2 * SIGN_EPS, -y, -z), (a, -y, -z)]
+    return [Ray3.from_vector(v) for v in rng.permutation(vecs)]
+
+
 class TestDedupeMatchesPlainScan:
-    # the shared pair scan, its cos(2 tol) floor and the rule must give the
-    # plain scan's first occurrence: labels jittered around the tolerance,
-    # and near-antipodes whose first components straddle SIGN_EPS
+    # the shared pair scan, its 1 - bound floor, the cross-norm rule and the
+    # clique check must give the plain scan's first occurrence, or raise
+    # where the rule is not transitive: labels jittered around the bound, at
+    # three scales of it, and near-antipodes that straddle SIGN_EPS
 
     @pytest.mark.parametrize("scale", [3.0, 1.0, 1 / 3], ids=["3tol", "tol", "tol/3"])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_dedupe_equals_plain_scan(self, scale, seed):
-        rng = np.random.default_rng(seed)
+        # on a great circle the positions 0, 0.4 and 0.8, then 2 and 2.9,
+        # then 5 bounds form three cliques 0.8 to 1.2 bounds from each other,
+        # so the rule is transitive on every draw
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ksgraph, "DEDUP_TOL", DEDUP_TOL * scale)
-            tol = ksgraph.DEDUP_TOL
-            # bases in the plane x = 0 jitter to either canonical sign
-            bases = [rng.normal(size=3) for _ in range(3)]
-            bases += [(0.0, *rng.normal(size=2)) for _ in range(2)]
-            factors = rng.choice([0.0, 0.3, 0.6, 0.9, 1.1, 3.0], 64)
-            picks = rng.integers(0, len(bases), 64)
-            vecs = [_jittered(rng, bases[i], f * tol) for i, f in zip(picks, factors)]
-            for a in rng.choice([0.5, 0.9, 1.1, 2.0], 4) * SIGN_EPS:
-                y, z = rng.normal(size=2)
-                vecs += [(a, y, z), (-a, -y, -z), (a, -y, -z), _jittered(rng, (a, y, z), 0.9 * tol)]
-            rays = [Ray3.from_vector(v) for v in rng.permutation(vecs)]
-            expected, reps = _plain_scan(rays)
-            rs = dedupe_rays(rays)
-            assert rs.label_to_index == expected
-            assert rs.rays == tuple(reps)
-            assert [rs.index_of(r) for r in rays] == [expected[f"r{i}"] for i in range(len(rays))]
+            mp.setattr(ksgraph, "_edge_bound", lambda copies: scale * _edge_bound(copies))
+            rays = _jittered_set(np.random.default_rng(seed), [0.0, 0.4, 0.8, 2.0, 2.9, 5.0], True)
+            assert _assert_dedup_is_reference(rays)
+
+    @pytest.mark.parametrize("scale", [3.0, 1.0, 1 / 3], ids=["3tol", "tol", "tol/3"])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), tight=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_dedupe_in_random_directions_equals_plain_scan_or_raises(self, scale, seed, tight):
+        # jitters of at most 0.45 bounds and of 3 bounds keep the rule
+        # transitive on about four draws in five; 0.6 to 1.1 bounds break it
+        # on nearly every draw
+        factors = [0.0, 0.3, 0.45, 3.0] if tight else [0.0, 0.3, 0.6, 0.9, 1.1, 3.0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ksgraph, "_edge_bound", lambda copies: scale * _edge_bound(copies))
+            _assert_dedup_is_reference(_jittered_set(np.random.default_rng(seed), factors, False))
 
     @pytest.mark.parametrize("count", [0, 1, 128, 129])
     def test_block_edges_of_the_pair_scan(self, count):
@@ -172,8 +245,9 @@ class TestDedupeMatchesPlainScan:
         rays = _frame_rays(count, seed=count)
         if count >= 128:
             v = rays[0].vec
-            rays[-2:] = [Ray3.from_vector(_jittered(rng, s * v, 0.3 * DEDUP_TOL)) for s in (1, -1)]
-        expected, reps = _plain_scan(rays)
+            b = _edge_bound(0)
+            rays[-2:] = [Ray3.from_vector(_jittered(rng, s * v, 0.3 * b)) for s in (1, -1)]
+        expected, reps = _plain_scan(rays, _edge_bound(0))
         rs = dedupe_rays(rays)
         assert rs.label_to_index == expected
         assert rs.rays == tuple(reps)
@@ -195,7 +269,8 @@ class TestIndexOf:
     def test_hand_built_set_builds_its_index_once(self):
         rs = RaySet(rays=AXES, label_to_index={}, merges=())
         assert [rs.index_of(a) for a in AXES] == [0, 1, 2]
-        assert rs.index_of(Ray3.from_vector((0.5e-12, -1, 1e-8))) == 1  # a near-antipode of y
+        assert rs.index_of(Ray3.from_vector((5e-15, -1, 1e-14))) == 1  # a near-antipode of y
+        assert rs.index_of(Ray3.from_vector((0, 1, 3e-14))) is None  # beyond _edge_bound(0)
         assert rs.index_of(Ray3.from_vector((1, 1, 0))) is None
         assert [rs.index_of(a) for a in AXES] == [0, 1, 2]
 
@@ -304,7 +379,7 @@ class TestBitsKept:
             for ci, cp in enumerate(copies)
             for ri in range(1, len(GADGET_ROLES))
         ] + [cp[0].relabel(f"g{ci + 1:02d}:apex") for ci, cp in enumerate(copies)]
-        expected, reps = _plain_scan(labeled)
+        expected, reps = _plain_scan(labeled, _edge_bound(len(copies)))
         merges = [
             [lb, reps[expected[lb]].label] for lb in expected if reps[expected[lb]].label != lb
         ]
@@ -443,21 +518,6 @@ class TestAssembleVariants:
         assert (len(rs.rays), len(rs.merges)) == (573, 147)
         assert (len(g.edges), len(g.triads)) == (1002, 214)
         assert tuple(rs.index_of(a) for a in AXES) == (192, 7, 191)
-
-    @pytest.mark.parametrize("k", [5, 24])
-    def test_dedup_guard_band(self, k, monkeypatch):
-        # every merge already holds at a third of the tolerance (merged
-        # labels sit at angle 0), and distinct rays stay ten tolerances apart
-        step = math.radians(90.0 / k)
-        rs = assemble_ks_set(step_angle=step)
-        monkeypatch.setattr(ksgraph, "DEDUP_TOL", DEDUP_TOL / 3)
-        tight = assemble_ks_set(step_angle=step)
-        assert tight.label_to_index == rs.label_to_index
-        assert tight.merges == rs.merges
-        vecs = np.array([r.vec for r in rs.rays])
-        dots = np.abs(vecs @ vecs.T)
-        np.fill_diagonal(dots, 0.0)
-        assert math.acos(min(1.0, float(np.max(dots)))) >= 10 * DEDUP_TOL
 
 
 class TestSweepOrientation:
@@ -633,33 +693,36 @@ def sweep(request):
 
 
 def _dedup_input(name):
-    """A sweep's RaySet and the labeled rays that its assembly deduped."""
+    """A sweep's RaySet, and the labeled rays that its assembly deduped and
+    the bound it deduped them by."""
     seen = []
 
-    def spy(rays):
-        seen.append(list(rays))
-        return dedupe_rays(rays)
+    def spy(rays, bound):
+        seen.append((list(rays), bound))
+        return dedupe(rays, bound)
 
+    dedupe = ksgraph._dedupe
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ksgraph, "dedupe_rays", spy)
+        mp.setattr(ksgraph, "_dedupe", spy)
         rs = _sweep(name)
-    return rs, seen[0]
+    return (rs, *seen[0])
 
 
 @pytest.mark.parametrize("name", [*SWEEPS, "k=90"])
 def test_measured_dedup_margins(name):
-    # merged labels sit within a third of the tolerance of their
-    # representative (2.58e-8 rad at k = 90 at most: three units in the last
-    # place of the |dot|), distinct rays more than three tolerances apart
-    # (3.71e-7 rad at k = 90)
-    rs, labeled = _dedup_input(name)
-    merged = max(r.angle_to(rs.rays[rs.label_to_index[r.label]]) for r in labeled)
+    # by |u x v|: merged labels sit within a fiftieth of the bound of their
+    # representative (7.7e-15 at k = 90, 0.4% of the bound), distinct rays
+    # 1e5 bounds apart or more (3.7e-7 at k = 90, 1.9e5 bounds)
+    rs, labeled, bound = _dedup_input(name)
+    assert bound == _edge_bound(len(rs.copies))
+    reps = [rs.rays[rs.label_to_index[r.label]].vec for r in labeled]
+    merged = np.linalg.norm(np.cross([r.vec for r in labeled], reps), axis=1).max()
     vecs = np.array([r.vec for r in rs.rays])
-    dots = np.abs(vecs @ vecs.T)
-    np.fill_diagonal(dots, 0.0)
-    closest = math.acos(min(1.0, float(dots.max())))
-    assert merged <= DEDUP_TOL / 3
-    assert closest > 3 * DEDUP_TOL
+    closest = min(
+        np.linalg.norm(np.cross(v, vecs[i + 1 :]), axis=1).min() for i, v in enumerate(vecs[:-1])
+    )
+    assert merged <= bound / 50
+    assert closest >= 1e5 * bound
 
 
 class TestConstructionCertificate:
