@@ -218,8 +218,8 @@ class TestDedupeMatchesPlainScan:
     @settings(max_examples=60, deadline=None)
     def test_dedupe_equals_plain_scan(self, scale, seed):
         # on a great circle the positions 0, 0.4 and 0.8, then 2 and 2.9,
-        # then 5 bounds form three cliques 0.8 to 1.2 bounds from each other,
-        # so the rule is transitive on every draw
+        # then 5 bounds form three cliques, each at most 0.9 bounds wide and
+        # 1.2 bounds or more from the next, so every draw is transitive
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ksgraph, "_edge_bound", lambda copies: scale * _edge_bound(copies))
             rays = _jittered_set(np.random.default_rng(seed), [0.0, 0.4, 0.8, 2.0, 2.9, 5.0], True)
