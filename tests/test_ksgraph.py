@@ -285,13 +285,17 @@ class TestIndexOf:
 
 
 def _sweep_args(name):
+    """assemble_ks_set's (step_angle, schedule, gadget_params) for a named sweep."""
     if name == "open-k40":  # legs of 39, 40 and 38 steps of 2.25 degrees: an open chain
         step = math.radians(2.25)
         pivot = RotationStep("c3", math.pi / 2.0, 1, emit=False)
         legs = [RotationStep("c2", step, n) for n in (39, 40, 38)]
-        return step, (legs[0], pivot, legs[1], pivot, legs[2])
+        return step, (legs[0], pivot, legs[1], pivot, legs[2]), None
+    if name == "diagonal":  # the closed 18-degree sweep of the x = y gadget
+        t = solve_parameter_for_angle(DEFAULT_STEP_ANGLE)
+        return DEFAULT_STEP_ANGLE, default_schedule(), (t, t)
     step = math.radians(90.0 / int(name[2:]))
-    return step, default_schedule(step)
+    return step, default_schedule(step), None
 
 
 def _sweep(name):
@@ -354,13 +358,13 @@ class TestBitsKept:
             [e.x.hex(), e.y.hex(), e.z.hex()] for e in expected
         ]
 
-    @pytest.mark.parametrize("name", ["k=5", "k=24", "open-k40"])
+    @pytest.mark.parametrize("name", ["k=5", "k=24", "diagonal", "open-k40"])
     def test_sweep_equals_ray_by_ray_rebuild(self, name):
         # the sweep rebuilt one ray at a time by _reference_rows, which
         # shares no code with the stacked path, and deduped by the plain
         # first-occurrence scan
-        step_angle, schedule = _sweep_args(name)
-        gadget = gadget_for_angle(step_angle, None)
+        step_angle, schedule, params = _sweep_args(name)
+        gadget = gadget_for_angle(step_angle, params)
         w, u, c3 = gadget.ray("apex").vec, gadget.ray("c2").vec, gadget.ray("c3").vec
         rot = np.stack([np.cross(u, w), u, w])
         if (rot[0] @ c3) * (rot[2] @ c3) < 0.0:
@@ -383,7 +387,7 @@ class TestBitsKept:
         merges = [
             [lb, reps[expected[lb]].label] for lb in expected if reps[expected[lb]].label != lb
         ]
-        rs = assemble_ks_set(step_angle, schedule)
+        rs = assemble_ks_set(step_angle, schedule, params)
         d = rs.to_dict()
         assert d["rays"] == [{"label": r.label, "xyz": [r.x, r.y, r.z]} for r in reps]
         assert [[x.hex() for x in r["xyz"]] for r in d["rays"]] == [
@@ -753,11 +757,7 @@ class TestConstructionCertificate:
 
     @pytest.mark.parametrize("name", ["k=5", "k=24", "k=90", "diagonal", "open-k40"])
     def test_sweep_edges_equal_full_product(self, name):
-        if name == "diagonal":
-            t = solve_parameter_for_angle(math.radians(18.0))
-            rs = assemble_ks_set(gadget_params=(t, t))
-        else:
-            rs = _sweep(name)
+        rs = _sweep(name)
         assert build_orthogonality_graph(rs).edges == _reference_edges(rs.rays, len(rs.copies))
 
     def test_k24_near_orthogonal_pairs_are_not_edges(self):
