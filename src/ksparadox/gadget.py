@@ -95,11 +95,6 @@ def raw_gadget_vectors(x: float, y: float) -> tuple[np.ndarray, ...]:
     )
 
 
-def edge_residual(rays: Sequence[Ray3]) -> float:
-    """Largest |dot| over GADGET_EDGES of ten rays given in role order."""
-    return max(abs(rays[i].dot(rays[j])) for i, j in GADGET_EDGES)
-
-
 @dataclass(frozen=True)
 class GadgetSet:
     """Ten labeled rays; their fifteen orthogonality edges are GADGET_EDGES."""
@@ -112,7 +107,8 @@ class GadgetSet:
         return self.rays[GADGET_ROLES.index(role)]
 
     def max_edge_residual(self) -> float:
-        return edge_residual(self.rays)
+        """Largest |dot| over GADGET_EDGES."""
+        return max(abs(self.rays[i].dot(self.rays[j])) for i, j in GADGET_EDGES)
 
     def to_dict(self) -> dict:
         return {

@@ -37,15 +37,15 @@ distinct rays 1.9e5 bounds apart or more (3.7e-7 at k = 90).  At k = 95
 three pairs outside the construction measure within the bound, so
 default_schedule stops at MAX_SWEEP_K = 90.
 
-Dedup scans for |dot| >= 1 - bound, which misses no merge: a pair within
-the bound has 1 - |dot| of bound^2 / 2 plus a few units in the last place.
-np.cross gives the norm; sqrt(1 - dot^2), like acos, cannot resolve less
-than about 1.5e-8.  Each label joins the first label it merges with (one
-np.minimum.at), and each cluster must be a clique, or dedup raises
-ValueError: the rule is not transitive on that input.  The graph finds
-the construction pairs among the edges with one np.searchsorted on the
-ascending keys i n + j; np.unique, np.setdiff1d and np.isin would import
-numpy.ma (numpy 2.4) on every run.
+Dedup scans the copies' stacked rows for |dot| >= 1 - bound, which misses
+no merge: a pair within the bound has 1 - |dot| of bound^2 / 2 plus a few
+units in the last place.  np.cross gives the norm; sqrt(1 - dot^2), like
+acos, cannot resolve less than about 1.5e-8.  Each row joins the first
+row it merges with (one np.minimum.at), and each cluster must be a
+clique, or dedup raises ValueError: the rule is not transitive on that
+input.  The graph finds the construction pairs among the edges with one
+np.searchsorted on the ascending keys i n + j; np.unique, np.setdiff1d
+and np.isin would import numpy.ma (numpy 2.4) on every run.
 """
 
 from __future__ import annotations
@@ -192,33 +192,29 @@ def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
     into their first occurrence.  Unlabeled rays are labeled by input
     position.  Raises ValueError for a label taken twice, generated ones
     included, and where the rule is not transitive (module docstring)."""
-    return _dedupe(rays, _edge_bound(0))
+    labels = [r.label or f"r{i}" for i, r in enumerate(rays)]
+    return _dedupe(_ray_matrix(rays), labels, _edge_bound(0))[0]
 
 
-def _dedupe(rays: Sequence[Ray3], bound: float) -> RaySet:
-    mat = _ray_matrix(rays)
+def _dedupe(mat: np.ndarray, labels: Sequence[str], bound: float) -> tuple[RaySet, np.ndarray]:
+    """The RaySet of (m, 3) coordinate rows, one label each, and each row's ray index."""
     first, second = _upper_pairs(mat, lambda d: d >= 1.0 - bound)
     same = np.linalg.norm(np.cross(mat[first], mat[second]), axis=-1) <= bound
     first, second = first[same], second[same]
-    rep = np.arange(len(rays))  # input position of each ray's representative
+    rep = np.arange(len(mat))  # row of each row's representative
     np.minimum.at(rep, second, first)
     sizes = np.bincount(rep)  # a clique of m rays shares its rep and has m (m - 1) / 2 pairs
     if (rep[first] != rep[second]).any() or len(first) != (sizes * (sizes - 1) // 2).sum():
         raise ValueError(f"merging rays within |u x v| <= {bound:.3g} is not transitive here")
-    index = (np.cumsum(rep == np.arange(len(rays))) - 1)[rep]  # each input ray's distinct ray
-    kept: list[Ray3] = []
-    label_to_index: dict[str, int] = {}
-    merges: list[tuple[str, str]] = []
-    for idx, (ray, k) in enumerate(zip(rays, index.tolist())):
-        label = ray.label or f"r{idx}"
-        if label in label_to_index:
-            raise ValueError(f"label {label!r} of input ray {idx} is already taken")
-        if k == len(kept):  # a representative: every earlier one is kept
-            kept.append(ray if ray.label else ray.relabel(label))
-        else:
-            merges.append((label, kept[k].label))
-        label_to_index[label] = k
-    return RaySet(rays=tuple(kept), label_to_index=label_to_index, merges=tuple(merges))
+    kept = rep == np.arange(len(mat))
+    index = (np.cumsum(kept) - 1)[rep]
+    label_to_index = dict(zip(labels, index.tolist()))
+    if len(label_to_index) < len(labels):
+        taken = next(i for i, label in enumerate(labels) if labels.index(label) < i)
+        raise ValueError(f"label {labels[taken]!r} of input ray {taken} is already taken")
+    rays = tuple(Ray3(*mat[i].tolist(), labels[i]) for i in np.flatnonzero(kept).tolist())
+    merges = tuple((labels[i], labels[r]) for i, r in enumerate(rep.tolist()) if r != i)
+    return RaySet(rays=rays, label_to_index=label_to_index, merges=merges), index
 
 
 def _align_gadget(g: GadgetSet) -> np.ndarray:
@@ -270,23 +266,16 @@ def assemble_ks_set(
             if step.emit:
                 copies.append(current)
 
-    # triad labels first, apex labels last: in a chained sweep every apex ray
+    # triad rows first, apex rows last: in a chained sweep every apex ray
     # already occurs as some copy's c3 (or c1), so representatives stay triad
     # labels and the merge census counts triad-label overlaps directly
-    rows = np.stack(copies).tolist()
-    labeled = [
-        Ray3(*cp[ri], f"g{ci + 1:02d}:{GADGET_ROLES[ri]}")
-        for ci, cp in enumerate(rows)
-        for ri in range(1, len(GADGET_ROLES))
-    ] + [Ray3(*cp[APEX], f"g{ci + 1:02d}:apex") for ci, cp in enumerate(rows)]
-    deduped = _dedupe(labeled, _edge_bound(len(copies)))
-    copy_maps = tuple(
-        {
-            role: deduped.label_to_index[f"g{ci + 1:02d}:{role}"]
-            for role in GADGET_ROLES
-        }
-        for ci in range(len(copies))
-    )
+    n = len(copies)
+    mat = np.concatenate([cp[1:] for cp in copies] + [cp[APEX, None] for cp in copies])
+    labels = [f"g{ci + 1:02d}:{role}" for ci in range(n) for role in GADGET_ROLES[1:]]
+    labels += [f"g{ci + 1:02d}:apex" for ci in range(n)]
+    deduped, index = _dedupe(mat, labels, _edge_bound(n))
+    roles = np.column_stack([index[-n:], index[:-n].reshape(n, -1)])
+    copy_maps = tuple(dict(zip(GADGET_ROLES, row)) for row in roles.tolist())
     return replace(
         deduped,
         copies=copy_maps,

@@ -9,31 +9,33 @@ unit propagation; enumerate_all_colorings is a deliberately dumb exhaustive
 scan used as ground truth against it.  forcing_chain_check re-derives the
 uncolorability of the chained ray set by a route independent of the search:
 the gadget lemma (one exhaustive enumeration of the ten-role graph, computed
-once), a geometric check that each link realizes that role graph, and the
-cyclic propagation argument through the coordinate axes.
+once), a geometric check that each link realizes that role graph, its pairs
+judged by the set's own float-error bound (ksgraph), and the cyclic
+propagation argument through the coordinate axes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .gadget import (
     APEX,
     C3,
+    GADGET_EDGES,
     GADGET_ROLES,
     REALIZE_TOL,
     _gadget_lemma,
-    edge_residual,
     satisfying_masks,
 )
-from .ksgraph import OrthogonalityGraph, RaySet
+from .ksgraph import OrthogonalityGraph, RaySet, _edge_bound, _ray_matrix
 from .linalg import X_AXIS, Y_AXIS, Z_AXIS
-
-LINK_ORTHO_TOL = 1e-9
 
 
 class IncompleteAssignmentError(ValueError):
@@ -306,52 +308,53 @@ class ChainReport:
 def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     """Audit the chain of gadget copies in a swept RaySet.
 
-    Checks that consecutive copies share the required ray (each copy's c3 is
-    the next copy's apex; ChainIntegrityError names the first broken link)
-    and re-verifies each copy's fifteen orthogonality relations and its
-    apex-c3 angle on the deduplicated rays.  Those geometric checks tie every
+    Checks that each copy's c3 is the next copy's apex, and re-verifies each
+    copy's fifteen orthogonality relations, by the set's own float-error
+    bound _edge_bound(copies), and its apex-c3 angle on the deduplicated
+    rays; ChainIntegrityError names the first link that fails.  The axis
+    triple is judged by the same bound.  Those geometric checks tie every
     link to the ten-role graph, whose forcing lemma is computed once by
     exhaustive enumeration and read off, not assumed.
     """
-    copies = chain.copies
-    if not copies:
+    if not chain.copies:
         raise ValueError("ray set carries no gadget copies")
-    for k in range(len(copies) - 1):
-        if copies[k]["c3"] != copies[k + 1]["apex"]:
-            raise ChainIntegrityError(
-                f"link {k}->{k + 1}: copy {k} c3 (node {copies[k]['c3']}) is not "
-                f"copy {k + 1} apex (node {copies[k + 1]['apex']})"
-            )
-    cyclic = len(copies) > 1 and copies[-1]["c3"] == copies[0]["apex"]
+    roles = np.array([[cp[role] for role in GADGET_ROLES] for cp in chain.copies])
+    for k in np.flatnonzero(roles[:-1, C3] != roles[1:, APEX])[:1].tolist():
+        raise ChainIntegrityError(
+            f"link {k}->{k + 1}: copy {k} c3 (node {roles[k, C3]}) is not "
+            f"copy {k + 1} apex (node {roles[k + 1, APEX]})"
+        )
+    cyclic = len(roles) > 1 and bool(roles[-1, C3] == roles[0, APEX])
 
+    bound = _edge_bound(len(roles))
+    vecs = _ray_matrix(chain.rays)[roles]  # (copies, 10, 3)
+    ends = np.array([*GADGET_EDGES, (APEX, C3)]).T  # the fifteen pairs, then apex-c3
+    dots = np.abs((vecs[:, ends[0]] * vecs[:, ends[1]]).sum(axis=-1))
+    residuals, cosines = dots[:, :-1].max(axis=1).tolist(), dots[:, -1].tolist()
+    # math.acos, unlike np.arccos, keeps Ray3.angle_to's bits
+    links = tuple(LinkReport(r, math.acos(min(1.0, c))) for r, c in zip(residuals, cosines))
+    for k, link in enumerate(links):  # "not <=", so that a NaN fails
+        if not link.max_edge_residual <= bound:
+            raise ChainIntegrityError(
+                f"link {k}: orthogonality residual {link.max_edge_residual} exceeds {bound}"
+            )
+        if not abs(link.angle - gadget_angle) <= REALIZE_TOL:
+            raise ChainIntegrityError(
+                f"link {k}: apex-c3 angle {link.angle} differs from {gadget_angle}"
+            )
     forced = _gadget_lemma().forced_one_way
-    links = []
-    for k, cp in enumerate(copies):
-        rays = [chain.rays[cp[role]] for role in GADGET_ROLES]
-        residual = edge_residual(rays)
-        if residual > LINK_ORTHO_TOL:
-            raise ChainIntegrityError(
-                f"link {k}: orthogonality residual {residual} exceeds {LINK_ORTHO_TOL}"
-            )
-        angle = rays[APEX].angle_to(rays[C3])
-        if abs(angle - gadget_angle) > REALIZE_TOL:
-            raise ChainIntegrityError(
-                f"link {k}: apex-c3 angle {angle} differs from {gadget_angle}"
-            )
-        links.append(LinkReport(max_edge_residual=residual, angle=angle))
 
     axis_nodes = tuple(chain.index_of(ax) for ax in (X_AXIS, Y_AXIS, Z_AXIS))
     axes_present = all(i is not None for i in axis_nodes)
-    chain_nodes = {cp["apex"] for cp in copies} | {cp["c3"] for cp in copies}
-    axes_on_chain = axes_present and all(i in chain_nodes for i in axis_nodes)
+    axes_on_chain = axes_present and set(axis_nodes) <= set(roles[:, [APEX, C3]].ravel().tolist())
     axes_orthogonal = axes_present and all(
-        abs(chain.rays[a].dot(chain.rays[b])) <= LINK_ORTHO_TOL
+        abs(chain.rays[a].dot(chain.rays[b])) <= bound
         for a in axis_nodes
         for b in axis_nodes
         if a < b
     )
     return ChainReport(
-        links=tuple(links),
+        links=links,
         all_links_forced=forced,
         cyclic=cyclic,
         axis_nodes=axis_nodes if axes_present else None,

@@ -509,12 +509,17 @@ class TestAssembleVariants:
     @pytest.mark.parametrize("k", range(5, 91))
     def test_closed_sweep_closed_form_census(self, k):
         # every closed sweep has 24k - 3 rays, 42k - 6 edges and 9k - 2
-        # triads, and its chain closes: a wrong merge or a missing edge breaks one
+        # triads, and its chain closes: a wrong merge or a missing edge breaks
+        # one.  The audit's link residuals sit at most 1.2% of the set's bound
+        # (k = 41)
         step = math.radians(90.0 / k)
         rs = assemble_ks_set(step)
         g = build_orthogonality_graph(rs)
         assert (len(rs.rays), len(g.edges), len(g.triads)) == (24 * k - 3, 42 * k - 6, 9 * k - 2)
-        assert forcing_chain_check(step, rs).contradiction_confirmed
+        report = forcing_chain_check(step, rs)
+        assert report.contradiction_confirmed
+        worst = max(link.max_edge_residual for link in report.links)
+        assert worst <= _edge_bound(len(rs.copies)) / 50
 
     def test_closed_k24_census(self):
         rs = assemble_ks_set(step_angle=math.radians(90.0 / 24))
@@ -701,9 +706,9 @@ def _dedup_input(name):
     the bound it deduped them by."""
     seen = []
 
-    def spy(rays, bound):
-        seen.append((list(rays), bound))
-        return dedupe(rays, bound)
+    def spy(mat, labels, bound):
+        seen.append(([Ray3(*xyz, lb) for xyz, lb in zip(mat.tolist(), labels)], bound))
+        return dedupe(mat, labels, bound)
 
     dedupe = ksgraph._dedupe
     with pytest.MonkeyPatch.context() as mp:

@@ -13,8 +13,10 @@ from ksparadox.gadget import (
     offdiagonal_parameters_for_angle,
 )
 from ksparadox.ksgraph import (
+    OrthogonalityGapError,
     OrthogonalityGraph,
     RotationStep,
+    _edge_bound,
     assemble_ks_set,
     build_orthogonality_graph,
     rotate_ray,
@@ -232,3 +234,34 @@ class TestForcingChain:
         rs = assemble_ks_set()
         with pytest.raises(ChainIntegrityError):
             forcing_chain_check(math.radians(17.0), rs)
+
+    def test_nan_angle_rejected(self):
+        with pytest.raises(ChainIntegrityError, match="link 0: apex-c3 angle"):
+            forcing_chain_check(float("nan"), assemble_ks_set())
+
+    def test_swapped_roles_rejected(self):
+        # copy 3's a1 and b1 swap nodes: the copy keeps its c3 -> apex
+        # links, but six of its construction pairs are no longer orthogonal
+        rs = assemble_ks_set()
+        copies = list(rs.copies)
+        copies[3] = {**copies[3], "a1": copies[3]["b1"], "b1": copies[3]["a1"]}
+        swapped = dataclasses.replace(rs, copies=tuple(copies))
+        with pytest.raises(ChainIntegrityError, match="link 3: orthogonality residual"):
+            forcing_chain_check(math.radians(18.0), swapped)
+
+    def test_ray_moved_beyond_the_bound_rejected(self):
+        # copy 3's a2 turned toward its a1 by three times the set's bound:
+        # |dot(a1, a2)| = 3.8e-13, which the graph rejects too
+        rs = assemble_ks_set()
+        cp = rs.copies[3]
+        bound = _edge_bound(len(rs.copies))
+        a1, a2 = rs.rays[cp["a1"]].vec, rs.rays[cp["a2"]].vec
+        moved = Ray3.from_vector(math.cos(3 * bound) * a2 + math.sin(3 * bound) * a1)
+        rays = list(rs.rays)
+        rays[cp["a2"]] = moved
+        tampered = dataclasses.replace(rs, rays=tuple(rays))
+        assert abs(moved.dot(rs.rays[cp["a1"]])) > 2.5 * bound
+        with pytest.raises(OrthogonalityGapError):
+            build_orthogonality_graph(tampered)
+        with pytest.raises(ChainIntegrityError, match="link 3: orthogonality residual"):
+            forcing_chain_check(math.radians(18.0), tampered)
