@@ -1,6 +1,8 @@
 """Colorability search, the exhaustive oracle, and the forcing chain."""
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from ksparadox.gadget import (
     build_gadget,
     enumerate_gadget_assignments,
     offdiagonal_parameters_for_angle,
+    solve_parameter_for_angle,
 )
 from ksparadox.ksgraph import (
     OrthogonalityGapError,
@@ -19,6 +22,7 @@ from ksparadox.ksgraph import (
     _edge_bound,
     assemble_ks_set,
     build_orthogonality_graph,
+    default_schedule,
     rotate_ray,
 )
 from ksparadox.linalg import Ray3
@@ -123,6 +127,87 @@ class TestCheckColorability:
         assert doc["outcome"] == "SAT"
         assert set(doc["stats"]) == {"nodes_explored", "propagations", "max_depth"}
         assert "witness" in doc
+
+
+class TestSearchCounters:
+    """The search's exact counters, which numbering and propagation order
+    decide.  On the chained family with construction numbering they follow
+    closed forms: polynomial in k."""
+
+    @pytest.mark.parametrize("k", [*range(5, 31), 45, 60, 90])
+    def test_closed_sweep_closed_form(self, k):
+        verdict = check_colorability(
+            build_orthogonality_graph(assemble_ks_set(math.radians(90.0 / k)))
+        )
+        assert verdict.outcome == "UNSAT"
+        stats = verdict.stats
+        assert (stats.nodes_explored, stats.propagations, stats.max_depth) == (
+            6 * k * k - 4 * k + 2,
+            24 * k * k - 10 * k + 8,
+            2 * k - 1,
+        )
+
+    def test_diagonal_18_degree_set(self):
+        t = solve_parameter_for_angle(math.radians(18.0))
+        rs = assemble_ks_set(math.radians(18.0), default_schedule(), (t, t))
+        verdict = check_colorability(build_orthogonality_graph(rs))
+        assert verdict.outcome == "UNSAT"
+        assert dataclasses.astuple(verdict.stats) == (302, 2079, 10)
+
+    def test_open_k40(self):
+        # legs of 39, 40 and 38 steps of 2.25 degrees: an open chain
+        step = math.radians(2.25)
+        pivot = RotationStep("c3", math.pi / 2.0, 1, emit=False)
+        legs = [RotationStep("c2", step, n) for n in (39, 40, 38)]
+        rs = assemble_ks_set(step, (legs[0], pivot, legs[1], pivot, legs[2]))
+        graph = build_orthogonality_graph(rs)
+        verdict = check_colorability(graph)
+        assert verdict.outcome == "SAT"
+        assert not verify_assignment(graph, verdict.witness)
+        assert dataclasses.astuple(verdict.stats) == (394, 1254, 277)
+
+
+def _glued_triangles(rng):
+    """An abstract graph of up to 14 nodes: random triangles, which share
+    nodes, plus loose edges; every triangle of the union is a triad."""
+    n = int(rng.integers(3, 15))
+    edges = set()
+    for _ in range(int(rng.integers(1, n))):
+        a, b, c = sorted(rng.choice(n, size=3, replace=False).tolist())
+        edges |= {(a, b), (a, c), (b, c)}
+    for _ in range(int(rng.integers(0, n // 2 + 1))):
+        edges.add(tuple(sorted(rng.choice(n, size=2, replace=False).tolist())))
+    return OrthogonalityGraph.from_structure(n, sorted(edges))
+
+
+class TestAbstractGraphs:
+    """The search on dense triangle structure without geometry, against
+    the exhaustive oracle and a digest of every graph's search."""
+
+    def test_against_the_oracle(self):
+        records = []
+        for seed in range(240):
+            g = _glued_triangles(np.random.default_rng(seed))
+            verdict = check_colorability(g)
+            solutions = enumerate_all_colorings(g)
+            assert (verdict.outcome == "SAT") == bool(solutions), seed
+            if verdict.witness is not None:
+                assert not verify_assignment(g, verdict.witness), seed
+                witness = sorted(verdict.witness.values.items())
+            else:
+                witness = None
+            stats = verdict.stats
+            records.append(
+                [
+                    verdict.outcome,
+                    witness,
+                    stats.nodes_explored,
+                    stats.max_depth,
+                    verdict.certificate_digest,
+                ]
+            )
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "5fceda7f0f6b0ff48aba40ee0be98febbc3af950c4e71b73853efc47dac741b4"
 
 
 class TestVerifyAssignment:
