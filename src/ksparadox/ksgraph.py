@@ -65,8 +65,9 @@ MAX_SWEEP_K = 90
 
 
 class ScheduleError(ValueError):
-    """A rotation schedule referenced a missing axis or broke the sweep, or
-    a step angle does not divide 90 degrees or is below 90 / MAX_SWEEP_K."""
+    """A rotation schedule referenced a missing axis, or had a step with a
+    non-finite angle or negative repetitions, or a step angle does not
+    divide 90 degrees or is below 90 / MAX_SWEEP_K."""
 
 
 class OrthogonalityGapError(ValueError):
@@ -259,6 +260,8 @@ def assemble_ks_set(
     for step in schedule:
         if step.axis_role not in GADGET_ROLES:
             raise ScheduleError(f"schedule references unknown axis role {step.axis_role!r}")
+        if not (math.isfinite(step.angle) and step.repetitions >= 0):
+            raise ScheduleError(f"{step} needs a finite angle and repetitions >= 0")
         axis_index = GADGET_ROLES.index(step.axis_role)
         for _ in range(step.repetitions):
             m = rotation_matrix(current[axis_index].tolist(), step.angle)
@@ -292,23 +295,31 @@ def assemble_ks_set(
 
 @dataclass(frozen=True)
 class OrthogonalityGraph:
-    """Rays, orthogonal-pair edges, and triads (all triangles).
+    """Rays, orthogonal-pair edges, and triads: all triangles of the edges.
 
     Edges are sorted index pairs; the relation is symmetric and irreflexive
-    by construction.  For graphs built from rays, every edge, and so every
-    triangle, is orthogonal to within the float error of the construction.
+    by construction.  The triads are derived from the edges, each as a
+    sorted triple, so the constructor takes no triads argument and every
+    graph's triads are exactly its triangles.  For graphs built from rays,
+    every edge, and so every triangle, is orthogonal to within the float
+    error of the construction.
     """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
-    triads: tuple[tuple[int, int, int], ...]
+    triads: tuple[tuple[int, int, int], ...] = field(init=False)
     rays: tuple[Ray3, ...] | None = None
+
+    def __post_init__(self) -> None:
+        adj = self.adjacency()
+        triads = tuple((i, j, k) for i, j in self.edges for k in sorted(adj[i] & adj[j]) if k > j)
+        object.__setattr__(self, "triads", triads)
 
     @classmethod
     def from_structure(
         cls, node_count: int, edges: Sequence[tuple[int, int]]
     ) -> "OrthogonalityGraph":
-        """Abstract graph (no geometry); its triads are all its triangles.
+        """Abstract graph (no geometry).
 
         Raises ValueError for a negative node_count, for an edge with a node
         outside [0, node_count) or a repeated member, and for an edge listed
@@ -325,27 +336,14 @@ class OrthogonalityGraph:
         twice = next((e for e, f in zip(norm_edges, norm_edges[1:]) if e == f), None)
         if twice is not None:
             raise ValueError(f"edge {twice} is listed twice")
-        return cls(node_count, norm_edges, _triangles(node_count, norm_edges))
+        return cls(node_count, norm_edges)
 
     def adjacency(self) -> list[set[int]]:
-        return _adjacency(self.node_count, self.edges)
-
-
-def _adjacency(node_count: int, edges: Sequence[tuple[int, int]]) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(node_count)]
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
-def _triangles(
-    node_count: int, edges: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, int, int], ...]:
-    adj = _adjacency(node_count, edges)
-    return tuple(
-        (i, j, k) for i, j in edges for k in sorted(adj[i] & adj[j]) if k > j
-    )
+        adj: list[set[int]] = [set() for _ in range(self.node_count)]
+        for i, j in self.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        return adj
 
 
 def _upper_pairs(mat: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
@@ -389,4 +387,4 @@ def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> Or
     if missing:
         raise OrthogonalityGapError(f"{len(missing)} construction pairs have |dot| > {bound:.3g}")
     edges = tuple(zip(first.tolist(), second.tolist()))
-    return OrthogonalityGraph(n, edges, _triangles(n, edges), rays)
+    return OrthogonalityGraph(n, edges, rays)

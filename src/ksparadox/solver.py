@@ -2,7 +2,11 @@
 
 The coloring rules: every full triad carries exactly one ray valued 1, and
 no orthogonal pair may be doubly valued 1.  Orthogonal pairs that are not
-part of any complete triad in the set get only the not-both-1 rule.
+part of any complete triad in the set get only the not-both-1 rule.  Every
+triad is a triangle of the edges (OrthogonalityGraph derives them), so
+exactly-one per triad is at-least-one per triad plus not-both per edge:
+the two clause kinds of the coloring CNF, and the only two rules the
+search propagates.
 
 check_colorability is a complete deterministic backtracking search with
 unit propagation; enumerate_all_colorings is a deliberately dumb exhaustive
@@ -133,21 +137,27 @@ class SolverVerdict:
 def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
     """Complete backtracking search under the two coloring rules.
 
-    Propagation: a 1 forces 0 on all neighbors; a triad with two 0s forces 1
-    on the third; a triad with three 0s, or an orthogonal pair with two 1s,
-    is a conflict.  Decisions take the most-constrained node first (largest
-    triad-membership plus degree count, ties by node index) and try value 1
-    before 0, so verdicts, witnesses, and certificates are deterministic.
-    The search is one loop over an assignment trail, not a recursion, so its
-    depth is not bounded by the interpreter's recursion limit.  Triad-free and
-    empty graphs run the same search.
+    Propagation applies one rule per value.  A node set to 1 forces 0 on all
+    its neighbors, and a neighbor already 1 is a conflict (not both per
+    edge).  A node set to 0 scans its triads: two 0s force 1 on the third,
+    and three 0s are a conflict (at least one per triad).  Every triad is a
+    triangle of the edges, so these two rules forbid exactly what
+    exactly-one-per-triad does.  Decisions take the most-constrained node
+    first (largest triad-membership plus degree count, ties by node index)
+    and try value 1 before 0, so verdicts, witnesses, and certificates are
+    deterministic.  propagations counts the nodes each decision forced; on
+    a conflicting decision that is the nodes forced before the conflict
+    surfaced, which depends on the propagation order.  The search is one
+    loop over an assignment trail, not a recursion, so its depth is not
+    bounded by the interpreter's recursion limit.  Triad-free and empty
+    graphs run the same search.
     """
     n = g.node_count
     adj = [sorted(s) for s in g.adjacency()]
-    triads_of: list[list[int]] = [[] for _ in range(n)]
-    for ti, t in enumerate(g.triads):
+    triads_of: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for t in g.triads:
         for v in t:
-            triads_of[v].append(ti)
+            triads_of[v].append(t)
     order = sorted(range(n), key=lambda v: (-(len(triads_of[v]) + len(adj[v])), v))
 
     value = [-1] * n
@@ -167,33 +177,27 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
                     if value[u] == -1:
                         value[u] = 0
                         assigned.append(u)
-            for ti in triads_of[v]:
-                a, b, c = g.triads[ti]
-                va, vb, vc = value[a], value[b], value[c]
-                ones = (va == 1) + (vb == 1) + (vc == 1)
-                zeros = (va == 0) + (vb == 0) + (vc == 0)
-                if ones > 1 or zeros == 3:
+                continue
+            for t in triads_of[v]:
+                rest = [u for u in t if value[u] != 0]
+                if not rest:
                     return False
-                if ones == 1 or zeros == 2:
-                    # one 1 forces 0 on the rest; two 0s force 1 on the last
-                    for u in (a, b, c):
-                        if value[u] == -1:
-                            value[u] = 1 - ones
-                            assigned.append(u)
+                if len(rest) == 1 and value[rest[0]] == -1:
+                    value[rest[0]] = 1
+                    assigned.append(rest[0])
         return True
 
     # one entry per live decision: (position in order, trail mark, value);
     # every order position before the newest one is assigned
     decisions: list[tuple[int, int, int]] = []
-    decision_count = propagations = max_depth = 0
-    pos, val, sat = 0, 1, True
+    propagations = max_depth = 0
+    pos, val = 0, 1
     while True:
         while pos < n and value[order[pos]] != -1:
             pos += 1
         if pos == n:
             break
         node, mark = order[pos], len(assigned)
-        decision_count += 1
         trail.append((len(decisions), node, val))
         decisions.append((pos, mark, val))
         value[node] = val
@@ -208,7 +212,6 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
         while decisions and decisions[-1][2] == 0:
             decisions.pop()
         if not decisions:
-            sat = False
             break
         pos, mark, _ = decisions.pop()
         for u in assigned[mark:]:
@@ -216,12 +219,8 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
         del assigned[mark:]
         val = 0
 
-    solver_stats = SolverStats(
-        nodes_explored=decision_count,
-        propagations=propagations,
-        max_depth=max_depth,
-    )
-    if sat:
+    solver_stats = SolverStats(len(trail), propagations, max_depth)
+    if pos == n:
         witness = ValueAssignment({i: value[i] for i in range(n)})
         if verify_assignment(g, witness):
             raise RuntimeError("search returned a witness that breaks the coloring rules")

@@ -470,6 +470,26 @@ class TestAssembleVariants:
         with pytest.raises(ScheduleError):
             assemble_ks_set(schedule=(RotationStep("s99", 0.3, 1),))
 
+    @pytest.mark.parametrize(
+        "step",
+        [
+            RotationStep("c2", math.radians(18.0), -3),
+            RotationStep("c2", math.inf, 1),
+            RotationStep("c2", math.nan, 1),
+        ],
+        ids=["negative-repetitions", "infinite-angle", "nan-angle"],
+    )
+    def test_bad_step_rejected(self, step):
+        # range(-3) is empty, so a negative count once returned one copy
+        with pytest.raises(ScheduleError, match=r"RotationStep\(axis_role='c2'"):
+            assemble_ks_set(math.radians(18.0), schedule=(step,))
+
+    def test_zero_repetitions_emit_no_copy(self):
+        # a leg of k - 1 steps is empty at k = 1
+        rs = assemble_ks_set(schedule=(RotationStep("c2", math.radians(18.0), 0),))
+        assert len(rs.copies) == 1
+        assert rs.rays == assemble_ks_set(schedule=()).rays
+
     def test_mismatched_params_and_angle_rejected(self):
         from ksparadox.gadget import AngleRangeError
 
@@ -644,6 +664,16 @@ class TestOrthogonalityGraph:
         from ksparadox.ksgraph import OrthogonalityGraph
 
         assert OrthogonalityGraph.from_structure(3, []).triads == ()
+
+    def test_triads_are_derived_not_given(self):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        edges = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
+        direct = OrthogonalityGraph(4, edges)
+        assert direct.triads == ((0, 1, 2), (1, 2, 3))
+        assert direct == OrthogonalityGraph.from_structure(4, edges)
+        with pytest.raises(TypeError):
+            OrthogonalityGraph(3, (), triads=((0, 1, 2),))
 
     def test_abstract_structure_rejects_negative_node_count(self):
         from ksparadox.ksgraph import OrthogonalityGraph

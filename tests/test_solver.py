@@ -117,7 +117,6 @@ class TestCheckColorability:
         grown = OrthogonalityGraph(
             node_count=graph.node_count,
             edges=graph.edges + ((0, 1),) if (0, 1) not in graph.edges else graph.edges,
-            triads=graph.triads,
         )
         assert check_colorability(grown).outcome == "UNSAT"
 
