@@ -297,12 +297,12 @@ def assemble_ks_set(
 class OrthogonalityGraph:
     """Rays, orthogonal-pair edges, and triads: all triangles of the edges.
 
-    Edges are sorted index pairs; the relation is symmetric and irreflexive
-    by construction.  The triads are derived from the edges, each as a
-    sorted triple, so the constructor takes no triads argument and every
-    graph's triads are exactly its triangles.  For graphs built from rays,
-    every edge, and so every triangle, is orthogonal to within the float
-    error of the construction.
+    The constructor sorts each edge and the edge list; it raises ValueError
+    for a negative node_count, a node outside [0, node_count), a repeated
+    member, an edge listed twice, and rays not one per node.  The triads,
+    each a sorted triple, are derived from the edges, so every graph's
+    triads are exactly its triangles.  For graphs built from rays, every
+    edge, and so every triangle, is orthogonal to within the float error.
     """
 
     node_count: int
@@ -311,32 +311,23 @@ class OrthogonalityGraph:
     rays: tuple[Ray3, ...] | None = None
 
     def __post_init__(self) -> None:
+        n = self.node_count
+        if n < 0:
+            raise ValueError(f"node_count {n} is negative")
+        if self.rays is not None and len(self.rays) != n:
+            raise ValueError(f"{len(self.rays)} rays for {n} nodes")
+        edges = tuple(sorted((i, j) if i < j else (j, i) for i, j in self.edges))
+        for k, (i, j) in enumerate(edges):
+            if not (0 <= i and j < n):
+                raise ValueError(f"edge {(i, j)} has a node outside [0, {n})")
+            if i == j:
+                raise ValueError(f"edge {(i, j)} repeats a node")
+            if k and edges[k - 1] == (i, j):
+                raise ValueError(f"edge {(i, j)} is listed twice")
+        object.__setattr__(self, "edges", edges)
         adj = self.adjacency()
-        triads = tuple((i, j, k) for i, j in self.edges for k in sorted(adj[i] & adj[j]) if k > j)
+        triads = tuple((i, j, k) for i, j in edges for k in sorted(adj[i] & adj[j]) if k > j)
         object.__setattr__(self, "triads", triads)
-
-    @classmethod
-    def from_structure(
-        cls, node_count: int, edges: Sequence[tuple[int, int]]
-    ) -> "OrthogonalityGraph":
-        """Abstract graph (no geometry).
-
-        Raises ValueError for a negative node_count, for an edge with a node
-        outside [0, node_count) or a repeated member, and for an edge listed
-        twice.
-        """
-        if node_count < 0:
-            raise ValueError(f"node_count {node_count} is negative")
-        norm_edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-        for e in norm_edges:
-            if not (0 <= e[0] and e[1] < node_count):
-                raise ValueError(f"edge {e} has a node outside [0, {node_count})")
-            if e[0] == e[1]:
-                raise ValueError(f"edge {e} repeats a node")
-        twice = next((e for e, f in zip(norm_edges, norm_edges[1:]) if e == f), None)
-        if twice is not None:
-            raise ValueError(f"edge {twice} is listed twice")
-        return cls(node_count, norm_edges)
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.node_count)]

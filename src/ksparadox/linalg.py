@@ -81,9 +81,6 @@ class Ray3:
         """Angle between the two rays in [0, pi/2]."""
         return math.acos(min(1.0, abs(self.dot(other))))
 
-    def relabel(self, label: str) -> "Ray3":
-        return Ray3(self.x, self.y, self.z, label)
-
 
 X_AXIS = Ray3.from_vector((1.0, 0.0, 0.0), "x")
 Y_AXIS = Ray3.from_vector((0.0, 1.0, 0.0), "y")
@@ -193,34 +190,39 @@ def spin1_overlap(state: Ray3, outcome: Ray3) -> float:
 
 @dataclass(frozen=True)
 class Context:
-    """A complete measurement arrangement.
+    """A complete measurement arrangement: exactly one of the two kinds.
 
     Spin-1: an orthonormal triad of outcome rays (pairwise dot below 1e-9).
-    Spin-1/2: an orientation angle theta (rotation is taken about the
-    laboratory y-axis).
+    Spin-1/2: a finite orientation angle theta (rotation is taken about the
+    laboratory y-axis).  The constructor raises ValueError otherwise.
     """
 
     triad: tuple[Ray3, Ray3, Ray3] | None = None
     theta: float | None = None
 
-    @classmethod
-    def spin1(cls, triad: Sequence[Ray3]) -> "Context":
-        rays = tuple(triad)
+    def __post_init__(self) -> None:
+        if (self.triad is None) == (self.theta is None):
+            raise ValueError("a context needs exactly one of triad and theta")
+        if self.triad is None:
+            if not math.isfinite(self.theta):
+                raise ValueError("theta must be finite")
+            return
+        rays = self.triad
         if len(rays) != 3:
             raise ValueError("a spin-1 context needs exactly three rays")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(rays[i].dot(rays[j])) > ATOL_CONTEXT:
-                    raise ValueError(
-                        f"triad rays {rays[i].label or i!r} and {rays[j].label or j!r} "
-                        "are not orthogonal"
-                    )
-        return cls(triad=rays)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            if abs(rays[i].dot(rays[j])) > ATOL_CONTEXT:
+                raise ValueError(
+                    f"triad rays {rays[i].label or i!r} and {rays[j].label or j!r} "
+                    "are not orthogonal"
+                )
+
+    @classmethod
+    def spin1(cls, triad: Sequence[Ray3]) -> "Context":
+        return cls(triad=tuple(triad))
 
     @classmethod
     def spin_half(cls, theta: float) -> "Context":
-        if not math.isfinite(theta):
-            raise ValueError("theta must be finite")
         return cls(theta=theta)
 
     def projectors(self) -> tuple[Projector, ...]:

@@ -73,20 +73,24 @@ class ValueAssignment:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: Literal["triad", "edge"]
+    kind: Literal["value", "triad", "edge"]
     members: tuple[int, ...]
     detail: str
 
 
 def verify_assignment(g: OrthogonalityGraph, a: ValueAssignment) -> list[Violation]:
-    """Empty list iff both coloring rules hold on every triad and edge.
+    """Empty list iff every value is 0 or 1 and both rules hold on every triad and edge.
 
     Raises IncompleteAssignmentError on partial assignments.
     """
     if not a.is_total(g.node_count):
         missing = [i for i in range(g.node_count) if i not in a.values]
         raise IncompleteAssignmentError(f"assignment missing nodes {missing[:8]}")
-    out: list[Violation] = []
+    out = [
+        Violation("value", (v,), f"node {v} valued {a[v]!r}, not 0 or 1")
+        for v in range(g.node_count)
+        if a[v] not in (0, 1)
+    ]
     for t in g.triads:
         total = sum(a[v] for v in t)
         if total != 1:

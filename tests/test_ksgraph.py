@@ -35,7 +35,15 @@ from ksparadox.ksgraph import (
     rotate_ray,
     rotation_matrix,
 )
-from ksparadox.linalg import SIGN_EPS, Context, Ray3, _canonical_units, verify_completion
+from ksparadox.linalg import (
+    SIGN_EPS,
+    X_AXIS,
+    Y_AXIS,
+    Context,
+    Ray3,
+    _canonical_units,
+    verify_completion,
+)
 from ksparadox.solver import check_colorability, forcing_chain_check
 
 AXES = tuple(Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -379,10 +387,10 @@ class TestBitsKept:
                 if step.emit:
                     copies.append(copy)
         labeled = [  # triad labels first, apex labels last
-            cp[ri].relabel(f"g{ci + 1:02d}:{GADGET_ROLES[ri]}")
+            Ray3(r.x, r.y, r.z, f"g{ci + 1:02d}:{role}")
             for ci, cp in enumerate(copies)
-            for ri in range(1, len(GADGET_ROLES))
-        ] + [cp[0].relabel(f"g{ci + 1:02d}:apex") for ci, cp in enumerate(copies)]
+            for r, role in zip(cp[1:], GADGET_ROLES[1:])
+        ] + [Ray3(cp[0].x, cp[0].y, cp[0].z, f"g{ci + 1:02d}:apex") for ci, cp in enumerate(copies)]
         expected, reps = _plain_scan(labeled, _edge_bound(len(copies)))
         merges = [
             [lb, reps[expected[lb]].label] for lb in expected if reps[expected[lb]].label != lb
@@ -656,14 +664,14 @@ class TestOrthogonalityGraph:
     def test_abstract_structure(self):
         from ksparadox.ksgraph import OrthogonalityGraph
 
-        g = OrthogonalityGraph.from_structure(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        g = OrthogonalityGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert g.triads == ((0, 1, 2),)
         assert g.rays is None
 
     def test_abstract_structure_without_edges_has_no_triads(self):
         from ksparadox.ksgraph import OrthogonalityGraph
 
-        assert OrthogonalityGraph.from_structure(3, []).triads == ()
+        assert OrthogonalityGraph(3, []).triads == ()
 
     def test_triads_are_derived_not_given(self):
         from ksparadox.ksgraph import OrthogonalityGraph
@@ -671,15 +679,28 @@ class TestOrthogonalityGraph:
         edges = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
         direct = OrthogonalityGraph(4, edges)
         assert direct.triads == ((0, 1, 2), (1, 2, 3))
-        assert direct == OrthogonalityGraph.from_structure(4, edges)
+        assert direct == OrthogonalityGraph(4, [(j, i) for i, j in reversed(edges)])
         with pytest.raises(TypeError):
             OrthogonalityGraph(3, (), triads=((0, 1, 2),))
+
+    def test_constructor_sorts_pairs_and_edges(self):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        g = OrthogonalityGraph(3, ((0, 1), (1, 2), (2, 0)))
+        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert g.triads == ((0, 1, 2),)
+
+    def test_rays_of_another_count_rejected(self):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        with pytest.raises(ValueError, match="2 rays for 3 nodes"):
+            OrthogonalityGraph(3, [(0, 1)], rays=(X_AXIS, Y_AXIS))
 
     def test_abstract_structure_rejects_negative_node_count(self):
         from ksparadox.ksgraph import OrthogonalityGraph
 
         with pytest.raises(ValueError, match="node_count -2 is negative"):
-            OrthogonalityGraph.from_structure(-2, [])
+            OrthogonalityGraph(-2, [])
 
     @pytest.mark.parametrize(
         "edges, message",
@@ -695,7 +716,7 @@ class TestOrthogonalityGraph:
         from ksparadox.ksgraph import OrthogonalityGraph
 
         with pytest.raises(ValueError, match=message):
-            OrthogonalityGraph.from_structure(3, edges)
+            OrthogonalityGraph(3, edges)
 
 
 def _reference_edges(rays, copies):

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksparadox.linalg import (
+    X_AXIS,
+    Y_AXIS,
+    Z_AXIS,
     Context,
     NormalizationError,
     Ray3,
@@ -208,6 +211,22 @@ class TestContexts:
         )
         with pytest.raises(ValueError):
             Context.spin1(rays)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"triad": (X_AXIS, X_AXIS, Y_AXIS)}, "'x' and 'x' are not orthogonal"),
+            ({"triad": (X_AXIS, Y_AXIS)}, "exactly three rays"),
+            ({}, "exactly one of triad and theta"),
+            ({"triad": (X_AXIS, Y_AXIS, Z_AXIS), "theta": 1.0}, "exactly one of"),
+            ({"theta": math.inf}, "theta must be finite"),
+            ({"theta": math.nan}, "theta must be finite"),
+        ],
+        ids=["repeated-ray", "two-rays", "empty", "both-kinds", "infinite-theta", "nan-theta"],
+    )
+    def test_constructor_rejects_malformed_contexts(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Context(**fields)
 
     def test_context_for_direction_orthonormal(self):
         rng = np.random.default_rng(11)

@@ -55,7 +55,7 @@ class TestCheckColorability:
         assert len(enumerate_all_colorings(AXES_GRAPH)) == 3
 
     def test_two_triads_sharing_a_ray(self):
-        g = OrthogonalityGraph.from_structure(
+        g = OrthogonalityGraph(
             5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
         )
         assert len(g.triads) == 2
@@ -86,14 +86,14 @@ class TestCheckColorability:
     def test_search_depth_beyond_recursion_limit(self):
         # 1200 disjoint triangles need 1200 nested decisions
         edges = [(3 * t + i, 3 * t + j) for t in range(1200) for i, j in ((0, 1), (0, 2), (1, 2))]
-        g = OrthogonalityGraph.from_structure(3600, edges)
+        g = OrthogonalityGraph(3600, edges)
         verdict = check_colorability(g)
         assert verdict.outcome == "SAT"
         assert verdict.stats.max_depth == 1200
         assert not verify_assignment(g, verdict.witness)
 
     def test_triad_free_graph_degenerate_sat(self):
-        g = OrthogonalityGraph.from_structure(3, [(0, 1)])
+        g = OrthogonalityGraph(3, [(0, 1)])
         verdict = check_colorability(g)
         assert verdict.outcome == "SAT"
         assert verify_assignment(g, verdict.witness) == []
@@ -176,7 +176,7 @@ def _glued_triangles(rng):
         edges |= {(a, b), (a, c), (b, c)}
     for _ in range(int(rng.integers(0, n // 2 + 1))):
         edges.add(tuple(sorted(rng.choice(n, size=2, replace=False).tolist())))
-    return OrthogonalityGraph.from_structure(n, sorted(edges))
+    return OrthogonalityGraph(n, sorted(edges))
 
 
 class TestAbstractGraphs:
@@ -218,6 +218,13 @@ class TestVerifyAssignment:
         assert sum(1 for v in violations if v.kind == "edge") == 1
         assert sum(1 for v in violations if v.kind == "triad") == 1
 
+    @pytest.mark.parametrize(
+        "values", [{0: 2, 1: -1, 2: 0}, {0: 0.5, 1: 0.5, 2: 0}], ids=["integers", "halves"]
+    )
+    def test_values_outside_zero_one_flagged(self, values):
+        violations = verify_assignment(AXES_GRAPH, ValueAssignment(values))
+        assert [v.members for v in violations if v.kind == "value"] == [(0,), (1,)]
+
     def test_partial_assignment_rejected(self):
         with pytest.raises(IncompleteAssignmentError):
             verify_assignment(AXES_GRAPH, ValueAssignment({0: 1}))
@@ -225,10 +232,10 @@ class TestVerifyAssignment:
 
 class TestEnumerateAllColorings:
     def test_cap_enforced(self):
-        g = OrthogonalityGraph.from_structure(26, [])
+        g = OrthogonalityGraph(26, [])
         with pytest.raises(SizeLimitError):
             enumerate_all_colorings(g)
-        small = OrthogonalityGraph.from_structure(4, [])
+        small = OrthogonalityGraph(4, [])
         assert len(enumerate_all_colorings(small, cap=4)) == 16
 
     def test_agreement_with_solver_on_random_subgraphs(self):
