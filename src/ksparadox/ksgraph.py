@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -174,9 +175,16 @@ class RaySet:
         """Number of input labels excluding the apex role (nine per copy)."""
         return sum(1 for lb in self.label_to_index if not lb.endswith("apex"))
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The rays' (n, 3) unit vectors, built once per set and read-only."""
+        mat = _ray_matrix(self.rays)
+        mat.flags.writeable = False
+        return mat
+
     def index_of(self, r: Ray3) -> int | None:
         """Index of the first ray that dedup merges with r (by the set's bound), or None."""
-        near = np.linalg.norm(np.cross(_ray_matrix(self.rays), r.vec), axis=-1)
+        near = np.linalg.norm(np.cross(self.matrix, r.vec), axis=-1)
         return next(iter(np.flatnonzero(near <= _edge_bound(len(self.copies))).tolist()), None)
 
     def to_dict(self) -> dict:
@@ -301,13 +309,16 @@ class OrthogonalityGraph:
     for a negative node_count, a node outside [0, node_count), a repeated
     member, an edge listed twice, and rays not one per node.  The triads,
     each a sorted triple, are derived from the edges, so every graph's
-    triads are exactly its triangles.  For graphs built from rays, every
-    edge, and so every triangle, is orthogonal to within the float error.
+    triads are exactly its triangles; they are read off neighbours, each
+    node's neighbours in ascending order, the graph's one adjacency build.
+    For graphs built from rays, every edge, and so every triangle, is
+    orthogonal to within the float error.
     """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
     triads: tuple[tuple[int, int, int], ...] = field(init=False)
+    neighbours: tuple[tuple[int, ...], ...] = field(init=False)
     rays: tuple[Ray3, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -317,6 +328,10 @@ class OrthogonalityGraph:
         if self.rays is not None and len(self.rays) != n:
             raise ValueError(f"{len(self.rays)} rays for {n} nodes")
         edges = tuple(sorted((i, j) if i < j else (j, i) for i, j in self.edges))
+        # the edges ascend, so each node's list gets its smaller neighbours,
+        # then its larger ones: every list ascends, and so do the third
+        # nodes of each edge (i, j), read off j's list
+        neighbours: list[list[int]] = [[] for _ in range(n)]
         for k, (i, j) in enumerate(edges):
             if not (0 <= i and j < n):
                 raise ValueError(f"edge {(i, j)} has a node outside [0, {n})")
@@ -324,17 +339,16 @@ class OrthogonalityGraph:
                 raise ValueError(f"edge {(i, j)} repeats a node")
             if k and edges[k - 1] == (i, j):
                 raise ValueError(f"edge {(i, j)} is listed twice")
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        adj = list(map(set, neighbours))
+        triads = tuple((i, j, k) for i, j in edges for k in neighbours[j] if k > j and k in adj[i])
         object.__setattr__(self, "edges", edges)
-        adj = self.adjacency()
-        triads = tuple((i, j, k) for i, j in edges for k in sorted(adj[i] & adj[j]) if k > j)
         object.__setattr__(self, "triads", triads)
+        object.__setattr__(self, "neighbours", tuple(map(tuple, neighbours)))
 
     def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.node_count)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        return [set(ns) for ns in self.neighbours]
 
 
 def _upper_pairs(mat: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:

@@ -5,8 +5,8 @@ no orthogonal pair may be doubly valued 1.  Orthogonal pairs that are not
 part of any complete triad in the set get only the not-both-1 rule.  Every
 triad is a triangle of the edges (OrthogonalityGraph derives them), so
 exactly-one per triad is at-least-one per triad plus not-both per edge:
-the two clause kinds of the coloring CNF, and the only two rules the
-search propagates.
+the two clause kinds of the coloring CNF and the only rules the search
+propagates: a 1 along the graph's neighbour lists, a 0 to triad partners.
 
 check_colorability is a complete deterministic backtracking search with
 unit propagation; enumerate_all_colorings is a deliberately dumb exhaustive
@@ -24,7 +24,8 @@ import hashlib
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Literal
 
 import numpy as np
@@ -38,7 +39,7 @@ from .gadget import (
     _gadget_lemma,
     satisfying_masks,
 )
-from .ksgraph import OrthogonalityGraph, RaySet, _edge_bound, _ray_matrix
+from .ksgraph import OrthogonalityGraph, RaySet, _edge_bound
 from .linalg import X_AXIS, Y_AXIS, Z_AXIS
 
 
@@ -60,13 +61,6 @@ class ValueAssignment:
 
     values: dict[int, int]
 
-    @classmethod
-    def from_bits(cls, mask: int, n: int) -> "ValueAssignment":
-        return cls({i: (mask >> i) & 1 for i in range(n)})
-
-    def is_total(self, node_count: int) -> bool:
-        return all(i in self.values for i in range(node_count))
-
     def __getitem__(self, node: int) -> int:
         return self.values[node]
 
@@ -83,20 +77,21 @@ def verify_assignment(g: OrthogonalityGraph, a: ValueAssignment) -> list[Violati
 
     Raises IncompleteAssignmentError on partial assignments.
     """
-    if not a.is_total(g.node_count):
-        missing = [i for i in range(g.node_count) if i not in a.values]
+    values = a.values
+    missing = [i for i in range(g.node_count) if i not in values]
+    if missing:
         raise IncompleteAssignmentError(f"assignment missing nodes {missing[:8]}")
     out = [
-        Violation("value", (v,), f"node {v} valued {a[v]!r}, not 0 or 1")
+        Violation("value", (v,), f"node {v} valued {values[v]!r}, not 0 or 1")
         for v in range(g.node_count)
-        if a[v] not in (0, 1)
+        if values[v] not in (0, 1)
     ]
     for t in g.triads:
-        total = sum(a[v] for v in t)
+        total = sum((values[t[0]], values[t[1]], values[t[2]]))
         if total != 1:
             out.append(Violation("triad", t, f"triad {t} sums to {total}, not 1"))
     for i, j in g.edges:
-        if a[i] == 1 and a[j] == 1:
+        if values[i] == 1 and values[j] == 1:
             out.append(Violation("edge", (i, j), f"orthogonal pair {(i, j)} both valued 1"))
     return out
 
@@ -126,11 +121,7 @@ class SolverVerdict:
     def to_dict(self) -> dict:
         d = {
             "outcome": self.outcome,
-            "stats": {
-                "nodes_explored": self.stats.nodes_explored,
-                "propagations": self.stats.propagations,
-                "max_depth": self.stats.max_depth,
-            },
+            "stats": asdict(self.stats),
             "certificate_digest": self.certificate_digest,
         }
         if self.witness is not None:
@@ -141,59 +132,34 @@ class SolverVerdict:
 def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
     """Complete backtracking search under the two coloring rules.
 
-    Propagation applies one rule per value.  A node set to 1 forces 0 on all
-    its neighbors, and a neighbor already 1 is a conflict (not both per
-    edge).  A node set to 0 scans its triads: two 0s force 1 on the third,
-    and three 0s are a conflict (at least one per triad).  Every triad is a
-    triangle of the edges, so these two rules forbid exactly what
-    exactly-one-per-triad does.  Decisions take the most-constrained node
-    first (largest triad-membership plus degree count, ties by node index)
-    and try value 1 before 0, so verdicts, witnesses, and certificates are
-    deterministic.  propagations counts the nodes each decision forced; on
-    a conflicting decision that is the nodes forced before the conflict
-    surfaced, which depends on the propagation order.  The search is one
-    loop over an assignment trail, not a recursion, so its depth is not
-    bounded by the interpreter's recursion limit.  Triad-free and empty
-    graphs run the same search.
+    Each decision propagates from a FIFO queue, one rule per value.  A node
+    set to 1 forces 0 on its neighbours (g.neighbours, ascending), and a
+    neighbour already 1 is a conflict (not both per edge).  A node set to 0
+    reads the two partners of each of its triads, in g.triads order: one
+    partner 0 forces the other to 1, and both 0 are a conflict (at least one
+    per triad).  Decisions take the most-constrained node first (most triads
+    plus neighbours, ties by node index) and try 1 before 0, so verdicts,
+    witnesses, and certificates are deterministic.  propagations counts the
+    nodes each decision forced; on a conflict, those forced before it
+    surfaced, so it depends on that visit order.  The search is one loop,
+    not a recursion, so its depth is not bounded by the interpreter's
+    recursion limit; triad-free and empty graphs run it too.
     """
     n = g.node_count
-    adj = [sorted(s) for s in g.adjacency()]
-    triads_of: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for t in g.triads:
-        for v in t:
-            triads_of[v].append(t)
-    order = sorted(range(n), key=lambda v: (-(len(triads_of[v]) + len(adj[v])), v))
+    adj = g.neighbours
+    # each node's triads as the pairs of its two partners, in g.triads order
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, c in g.triads:
+        partners[a].append((b, c))
+        partners[b].append((a, c))
+        partners[c].append((a, b))
+    order = sorted(range(n), key=lambda v: (-(len(partners[v]) + len(adj[v])), v))
 
     value = [-1] * n
-    # every assigned node in assignment order; the tail past a decision's
-    # mark is that decision's propagation queue
-    assigned: list[int] = []
     trail: list[tuple[int, int, int]] = []
-
-    def propagate(head: int) -> bool:
-        while head < len(assigned):
-            v = assigned[head]
-            head += 1
-            if value[v] == 1:
-                for u in adj[v]:
-                    if value[u] == 1:
-                        return False
-                    if value[u] == -1:
-                        value[u] = 0
-                        assigned.append(u)
-                continue
-            for t in triads_of[v]:
-                rest = [u for u in t if value[u] != 0]
-                if not rest:
-                    return False
-                if len(rest) == 1 and value[rest[0]] == -1:
-                    value[rest[0]] = 1
-                    assigned.append(rest[0])
-        return True
-
-    # one entry per live decision: (position in order, trail mark, value);
-    # every order position before the newest one is assigned
-    decisions: list[tuple[int, int, int]] = []
+    # one entry per live decision: (position in order, the nodes it set in
+    # assignment order, value); every order position before it is assigned
+    decisions: list[tuple[int, list[int], int]] = []
     propagations = max_depth = 0
     pos, val = 0, 1
     while True:
@@ -201,26 +167,52 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
             pos += 1
         if pos == n:
             break
-        node, mark = order[pos], len(assigned)
+        node = order[pos]
         trail.append((len(decisions), node, val))
-        decisions.append((pos, mark, val))
         value[node] = val
-        assigned.append(node)
-        ok = propagate(mark)
-        propagations += len(assigned) - mark - 1  # nodes this decision forced
-        if ok:
+        queue = [node]  # FIFO: the loop below also reads what it appends
+        push = queue.append
+        decisions.append((pos, queue, val))
+        for v in queue:
+            if value[v]:
+                for u in adj[v]:
+                    if value[u] < 0:
+                        value[u] = 0
+                        push(u)
+                    elif value[u]:
+                        break  # both ends of an edge valued 1
+                else:
+                    continue
+            else:
+                for a, b in partners[v]:
+                    if value[a] == 0:
+                        if value[b] == 0:
+                            break  # a triad valued 0 throughout
+                        if value[b] < 0:
+                            value[b] = 1
+                            push(b)
+                    elif value[a] < 0 and value[b] == 0:
+                        value[a] = 1
+                        push(a)
+                else:
+                    continue
+            break  # an inner loop broke on a conflict
+        else:
+            propagations += len(queue) - 1  # nodes this decision forced
             max_depth = max(max_depth, len(decisions))
             val = 1
             continue
-        # back to the deepest decision whose 0 branch is still untried
-        while decisions and decisions[-1][2] == 0:
-            decisions.pop()
-        if not decisions:
+        propagations += len(queue) - 1
+        # back to the deepest decision whose 0 branch is still untried,
+        # unassigning what every popped decision set
+        while decisions:
+            pos, queue, val = decisions.pop()
+            for u in queue:
+                value[u] = -1
+            if val:
+                break
+        else:
             break
-        pos, mark, _ = decisions.pop()
-        for u in assigned[mark:]:
-            value[u] = -1
-        del assigned[mark:]
         val = 0
 
     solver_stats = SolverStats(len(trail), propagations, max_depth)
@@ -252,12 +244,9 @@ def enumerate_all_colorings(
     n = g.node_count
     if n > limit:
         raise SizeLimitError(f"{n} nodes exceeds enumeration cap {limit}")
-    out = []
-    for mask in satisfying_masks(n, g.edges, g.triads):
-        a = ValueAssignment.from_bits(mask, n)
-        if not verify_assignment(g, a):
-            out.append(a)
-    return out
+    masks = satisfying_masks(n, g.edges, g.triads)
+    found = (ValueAssignment({i: (mask >> i) & 1 for i in range(n)}) for mask in masks)
+    return [a for a in found if not verify_assignment(g, a)]
 
 
 @dataclass(frozen=True)
@@ -330,7 +319,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     cyclic = len(roles) > 1 and bool(roles[-1, C3] == roles[0, APEX])
 
     bound = _edge_bound(len(roles))
-    vecs = _ray_matrix(chain.rays)[roles]  # (copies, 10, 3)
+    vecs = chain.matrix[roles]  # (copies, 10, 3)
     ends = np.array([*GADGET_EDGES, (APEX, C3)]).T  # the fifteen pairs, then apex-c3
     dots = np.abs((vecs[:, ends[0]] * vecs[:, ends[1]]).sum(axis=-1))
     residuals, cosines = dots[:, :-1].max(axis=1).tolist(), dots[:, -1].tolist()
@@ -351,10 +340,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     axes_present = all(i is not None for i in axis_nodes)
     axes_on_chain = axes_present and set(axis_nodes) <= set(roles[:, [APEX, C3]].ravel().tolist())
     axes_orthogonal = axes_present and all(
-        abs(chain.rays[a].dot(chain.rays[b])) <= bound
-        for a in axis_nodes
-        for b in axis_nodes
-        if a < b
+        abs(chain.rays[a].dot(chain.rays[b])) <= bound for a, b in combinations(axis_nodes, 2)
     )
     return ChainReport(
         links=links,

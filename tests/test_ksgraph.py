@@ -291,6 +291,16 @@ class TestIndexOf:
         grown = dataclasses.replace(rayset, rays=AXES + rayset.rays)
         assert [grown.index_of(a) for a in AXES] == [0, 1, 2]
 
+    def test_ray_matrix_built_once_and_read_only(self, rayset):
+        rs = dataclasses.replace(rayset)
+        mat = rs.matrix
+        assert rs.matrix is mat
+        assert mat.tolist() == [[r.x, r.y, r.z] for r in rs.rays]
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+        assert [rs.index_of(a) for a in AXES] == [40, 7, 39]
+        assert rs.matrix is mat
+
 
 def _sweep_args(name):
     """assemble_ks_set's (step_angle, schedule, gadget_params) for a named sweep."""
@@ -689,6 +699,40 @@ class TestOrthogonalityGraph:
         g = OrthogonalityGraph(3, ((0, 1), (1, 2), (2, 0)))
         assert g.edges == ((0, 1), (0, 2), (1, 2))
         assert g.triads == ((0, 1, 2),)
+
+    def test_neighbours_ascend_and_list_every_edge(self, rayset):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        g = OrthogonalityGraph(4, [(2, 3), (1, 0), (3, 0), (2, 1), (0, 2)])
+        assert g.neighbours == ((1, 2, 3), (0, 2), (0, 1, 3), (0, 2))
+        assert g.adjacency() == [{1, 2, 3}, {0, 2}, {0, 1, 3}, {0, 2}]
+        graph = build_orthogonality_graph(rayset)
+        assert all(list(ns) == sorted(set(ns)) for ns in graph.neighbours)
+        pairs = {(i, j) for i, ns in enumerate(graph.neighbours) for j in ns}
+        assert pairs == set(graph.edges) | {(j, i) for i, j in graph.edges}
+        with pytest.raises(TypeError):
+            OrthogonalityGraph(3, (), neighbours=((), (), ()))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triads_are_every_triangle_in_order(self, seed):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        rng = np.random.default_rng(seed)
+        n = 12
+        pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
+        keep = rng.random(len(pairs)) < 0.4
+        edges = {p for p, k in zip(pairs, keep) if k}
+        shuffled = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges]
+        g = OrthogonalityGraph(n, [shuffled[k] for k in rng.permutation(len(shuffled))])
+        triangles = tuple(
+            (a, b, c)
+            for a in range(n)
+            for b in range(a + 1, n)
+            for c in range(b + 1, n)
+            if {(a, b), (a, c), (b, c)} <= edges
+        )
+        assert len(triangles) > 5
+        assert g.triads == triangles
 
     def test_rays_of_another_count_rejected(self):
         from ksparadox.ksgraph import OrthogonalityGraph

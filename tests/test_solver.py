@@ -165,6 +165,32 @@ class TestSearchCounters:
         assert not verify_assignment(graph, verdict.witness)
         assert dataclasses.astuple(verdict.stats) == (394, 1254, 277)
 
+    @pytest.mark.parametrize(
+        "k, seed, stats, digest",
+        [
+            (9, 0, (3902, 15662, 17), "6eb2b9d2fcdbbfa52cf388c2f534b724"
+             "0a9f8c273f73bab42601d530e8daf9e9"),
+            (9, 1, (2464, 9910, 17), "1be8093192bfb4d4526b2d3f31ec7c90"
+             "8dc790620440f191cfe0d69aab69b4db"),
+            (12, 0, (12588, 50424, 23), "f9d96c7fa0975866fbf413017973a1c8"
+             "981e0ed9240d4bdc09139e71dc2d97bb"),
+            (12, 1, (8412, 33720, 23), "98a7bb36e463b91cbe8e3555935a6e8e"
+             "aee9f29c3a385b57131a885e464b5751"),
+        ],
+    )
+    def test_shuffled_numbering(self, k, seed, stats, digest):
+        # a seeded node permutation of a closed sweep: the search leaves the
+        # construction order, conflicts thousands of times, and every counter
+        # and the trail depend on the order in which propagation visits nodes
+        graph = build_orthogonality_graph(assemble_ks_set(math.radians(90.0 / k)))
+        perm = np.random.default_rng(seed).permutation(graph.node_count).tolist()
+        edges = [(perm[i], perm[j]) for i, j in graph.edges]
+        shuffled = OrthogonalityGraph(graph.node_count, edges)
+        verdict = check_colorability(shuffled)
+        assert verdict.outcome == "UNSAT"
+        assert dataclasses.astuple(verdict.stats) == stats
+        assert verdict.certificate_digest == digest
+
 
 def _glued_triangles(rng):
     """An abstract graph of up to 14 nodes: random triangles, which share
@@ -207,6 +233,18 @@ class TestAbstractGraphs:
             )
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == "5fceda7f0f6b0ff48aba40ee0be98febbc3af950c4e71b73853efc47dac741b4"
+
+    def test_propagations_pinned(self):
+        # propagations counts the nodes forced before a conflict surfaces, so
+        # it pins the visit order: FIFO queue, ascending neighbours, triads in
+        # g.triads order; the digest above leaves it out
+        propagations = [
+            check_colorability(_glued_triangles(np.random.default_rng(seed))).stats.propagations
+            for seed in range(240)
+        ]
+        assert sum(propagations) == 2444
+        digest = hashlib.sha256(json.dumps(propagations).encode()).hexdigest()
+        assert digest == "fd1a364b297cf349496717a662ba9feaac9c96be1fcaeb15a739c1afb9646500"
 
 
 class TestVerifyAssignment:
