@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import __version__
@@ -163,19 +164,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
     for theta in SPIN_HALF_TABLE_THETAS:
         plus, minus = spin_half_eigenvectors(theta)
         for v in (plus, minus):
-            rows.append((math.degrees(theta), "+" if v.branch > 0 else "-", v))
-            lines.append(
-                f"spin-half,{fmt9(math.degrees(theta))},"
-                f"{'+' if v.branch > 0 else '-'},{fmt9(v.c0)},{fmt9(v.c1)}"
-            )
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            di, bi, vi = rows[i]
-            dj, bj, vj = rows[j]
-            if abs(vi.c0 - vj.c0) <= 1e-12 and abs(vi.c1 - vj.c1) <= 1e-12:
-                lines.append(
-                    f"# coincidence: ({fmt9(di)} deg, {bi}) == ({fmt9(dj)} deg, {bj})"
-                )
+            row = (fmt9(math.degrees(theta)), "+" if v.branch > 0 else "-", v)
+            rows.append(row)
+            lines.append(f"spin-half,{row[0]},{row[1]},{fmt9(v.c0)},{fmt9(v.c1)}")
+    for (di, bi, vi), (dj, bj, vj) in combinations(rows, 2):
+        if abs(vi.c0 - vj.c0) <= 1e-12 and abs(vi.c1 - vj.c1) <= 1e-12:
+            lines.append(f"# coincidence: ({di} deg, {bi}) == ({dj} deg, {bj})")
     lines.append("table,context,member,x,y,z")
     triads = []
     for direction, name in SPIN1_TABLE_DIRECTIONS:
@@ -183,16 +177,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
         triads.append((name, ctx.triad))
         for k, r in enumerate(ctx.triad, start=1):
             lines.append(f"spin-1,{name},{k},{fmt9(r.x)},{fmt9(r.y)},{fmt9(r.z)}")
-    for i in range(len(triads)):
-        for j in range(i + 1, len(triads)):
-            ni, ti = triads[i]
-            nj, tj = triads[j]
-            shared = {r for r in ti} & {r for r in tj}
-            if shared:
-                lines.append(
-                    f"# contexts {ni} and {nj} share {len(shared)} ray(s) "
-                    "(antipodal identification)"
-                )
+    for (ni, ti), (nj, tj) in combinations(triads, 2):
+        shared = set(ti) & set(tj)
+        if shared:
+            lines.append(
+                f"# contexts {ni} and {nj} share {len(shared)} ray(s) (antipodal identification)"
+            )
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 

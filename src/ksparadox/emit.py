@@ -39,15 +39,12 @@ def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
     Nodes are open circles (DOT's unfilled circle shape); edges are plain
     lines; triads are listed as comments.
     """
-    lines = ["graph ksdiagram {"]
-    lines.append('  node [shape=circle, style=""];')
+    lines = ["graph ksdiagram {", '  node [shape=circle, style=""];']
     for i in range(g.node_count):
         label = g.rays[i].label if g.rays is not None and g.rays[i].label else f"r{i}"
         lines.append(f'  n{i} [label="{label}"];')
-    for i, j in g.edges:
-        lines.append(f"  n{i} -- n{j};")
-    for t in g.triads:
-        lines.append(f"  // triad {t[0]} {t[1]} {t[2]}")
+    lines += (f"  n{i} -- n{j};" for i, j in g.edges)
+    lines += (f"  // triad {a} {b} {c}" for a, b, c in g.triads)
     lines.append("}")
     return DiagramDocument(
         text="\n".join(lines) + "\n", node_count=g.node_count, edge_count=len(g.edges)
@@ -63,14 +60,8 @@ def parse_dot_counts(text: str) -> tuple[int, int]:
     the brace structure."""
     if text.count("{") != 1 or text.count("}") != 1:
         raise ValueError("expected exactly one graph block")
-    nodes = 0
-    edges = 0
-    for line in text.splitlines():
-        if _NODE_RE.match(line):
-            nodes += 1
-        elif _EDGE_RE.match(line):
-            edges += 1
-    return nodes, edges
+    lines = text.splitlines()
+    return sum(1 for s in lines if _NODE_RE.match(s)), sum(1 for s in lines if _EDGE_RE.match(s))
 
 
 def counts_to_csv(counts: Sequence[EnsembleCounts], seed: int) -> str:

@@ -43,13 +43,18 @@ units in the last place.  np.cross gives the norm; sqrt(1 - dot^2), like
 acos, cannot resolve less than about 1.5e-8.  Each row joins the first
 row it merges with (one np.minimum.at), and each cluster must be a
 clique, or dedup raises ValueError: the rule is not transitive on that
-input.  The graph finds the construction pairs among the edges with one
-np.searchsorted on the ascending keys i n + j; np.unique, np.setdiff1d
+input.  The scan reads each 128-row block of the upper triangle (no n x n
+array) with np.flatnonzero, a tenth of 2-D np.nonzero's cost, and a divmod
+by the block's width: a C-ordered block's flat indices ascend by row, then
+column.  The graph finds the construction pairs among the edges with one
+np.searchsorted on the ascending keys i n + j and passes the scan's arrays
+to OrthogonalityGraph, which checks them in numpy; np.unique, np.setdiff1d
 and np.isin would import numpy.ma (numpy 2.4) on every run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -221,7 +226,8 @@ def _dedupe(mat: np.ndarray, labels: Sequence[str], bound: float) -> tuple[RaySe
     if len(label_to_index) < len(labels):
         taken = next(i for i, label in enumerate(labels) if labels.index(label) < i)
         raise ValueError(f"label {labels[taken]!r} of input ray {taken} is already taken")
-    rays = tuple(Ray3(*mat[i].tolist(), labels[i]) for i in np.flatnonzero(kept).tolist())
+    rows = np.flatnonzero(kept).tolist()
+    rays = tuple(map(Ray3, *mat[rows].T.tolist(), [labels[i] for i in rows]))
     merges = tuple((labels[i], labels[r]) for i, r in enumerate(rep.tolist()) if r != i)
     return RaySet(rays=rays, label_to_index=label_to_index, merges=merges), index
 
@@ -305,14 +311,15 @@ def assemble_ks_set(
 class OrthogonalityGraph:
     """Rays, orthogonal-pair edges, and triads: all triangles of the edges.
 
-    The constructor sorts each edge and the edge list; it raises ValueError
-    for a negative node_count, a node outside [0, node_count), a repeated
-    member, an edge listed twice, and rays not one per node.  The triads,
-    each a sorted triple, are derived from the edges, so every graph's
-    triads are exactly its triangles; they are read off neighbours, each
-    node's neighbours in ascending order, the graph's one adjacency build.
-    For graphs built from rays, every edge, and so every triangle, is
-    orthogonal to within the float error.
+    The one constructor takes the edges as pairs or as an (m, 2) integer
+    array, sorts each edge and the edge list, stores Python ints, and raises
+    ValueError for a negative node_count, an edge that is not a pair of
+    integers, a node outside [0, node_count), a repeated member, an edge
+    listed twice, and rays not one per node.  The triads, each a sorted
+    triple, are derived from the edges, so every graph's triads are exactly
+    its triangles; neighbours holds each node's neighbours in ascending
+    order, the graph's one adjacency build.  For graphs built from rays,
+    every edge, and so every triangle, is orthogonal to within the float error.
     """
 
     node_count: int
@@ -327,28 +334,50 @@ class OrthogonalityGraph:
             raise ValueError(f"node_count {n} is negative")
         if self.rays is not None and len(self.rays) != n:
             raise ValueError(f"{len(self.rays)} rays for {n} nodes")
-        edges = tuple(sorted((i, j) if i < j else (j, i) for i, j in self.edges))
-        # the edges ascend, so each node's list gets its smaller neighbours,
-        # then its larger ones: every list ascends, and so do the third
-        # nodes of each edge (i, j), read off j's list
-        neighbours: list[list[int]] = [[] for _ in range(n)]
-        for k, (i, j) in enumerate(edges):
-            if not (0 <= i and j < n):
-                raise ValueError(f"edge {(i, j)} has a node outside [0, {n})")
-            if i == j:
-                raise ValueError(f"edge {(i, j)} repeats a node")
-            if k and edges[k - 1] == (i, j):
-                raise ValueError(f"edge {(i, j)} is listed twice")
-            neighbours[i].append(j)
-            neighbours[j].append(i)
-        adj = list(map(set, neighbours))
-        triads = tuple((i, j, k) for i, j in edges for k in neighbours[j] if k > j and k in adj[i])
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "triads", triads)
+        pairs = np.sort(_edge_array(self.edges), axis=1)
+        bad = pairs[(pairs[:, 0] < 0) | (pairs[:, 1] >= n) | (pairs[:, 0] == pairs[:, 1])].tolist()
+        if bad:
+            (i, j), outside = bad[0], f"has a node outside [0, {n})"
+            raise ValueError(f"edge {(i, j)} " + (outside if i < 0 or j >= n else "repeats a node"))
+        keys = np.sort(pairs.astype(np.intp) @ np.array([n, 1]))
+        first, second = np.divmod(keys, n)
+        for key in keys[1:][keys[1:] == keys[:-1]][:1].tolist():
+            raise ValueError(f"edge {divmod(key, n)} is listed twice")
+        # each edge (i, j) and each edge (j, k), k > j, in the run of keys from
+        # j n on, form a wedge; it closes into a triad when i n + k is a key
+        starts = np.searchsorted(keys, second * n)
+        runs = np.searchsorted(keys, second * n + n) - starts
+        ij = np.repeat(np.arange(len(keys)), runs)
+        jk = np.arange(len(ij)) + np.repeat(starts - np.cumsum(runs) + runs, runs)
+        ik = first[ij] * n + second[jk]
+        closed = np.append(keys, n * n)[np.searchsorted(keys, ik)] == ik
+        ij, jk = ij[closed], jk[closed]
+        nodes = np.arange(n).astype(object)  # one Python int per node, shared by every tuple
+        triads = zip(*(nodes[a].tolist() for a in (first[ij], second[ij], second[jk])))
+        # both directions of every edge, sorted once: each node's neighbours ascend
+        node, other = np.divmod(np.sort(np.concatenate([keys, second * n + first])), n)
+        ends, flat = np.cumsum(np.bincount(node, minlength=n)).tolist(), nodes[other].tolist()
+        neighbours = (flat[a:b] for a, b in zip([0, *ends], ends))
+        object.__setattr__(self, "edges", tuple(zip(nodes[first].tolist(), nodes[second].tolist())))
+        object.__setattr__(self, "triads", tuple(triads))
         object.__setattr__(self, "neighbours", tuple(map(tuple, neighbours)))
 
     def adjacency(self) -> list[set[int]]:
         return [set(ns) for ns in self.neighbours]
+
+
+def _edge_array(edges) -> np.ndarray:
+    """edges as an (m, 2) integer array; ValueError names an edge that is
+    not a pair of integers, which numpy would truncate (1.5 to 1)."""
+    with contextlib.suppress(ValueError):  # numpy rejects ragged input
+        pairs = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
+        if pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "iu":
+            return pairs
+    rows, ints = edges.tolist() if isinstance(edges, np.ndarray) else edges, (int, np.integer)
+    for e in rows:
+        if np.asarray(e, dtype=object).shape != (2,) or not all(isinstance(v, ints) for v in e):
+            raise ValueError(f"edge {e} is not a pair of integers")
+    raise ValueError("the edges are not pairs of integers")
 
 
 def _upper_pairs(mat: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
@@ -357,8 +386,8 @@ def _upper_pairs(mat: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
     firsts, seconds = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for lo in range(0, len(mat), 128):  # row blocks of the upper triangle: no n x n float matrix
         dots = mat[lo : lo + 128] @ mat[lo:].T
-        # nonzero walks each block row by row, so the pairs ascend
-        rows, cols = np.nonzero(keep(np.abs(dots, out=dots)))
+        # a C-ordered block's flat indices ascend by row, then column
+        rows, cols = np.divmod(np.flatnonzero(keep(np.abs(dots, out=dots))), len(mat) - lo)
         upper = cols > rows
         firsts.append(rows[upper] + lo)
         seconds.append(cols[upper] + lo)
@@ -381,7 +410,8 @@ def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> Or
     copies = getattr(source, "copies", ())
     bound = _edge_bound(len(copies))
     n = len(rays)
-    first, second = _upper_pairs(_ray_matrix(rays), lambda d: d <= bound)
+    mat = source.matrix if isinstance(source, RaySet) else _ray_matrix(rays)
+    first, second = _upper_pairs(mat, lambda d: d <= bound)
     # keys ascend with the pairs; the sentinel n * n exceeds every pair's
     # key, so each search lands on an entry
     keys = np.append(first * n + second, n * n)
@@ -391,5 +421,4 @@ def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> Or
     missing = set(wanted[keys[np.searchsorted(keys, wanted)] != wanted].tolist())
     if missing:
         raise OrthogonalityGapError(f"{len(missing)} construction pairs have |dot| > {bound:.3g}")
-    edges = tuple(zip(first.tolist(), second.tolist()))
-    return OrthogonalityGraph(n, edges, rays)
+    return OrthogonalityGraph(n, np.column_stack([first, second]), rays)

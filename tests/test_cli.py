@@ -1,5 +1,6 @@
 """CLI subcommands and the emitters (DOT, JSON, CSV)."""
 
+import ast
 import json
 import math
 import os
@@ -365,28 +366,45 @@ class TestCliCommands:
         assert main([*command, "--step-angle-deg", "17"]) == 0
 
 
+OPEN_K40 = (
+    "from ksparadox.ksgraph import RotationStep, assemble_ks_set, build_orthogonality_graph\n"
+    "step = math.radians(2.25)\n"
+    "pivot = RotationStep('c3', math.pi / 2, 1, emit=False)\n"
+    "legs = [RotationStep('c2', step, n) for n in (39, 40, 38)]\n"
+    "rs = assemble_ks_set(step, (legs[0], pivot, legs[1], pivot, legs[2]))\n"
+    "graph = build_orthogonality_graph(rs)\n"
+)
+
+
 @pytest.mark.parametrize(
     "code",
     [
         "from ksparadox.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(['check-coloring'])",
-        "from ksparadox.ksgraph import RotationStep, assemble_ks_set, build_orthogonality_graph\n"
-        "step = math.radians(2.25)\n"
-        "pivot = RotationStep('c3', math.pi / 2, 1, emit=False)\n"
-        "legs = [RotationStep('c2', step, n) for n in (39, 40, 38)]\n"
-        "build_orthogonality_graph(assemble_ks_set(step, (legs[0], pivot, legs[1], pivot, legs[2])))",
+        OPEN_K40,
+        OPEN_K40 + "from ksparadox.solver import check_colorability, forcing_chain_check\n"
+        "assert check_colorability(graph).outcome == 'SAT'\n"
+        "assert forcing_chain_check(step, rs).all_links_forced",
     ],
-    ids=["check-coloring", "open-k40 graph"],
+    ids=["check-coloring", "open-k40 graph", "open-k40 pipeline"],
 )
 def test_ray_set_path_does_not_import_numpy_ma(code):
     # np.unique, np.setdiff1d and np.isin import numpy.ma (numpy 2.4), which
-    # costs the CLI process its import time and about 2 MB of memory
+    # costs the CLI process its import time and about 2 MB of memory; past
+    # `import ksparadox`, the library's own stages import no module at all,
+    # so they add nothing to a run's set-up time or peak memory
     src = Path(__file__).resolve().parent.parent / "src"
-    script = f"import contextlib, io, math, sys\n{code}\nprint('numpy.ma' in sys.modules)"
+    script = (
+        "import contextlib, io, math, sys\nimport ksparadox\nloaded = set(sys.modules)\n"
+        f"{code}\nprint(sorted(set(sys.modules) - loaded))"
+    )
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    added = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert "numpy.ma" not in added
+    if "ksparadox.cli" not in code:  # the CLI brings argparse and the emitters
+        assert added == []

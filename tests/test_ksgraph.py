@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -625,6 +626,16 @@ class TestCensusGoldens:
         )
 
 
+# the constructor's four rejections of nodes, each naming the edge
+BAD_NODES = [
+    ([(1, 1)], r"edge \(1, 1\) repeats a node"),
+    ([(0, 1), (1, 0)], r"edge \(0, 1\) is listed twice"),
+    ([(-1, 0)], r"edge \(-1, 0\) has a node outside \[0, 3\)"),
+    ([(0, 5)], r"edge \(0, 5\) has a node outside \[0, 3\)"),
+]
+BAD_NODE_IDS = ["self-loop", "repeated-edge", "negative-node", "node-past-count"]
+
+
 class TestOrthogonalityGraph:
     def test_axes_triangle(self):
         g = build_orthogonality_graph(AXES)
@@ -746,21 +757,115 @@ class TestOrthogonalityGraph:
         with pytest.raises(ValueError, match="node_count -2 is negative"):
             OrthogonalityGraph(-2, [])
 
-    @pytest.mark.parametrize(
-        "edges, message",
-        [
-            ([(1, 1)], r"edge \(1, 1\) repeats a node"),
-            ([(0, 1), (1, 0)], r"edge \(0, 1\) is listed twice"),
-            ([(-1, 0)], r"edge \(-1, 0\) has a node outside \[0, 3\)"),
-            ([(0, 5)], r"edge \(0, 5\) has a node outside \[0, 3\)"),
-        ],
-        ids=["self-loop", "repeated-edge", "negative-node", "node-past-count"],
-    )
+    @pytest.mark.parametrize("edges, message", BAD_NODES, ids=BAD_NODE_IDS)
     def test_abstract_structure_rejects_bad_nodes(self, edges, message):
         from ksparadox.ksgraph import OrthogonalityGraph
 
         with pytest.raises(ValueError, match=message):
             OrthogonalityGraph(3, edges)
+
+    @pytest.mark.parametrize("edges, message", BAD_NODES, ids=BAD_NODE_IDS)
+    def test_array_input_rejects_bad_nodes(self, edges, message):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        for dtype in (np.int64, np.int32, np.int8):
+            with pytest.raises(ValueError, match=message):
+                OrthogonalityGraph(3, np.array(edges, dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1.5)], r"edge \(0, 1\.5\) is not a pair of integers"),
+            (np.array([[0, 1.5]]), r"edge \[0\.0, 1\.5\] is not a pair of integers"),
+            ([(0, 1), (0, 2.0)], r"edge \(0, 2\.0\) is not a pair of integers"),
+            ([(0, 1), (0, "2")], r"edge \(0, '2'\) is not a pair of integers"),
+            ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair of integers"),
+            ([(0, 1), (2,)], r"edge \(2,\) is not a pair of integers"),
+            (np.array([0, 1]), r"edge 0 is not a pair of integers"),
+            (np.array([[0, 1, 2]]), r"edge \[0, 1, 2\] is not a pair of integers"),
+            (np.array([[True, False]]), r"the edges are not pairs of integers"),
+        ],
+        ids=["float", "float-array", "integral-float", "string", "triple", "single",
+             "flat-array", "triple-array", "bool-array"],
+    )
+    def test_edges_that_are_not_pairs_of_integers_rejected(self, edges, message):
+        # numpy would truncate 1.5 to 1 and read a flat array as no pairs at
+        # all; each such input raises, naming the edge where there is one
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        with pytest.raises(ValueError, match=message):
+            OrthogonalityGraph(3, edges)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_input_equals_pair_input(self, seed):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        rng = np.random.default_rng(seed)
+        n = 12
+        pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
+        kept = [p for p, k in zip(pairs, rng.random(len(pairs))) if k < 0.4]
+        edges = [p[::-1] if rng.random() < 0.5 else p for p in kept]
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        g = OrthogonalityGraph(n, edges)
+        for dtype in (np.intp, np.int32, np.uint8):
+            h = OrthogonalityGraph(n, np.array(edges, dtype=dtype))
+            assert (h.edges, h.triads, h.neighbours) == (g.edges, g.triads, g.neighbours)
+            assert h == g
+            _assert_python_ints(h)
+        assert len(g.triads) > 5
+
+    def test_empty_array_input(self):
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        for edges in (np.empty((0, 2), dtype=np.intp), np.empty((0, 2)), [], ()):
+            assert OrthogonalityGraph(0, edges) == OrthogonalityGraph(0, ())
+            g = OrthogonalityGraph(3, edges)
+            assert (g.edges, g.triads, g.neighbours) == ((), (), ((), (), ()))
+
+    def test_ray_built_graph_holds_python_ints(self, rayset):
+        # the graph is built from the scan's index arrays; json needs ints
+        from ksparadox.ksgraph import OrthogonalityGraph
+
+        graph = build_orthogonality_graph(rayset)
+        _assert_python_ints(graph)
+        json.dumps([graph.edges, graph.triads, graph.neighbours])
+        assert graph == OrthogonalityGraph(graph.node_count, graph.edges, graph.rays)
+
+
+def _assert_python_ints(g):
+    """Every node of g's edges, triads and neighbours is a Python int."""
+    nodes = [v for group in (g.edges, g.triads, g.neighbours) for t in group for v in t]
+    assert {type(v) for v in nodes} <= {int}
+    assert all(type(t) is tuple for group in (g.edges, g.triads, g.neighbours) for t in group)
+    assert type(g.edges) is type(g.triads) is type(g.neighbours) is tuple
+
+
+def _upper_pairs_reference(mat, keep):
+    """The pairs i < j whose |dot| passes keep, from the full n x n product,
+    in ascending (i, j) order."""
+    return np.argwhere(np.triu(keep(np.abs(mat @ mat.T)), 1)).T
+
+
+@pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 257])
+def test_upper_pairs_equal_full_product(count):
+    # frames give orthogonal pairs; repeated and negated rows give |dot| = 1
+    # pairs, some of them across the 128-row blocks
+    rng = np.random.default_rng(count)
+    mat = ksgraph._ray_matrix(_frame_rays(count, seed=count))
+    copied = rng.choice(count, size=count // 8, replace=False)
+    signs = rng.choice([-1.0, 1.0], (len(copied), 1))
+    mat[copied] = mat[rng.choice(count, size=len(copied))] * signs
+    bound = _edge_bound(0)
+    found = 0
+    for keep in (lambda d: d <= bound, lambda d: d >= 1.0 - bound):
+        first, second = ksgraph._upper_pairs(mat, keep)
+        expected = _upper_pairs_reference(mat, keep)
+        assert first.dtype == second.dtype == np.intp
+        assert np.array_equal(np.stack([first, second]), expected)
+        keys = first * max(count, 1) + second
+        assert (second > first).all() and (np.diff(keys) > 0).all()  # ascending (i, j)
+        found += len(first)
+    assert found >= count - 2
 
 
 def _reference_edges(rays, copies):
