@@ -1,6 +1,7 @@
 """CLI subcommands and the emitters (DOT, JSON, CSV)."""
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -199,6 +200,37 @@ class TestCliCommands:
         assert main(["build-set", "--out", str(a)]) == 0
         assert main(["build-set", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "degrees, json_sha, census_sha",
+        [
+            (
+                "18",
+                "0027f9cdd47e289bf020899d5550f0871c6718d9ae110d9fca2b41b95f9f7d62",
+                "d74237f25da7f81b4fd396b92e546ce19aad3ecb542d7f0688f973155f74b47d",
+            ),
+            (
+                "10",
+                "30520ef029792f4064668eb02bf8ec3f6df2350e03e810fbb6e5ab2fb836248b",
+                "9e66f4e48daadba8f1d94ffd7fc9596d5447025af622b392f048e32afd04b9b5",
+            ),
+            (
+                "2.25",
+                "d5293f8b932255c49985327a2af439efac8384b21fadfa956093840032a2464e",
+                "4fa422e84a33f1b8b4c0687453419b9572b95dd116bbc386239f8300206af75f",
+            ),
+        ],
+    )
+    def test_build_set_json_and_census_bytes_pinned(
+        self, capsys, tmp_path, degrees, json_sha, census_sha
+    ):
+        # the ray-set JSON names each copy's rays by role; the census lists
+        # each copy's triads: both must keep their bytes
+        out_path = tmp_path / "rays.json"
+        assert main(["build-set", "--step-angle-deg", degrees, "--out", str(out_path)]) == 0
+        census = capsys.readouterr().out.removesuffix(f"wrote {out_path}\n")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == json_sha
+        assert hashlib.sha256(census.encode()).hexdigest() == census_sha
 
     def test_overflowing_gadget_is_an_error_exit(self, capsys):
         assert main(["verify-gadget", "--x", "1e200", "--y", "1"]) == 1
