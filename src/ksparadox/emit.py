@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gadget import GADGET_ROLES, GADGET_TRIADS
+from .gadget import GADGET_TRIADS
 from .ksgraph import OrthogonalityGraph, RaySet
 from .linalg import X_AXIS, Y_AXIS, Z_AXIS
 from .simulate import GENERATOR_NAME, EnsembleCounts
@@ -100,9 +100,8 @@ def census_text(rs: RaySet) -> str:
         hits = sorted(lb for lb, k in triad_index.items() if k == idx)
         lines.append(f"axis {name}: {len(hits)} triad labels ({', '.join(hits)})")
     lines.append("")
-    for ci, cp in enumerate(rs.copies):
-        for triad_name, triad in zip("ABC", GADGET_TRIADS):
-            nodes = [cp[GADGET_ROLES[i]] for i in triad]
+    for ci, triads in enumerate(rs.copies[:, GADGET_TRIADS].tolist()):
+        for triad_name, nodes in zip("ABC", triads):
             coords = ", ".join(
                 "(" + " ".join(fmt9(c) for c in (rs.rays[k].x, rs.rays[k].y, rs.rays[k].z)) + ")"
                 for k in nodes

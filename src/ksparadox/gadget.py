@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Ray3
+from .linalg import Ray3, _canonical_units
 
 GADGET_ROLES = ("apex", "a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
 APEX, C3 = 0, 9
@@ -71,8 +71,9 @@ class AngleRangeError(ValueError):
     MAX_GADGET_ANGLE], or explicit parameters do not realize it."""
 
 
-def raw_gadget_vectors(x: float, y: float) -> tuple[np.ndarray, ...]:
-    """The ten construction vectors before normalization, in role order.
+def raw_gadget_vectors(x: float, y: float) -> np.ndarray:
+    """The ten construction vectors before normalization, as the rows of a
+    (10, 3) array in role order.
 
     Raises DegenerateParameterError when y**3 overflows a float."""
     try:
@@ -81,18 +82,18 @@ def raw_gadget_vectors(x: float, y: float) -> tuple[np.ndarray, ...]:
         raise DegenerateParameterError(
             f"parameters ({x}, {y}) overflow the construction vectors"
         ) from None
-    return (
-        np.array([-x * y, x, -1.0]),
-        np.array([0.0, 1.0, x]),
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, -x, 1.0]),
-        np.array([y, -1.0, 0.0]),
-        np.array([1.0, y, 0.0]),
-        np.array([0.0, 0.0, 1.0]),
-        np.array([-1.0, -y, -x * y]),
-        np.array([-y * (1 + x * x), 1 - x * x * y * y, x * (1 + y * y)]),
-        np.array([-x * y3 * (1 + x * x), x * (1 + 2 * y * y + x * x * y * y), -(1 + y * y)]),
-    )
+    return np.array([
+        [-x * y, x, -1.0],
+        [0.0, 1.0, x],
+        [1.0, 0.0, 0.0],
+        [0.0, -x, 1.0],
+        [y, -1.0, 0.0],
+        [1.0, y, 0.0],
+        [0.0, 0.0, 1.0],
+        [-1.0, -y, -x * y],
+        [-y * (1 + x * x), 1 - x * x * y * y, x * (1 + y * y)],
+        [-x * y3 * (1 + x * x), x * (1 + 2 * y * y + x * x * y * y), -(1 + y * y)],
+    ])
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,8 @@ def build_gadget(x: float, y: float) -> GadgetSet:
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DegenerateParameterError(f"parameters must be finite, got ({x}, {y})")
-    vecs = raw_gadget_vectors(x, y)
-    return GadgetSet(x=x, y=y, rays=tuple(map(Ray3.from_vector, vecs, GADGET_ROLES)))
+    units = _canonical_units(raw_gadget_vectors(x, y))
+    return GadgetSet(x=x, y=y, rays=tuple(map(Ray3, *units.T.tolist(), GADGET_ROLES)))
 
 
 @np.errstate(over="ignore", invalid="ignore")

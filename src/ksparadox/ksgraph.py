@@ -46,10 +46,12 @@ clique, or dedup raises ValueError: the rule is not transitive on that
 input.  The scan reads each 128-row block of the upper triangle (no n x n
 array) with np.flatnonzero, a tenth of 2-D np.nonzero's cost, and a divmod
 by the block's width: a C-ordered block's flat indices ascend by row, then
-column.  The graph finds the construction pairs among the edges with one
-np.searchsorted on the ascending keys i n + j and passes the scan's arrays
-to OrthogonalityGraph, which checks them in numpy; np.unique, np.setdiff1d
-and np.isin would import numpy.ma (numpy 2.4) on every run.
+column.  RaySet.copies, one (copies, 10) table of ray indices by role,
+gives the copies' pairs as copies[:, GADGET_EDGES], and the graph finds
+them among the edges with one np.searchsorted on the ascending keys i n + j
+and passes the scan's arrays to OrthogonalityGraph, which checks them in
+numpy; np.unique, np.setdiff1d and np.isin would import numpy.ma (numpy
+2.4) on every run.
 """
 
 from __future__ import annotations
@@ -158,22 +160,38 @@ def default_schedule(step_angle: float = DEFAULT_STEP_ANGLE) -> tuple[RotationSt
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RaySet:
     """Deduplicated canonical rays with full label provenance.
 
     rays holds one Ray3 per distinct direction, labeled by first occurrence.
     label_to_index maps every original label (all ten roles of every copy)
     to its distinct-ray index; merges records (absorbed label, representative
-    label) pairs; copies maps each gadget copy's roles to ray indices, in
-    sweep order.
+    label) pairs.  copies, the role table, is a read-only (copies, 10) intp
+    array: row k holds gadget copy k's ray indices in GADGET_ROLES order
+    (copies[k, C3] is its c3), in sweep order.  ValueError rejects a table
+    that is not integer, not ten columns wide, or names a ray outside the set.
     """
 
     rays: tuple[Ray3, ...]
     label_to_index: Mapping[str, int]
     merges: tuple[tuple[str, str], ...]
-    copies: tuple[Mapping[str, int], ...] = ()
+    copies: np.ndarray = ()
     provenance: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        table, n = np.asarray(self.copies), len(self.rays)
+        if table.shape[:1] == (0,):  # no copies
+            table = np.empty((0, len(GADGET_ROLES)), dtype=np.intp)
+        if table.dtype.kind not in "iu" or table.shape[1:] != (len(GADGET_ROLES),):
+            raise ValueError(
+                f"copies must be a (copies, {len(GADGET_ROLES)}) table of ray indices, "
+                f"not {table.dtype} of shape {table.shape}"
+            )
+        for k in np.flatnonzero(((table < 0) | (table >= n)).any(axis=1))[:1].tolist():
+            raise ValueError(f"copy {k} names a ray outside [0, {n}): {table[k].tolist()}")
+        object.__setattr__(self, "copies", table.astype(np.intp))
+        self.copies.flags.writeable = False
 
     @property
     def triad_label_count(self) -> int:
@@ -195,7 +213,7 @@ class RaySet:
     def to_dict(self) -> dict:
         return {
             "rays": [{"label": r.label, "xyz": [r.x, r.y, r.z]} for r in self.rays],
-            "copies": [dict(c) for c in self.copies],
+            "copies": [dict(zip(GADGET_ROLES, row)) for row in self.copies.tolist()],
             "merges": [list(m) for m in self.merges],
             "provenance": dict(self.provenance),
         }
@@ -237,13 +255,12 @@ def _align_gadget(g: GadgetSet) -> np.ndarray:
     on z, and c3 on the ray (sin a, 0, cos a) for the apex-c3 angle a: the
     ray onto which a turn by +a about c2 carries the apex.  That holds for
     parameters (x, y) of either sign."""
-    w = g.rays[APEX].vec
-    u = g.rays[GADGET_ROLES.index("c2")].vec
-    c3 = g.rays[C3].vec
+    vecs = _ray_matrix(g.rays)
+    w, u, c3 = vecs[APEX], vecs[GADGET_ROLES.index("c2")], vecs[C3]
     rot = np.stack([np.cross(u, w), u, w])  # maps u x w -> x, u -> y, w -> z
     if (rot[0] @ c3) * (rot[2] @ c3) < 0.0:
         rot[:2] = -rot[:2]  # then a half turn about z, exact in floating point
-    return _transformed(rot, _ray_matrix(g.rays))
+    return _transformed(rot, vecs)
 
 
 def assemble_ks_set(
@@ -291,11 +308,9 @@ def assemble_ks_set(
     labels = [f"g{ci + 1:02d}:{role}" for ci in range(n) for role in GADGET_ROLES[1:]]
     labels += [f"g{ci + 1:02d}:apex" for ci in range(n)]
     deduped, index = _dedupe(mat, labels, _edge_bound(n))
-    roles = np.column_stack([index[-n:], index[:-n].reshape(n, -1)])
-    copy_maps = tuple(dict(zip(GADGET_ROLES, row)) for row in roles.tolist())
     return replace(
         deduped,
-        copies=copy_maps,
+        copies=np.column_stack([index[-n:], index[:-n].reshape(n, -1)]),
         provenance={
             "step_angle": step_angle,
             "gadget_x": gadget.x,
@@ -406,19 +421,17 @@ def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> Or
     OrthogonalityGapError counts the missing ones; other pairs within the
     bound (the diagonal gadget's exact extra orthogonalities) stay edges.
     """
-    rays = tuple(getattr(source, "rays", source))
-    copies = getattr(source, "copies", ())
-    bound = _edge_bound(len(copies))
-    n = len(rays)
-    mat = source.matrix if isinstance(source, RaySet) else _ray_matrix(rays)
-    first, second = _upper_pairs(mat, lambda d: d <= bound)
+    if not isinstance(source, RaySet):
+        source = RaySet(tuple(getattr(source, "rays", source)), {}, ())
+    n = len(source.rays)
+    bound = _edge_bound(len(source.copies))
+    first, second = _upper_pairs(source.matrix, lambda d: d <= bound)
     # keys ascend with the pairs; the sentinel n * n exceeds every pair's
     # key, so each search lands on an entry
     keys = np.append(first * n + second, n * n)
-    roles = np.array([[cp[r] for r in GADGET_ROLES] for cp in copies], dtype=np.intp)
-    pairs = roles.reshape(-1, len(GADGET_ROLES))[:, np.array(GADGET_EDGES)]
+    pairs = source.copies[:, GADGET_EDGES]  # (copies, 15, 2) ray indices
     wanted = pairs.min(axis=2) * n + pairs.max(axis=2)
     missing = set(wanted[keys[np.searchsorted(keys, wanted)] != wanted].tolist())
     if missing:
         raise OrthogonalityGapError(f"{len(missing)} construction pairs have |dot| > {bound:.3g}")
-    return OrthogonalityGraph(n, np.column_stack([first, second]), rays)
+    return OrthogonalityGraph(n, np.column_stack([first, second]), source.rays)

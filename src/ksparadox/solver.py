@@ -34,7 +34,6 @@ from .gadget import (
     APEX,
     C3,
     GADGET_EDGES,
-    GADGET_ROLES,
     REALIZE_TOL,
     _gadget_lemma,
     satisfying_masks,
@@ -153,7 +152,8 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
         partners[a].append((b, c))
         partners[b].append((a, c))
         partners[c].append((a, b))
-    order = sorted(range(n), key=lambda v: (-(len(partners[v]) + len(adj[v])), v))
+    # sorted is stable, so ties keep ascending node order
+    order = sorted(range(n), key=lambda v: -(len(partners[v]) + len(adj[v])))
 
     value = [-1] * n
     trail: list[tuple[int, int, int]] = []
@@ -308,9 +308,9 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     link to the ten-role graph, whose forcing lemma is computed once by
     exhaustive enumeration and read off, not assumed.
     """
-    if not chain.copies:
+    roles = chain.copies
+    if not len(roles):
         raise ValueError("ray set carries no gadget copies")
-    roles = np.array([[cp[role] for role in GADGET_ROLES] for cp in chain.copies])
     for k in np.flatnonzero(roles[:-1, C3] != roles[1:, APEX])[:1].tolist():
         raise ChainIntegrityError(
             f"link {k}->{k + 1}: copy {k} c3 (node {roles[k, C3]}) is not "

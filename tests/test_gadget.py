@@ -23,12 +23,18 @@ from ksparadox.gadget import (
     gadget_for_angle,
     minimize_gadget_cosine,
     offdiagonal_parameters_for_angle,
+    raw_gadget_vectors,
     solve_parameter_for_angle,
 )
+from ksparadox.linalg import NormalizationError, Ray3
 
 params = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 BOUND_COSINE = math.sqrt(8.0) / 3.0
+
+
+def _hexed(rays):
+    return [(r.x.hex(), r.y.hex(), r.z.hex(), r.label) for r in rays]
 
 
 class TestBuildGadget:
@@ -72,6 +78,25 @@ class TestBuildGadget:
         message = re.escape(f"parameters ({x}, 1e+200) overflow the construction vectors")
         with pytest.raises(DegenerateParameterError, match=f"^{message}$"):
             build_gadget(x, 1e200)
+
+    def test_rays_match_the_per_ray_rebuild(self):
+        # one _canonical_units call over the (10, 3) array keeps the bits of
+        # Ray3.from_vector applied to each construction vector in turn
+        grid = (-3.0, -1.0, -0.37, -1e-9, -1e-300, 0.0, 1e-300, 1e-9, 0.37, 1.0, 2.9)
+        for x in grid:
+            for y in grid:
+                rebuilt = map(Ray3.from_vector, raw_gadget_vectors(x, y), GADGET_ROLES)
+                assert _hexed(build_gadget(x, y).rays) == _hexed(rebuilt), (x, y)
+
+    def test_overflowing_norm_names_the_first_vector(self):
+        # at (1, 1e100) the first vector whose norm overflows is c2's
+        vecs = raw_gadget_vectors(1.0, 1e100)
+        with pytest.raises(NormalizationError) as per_ray:
+            for v in vecs:
+                Ray3.from_vector(v)
+        assert str(per_ray.value).startswith(f"cannot normalize {vecs[8]!r} of norm inf")
+        with pytest.raises(NormalizationError, match=f"^{re.escape(str(per_ray.value))}$"):
+            build_gadget(1.0, 1e100)
 
     def test_serialization_shape(self):
         doc = build_gadget(1.0, 0.5).to_dict()

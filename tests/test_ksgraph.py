@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from ksparadox import ksgraph
 from ksparadox.emit import census_text
 from ksparadox.gadget import (
+    APEX,
+    C3,
     GADGET_EDGES,
     GADGET_ROLES,
     GADGET_TRIADS,
@@ -437,8 +439,8 @@ class TestAssembleDefault:
     def test_chain_links_shared(self, rayset):
         copies = rayset.copies
         for k in range(len(copies) - 1):
-            assert copies[k]["c3"] == copies[k + 1]["apex"]
-        assert copies[-1]["c3"] == copies[0]["apex"]  # closed sweep
+            assert copies[k, C3] == copies[k + 1, APEX]
+        assert copies[-1, C3] == copies[0, APEX]  # closed sweep
 
     def test_axes_present_each_seven_triad_labels(self, rayset):
         for axis in AXES:
@@ -470,6 +472,71 @@ class TestAssembleDefault:
         assert closest > 1e-4
 
 
+B3 = GADGET_ROLES.index("b3")
+
+
+def _role_dicts(table):
+    return tuple(dict(zip(GADGET_ROLES, row)) for row in table.tolist())
+
+
+class TestCopyTable:
+    """RaySet.copies: one row of ray indices per copy, in GADGET_ROLES
+    order, checked once when the set is built."""
+
+    def test_assembled_table_is_read_only_intp(self, rayset):
+        table = rayset.copies
+        assert table.dtype == np.intp and table.shape == (15, 10)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert rayset.to_dict()["copies"] == list(_role_dicts(table))
+
+    @pytest.mark.parametrize("copies", [(), np.empty((0, 10), dtype=np.int32)])
+    def test_no_copies_give_an_empty_table(self, copies):
+        rs = RaySet(AXES, {}, (), copies)
+        assert rs.copies.dtype == np.intp and rs.copies.shape == (0, 10)
+        assert dedupe_rays(AXES).copies.shape == (0, 10)
+
+    def test_table_is_kept_apart_from_its_input(self, rayset):
+        table = np.array(rayset.copies, dtype=np.int32)
+        rs = dataclasses.replace(rayset, copies=table)
+        table[0, 0] = 5
+        assert rs.copies.dtype == np.intp and rs.copies[0, 0] == rayset.copies[0, 0]
+
+    def test_last_ray_named_minus_one_rejected(self, rayset):
+        # copy 15's b3 is the last ray; as -1 it would still index that ray,
+        # and the chain audit would confirm the contradiction on a table that
+        # names no ray
+        table = np.array(rayset.copies)
+        assert table[14, B3] == len(rayset.rays) - 1 == 116
+        table[14, B3] = -1
+        with pytest.raises(ValueError, match=r"^copy 14 names a ray outside \[0, 117\): "):
+            dataclasses.replace(rayset, copies=table)
+
+    @pytest.mark.parametrize("node", [117, 233])
+    def test_ray_past_the_set_rejected(self, rayset, node):
+        table = np.array(rayset.copies)
+        table[9, B3] = node
+        with pytest.raises(ValueError, match=r"^copy 9 names a ray outside \[0, 117\): "):
+            dataclasses.replace(rayset, copies=table)
+
+    @pytest.mark.parametrize(
+        "reshape, shape",
+        [
+            (lambda t: t[:, :9], r"\(15, 9\)"),
+            (lambda t: np.column_stack([t, t[:, :1]]), r"\(15, 11\)"),
+            (lambda t: t.astype(float), r"\(15, 10\)"),
+            (lambda t: t.astype(bool), r"\(15, 10\)"),
+            (_role_dicts, r"\(15,\)"),
+            (lambda t: t[None], r"\(1, 15, 10\)"),
+        ],
+        ids=["9-columns", "11-columns", "float", "bool", "role-dicts", "3-d"],
+    )
+    def test_table_not_integer_or_ten_wide_rejected(self, rayset, reshape, shape):
+        with pytest.raises(ValueError, match=rf"^copies must be a \(copies, 10\) .* {shape}$"):
+            dataclasses.replace(rayset, copies=reshape(np.array(rayset.copies)))
+
+
 class TestAssembleVariants:
     def test_single_copy_empty_schedule(self):
         rs = assemble_ks_set(schedule=())
@@ -483,7 +550,7 @@ class TestAssembleVariants:
         rs = assemble_ks_set(gadget_params=(t, t))
         assert len(rs.rays) == 105
         copies = rs.copies
-        assert all(copies[k]["c3"] == copies[k + 1]["apex"] for k in range(14))
+        assert all(copies[k, C3] == copies[k + 1, APEX] for k in range(14))
 
     def test_unknown_axis_role_rejected(self):
         with pytest.raises(ScheduleError):
@@ -888,7 +955,7 @@ def _frame_rays(count, seed):
 
 def _construction(rs, relations):
     return {
-        tuple(sorted(cp[GADGET_ROLES[i]] for i in rel)) for cp in rs.copies for rel in relations
+        tuple(sorted(cp[list(rel)].tolist())) for cp in rs.copies for rel in relations
     }
 
 
@@ -976,12 +1043,10 @@ class TestConstructionCertificate:
 
     def test_tampered_copies_rejected(self):
         rs = assemble_ks_set()
-        copies = list(rs.copies)
-        tampered = dict(copies[7])
-        tampered["apex"] = copies[7]["c3"]
-        copies[7] = tampered
+        copies = np.array(rs.copies)
+        copies[7, APEX] = copies[7, C3]
         with pytest.raises(OrthogonalityGapError, match=r"^\d+ construction pairs have \|dot\| >"):
-            build_orthogonality_graph(dataclasses.replace(rs, copies=tuple(copies)))
+            build_orthogonality_graph(dataclasses.replace(rs, copies=copies))
 
     @pytest.mark.parametrize(
         "index, moves, count",
@@ -993,9 +1058,10 @@ class TestConstructionCertificate:
     )
     def test_tampered_copy_counts_distinct_missing_pairs(self, index, moves, count):
         rs = assemble_ks_set()
-        copies = list(rs.copies)
-        copies[index] = {**copies[index], **{r: copies[index][m] for r, m in moves.items()}}
-        tampered = dataclasses.replace(rs, copies=tuple(copies))
+        copies = np.array(rs.copies)
+        for r, m in moves.items():
+            copies[index, GADGET_ROLES.index(r)] = copies[index, GADGET_ROLES.index(m)]
+        tampered = dataclasses.replace(rs, copies=copies)
         edges = _reference_edges(rs.rays, len(copies))
         assert len(_construction(tampered, GADGET_EDGES) - set(edges)) == count
         with pytest.raises(OrthogonalityGapError, match=rf"^{count} construction pairs have "):

@@ -4,11 +4,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from ksparadox.gadget import (
+    APEX,
+    C3,
+    GADGET_ROLES,
     MAX_GADGET_ANGLE,
     build_gadget,
     enumerate_gadget_assignments,
@@ -37,6 +41,7 @@ from ksparadox.solver import (
     verify_assignment,
 )
 
+A1, A2, B1 = (GADGET_ROLES.index(role) for role in ("a1", "a2", "b1"))
 AXES_GRAPH = build_orthogonality_graph(
     [Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 )
@@ -192,6 +197,28 @@ class TestSearchCounters:
         assert verdict.certificate_digest == digest
 
 
+class TestCertificate:
+    """The certificate decoded: the decision trail of an UNSAT search."""
+
+    @pytest.mark.parametrize("k, entries, depth", [(5, 132, 9), (24, 3362, 47)])
+    def test_trail_of_a_closed_sweep(self, k, entries, depth):
+        graph = build_orthogonality_graph(assemble_ks_set(math.radians(90.0 / k)))
+        verdict = check_colorability(graph)
+        payload = zlib.decompress(verdict.certificate)
+        assert hashlib.sha256(payload).hexdigest() == verdict.certificate_digest
+        trail = json.loads(payload)
+        stats = verdict.stats
+        assert len(trail) == stats.nodes_explored == entries
+        assert stats.max_depth == depth
+        for entry in trail:
+            assert len(entry) == 3 and all(type(v) is int for v in entry), entry
+            assert 0 <= entry[0] <= depth and 0 <= entry[1] < graph.node_count, entry
+            assert entry[2] in (0, 1), entry
+        # a decision that conflicts at once is not counted in max_depth, so
+        # the trail reaches depth max_depth itself
+        assert max(d for d, _, _ in trail) == depth
+
+
 def _glued_triangles(rng):
     """An abstract graph of up to 14 nodes: random triangles, which share
     nodes, plus loose edges; every triangle of the union is a triad."""
@@ -333,11 +360,9 @@ class TestForcingChain:
 
     def test_broken_chain_names_link(self):
         rs = assemble_ks_set()
-        copies = list(rs.copies)
-        tampered = dict(copies[7])
-        tampered["apex"] = copies[7]["c3"]
-        copies[7] = tampered
-        broken = dataclasses.replace(rs, copies=tuple(copies))
+        copies = np.array(rs.copies)
+        copies[7, APEX] = copies[7, C3]
+        broken = dataclasses.replace(rs, copies=copies)
         with pytest.raises(ChainIntegrityError, match="link 6->7"):
             forcing_chain_check(math.radians(18.0), broken)
 
@@ -372,9 +397,9 @@ class TestForcingChain:
         # copy 3's a1 and b1 swap nodes: the copy keeps its c3 -> apex
         # links, but six of its construction pairs are no longer orthogonal
         rs = assemble_ks_set()
-        copies = list(rs.copies)
-        copies[3] = {**copies[3], "a1": copies[3]["b1"], "b1": copies[3]["a1"]}
-        swapped = dataclasses.replace(rs, copies=tuple(copies))
+        copies = np.array(rs.copies)
+        copies[3, [A1, B1]] = copies[3, [B1, A1]]
+        swapped = dataclasses.replace(rs, copies=copies)
         with pytest.raises(ChainIntegrityError, match="link 3: orthogonality residual"):
             forcing_chain_check(math.radians(18.0), swapped)
 
@@ -384,12 +409,12 @@ class TestForcingChain:
         rs = assemble_ks_set()
         cp = rs.copies[3]
         bound = _edge_bound(len(rs.copies))
-        a1, a2 = rs.rays[cp["a1"]].vec, rs.rays[cp["a2"]].vec
+        a1, a2 = rs.rays[cp[A1]].vec, rs.rays[cp[A2]].vec
         moved = Ray3.from_vector(math.cos(3 * bound) * a2 + math.sin(3 * bound) * a1)
         rays = list(rs.rays)
-        rays[cp["a2"]] = moved
+        rays[cp[A2]] = moved
         tampered = dataclasses.replace(rs, rays=tuple(rays))
-        assert abs(moved.dot(rs.rays[cp["a1"]])) > 2.5 * bound
+        assert abs(moved.dot(rs.rays[cp[A1]])) > 2.5 * bound
         with pytest.raises(OrthogonalityGapError):
             build_orthogonality_graph(tampered)
         with pytest.raises(ChainIntegrityError, match="link 3: orthogonality residual"):
