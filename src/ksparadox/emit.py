@@ -41,7 +41,7 @@ def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
     """
     lines = ["graph ksdiagram {", '  node [shape=circle, style=""];']
     for i in range(g.node_count):
-        label = g.rays[i].label if g.rays is not None and g.rays[i].label else f"r{i}"
+        label = g.labels[i] if g.labels is not None and g.labels[i] else f"r{i}"
         lines.append(f'  n{i} [label="{label}"];')
     lines += (f"  n{i} -- n{j};" for i, j in g.edges)
     lines += (f"  // triad {a} {b} {c}" for a, b, c in g.triads)
@@ -88,10 +88,10 @@ def census_text(rs: RaySet) -> str:
     labels land on each coordinate axis, and the rays of each copy's three
     contexts (three triads per gadget copy).
     """
-    triad_index = {lb: k for lb, k in rs.label_to_index.items() if not lb.endswith("apex")}
+    triad_index = rs.triad_index
     merged = len(triad_index) - len(set(triad_index.values()))
     lines = [
-        f"distinct rays: {len(rs.rays)}",
+        f"distinct rays: {len(rs.labels)}",
         f"labeled triad rays: {len(triad_index)} ({merged} merged)",
         f"gadget copies: {len(rs.copies)}",
     ]
@@ -100,11 +100,9 @@ def census_text(rs: RaySet) -> str:
         hits = sorted(lb for lb, k in triad_index.items() if k == idx)
         lines.append(f"axis {name}: {len(hits)} triad labels ({', '.join(hits)})")
     lines.append("")
+    rows = [" ".join(map(fmt9, xyz)) for xyz in rs.matrix.tolist()]
     for ci, triads in enumerate(rs.copies[:, GADGET_TRIADS].tolist()):
         for triad_name, nodes in zip("ABC", triads):
-            coords = ", ".join(
-                "(" + " ".join(fmt9(c) for c in (rs.rays[k].x, rs.rays[k].y, rs.rays[k].z)) + ")"
-                for k in nodes
-            )
+            coords = ", ".join(f"({rows[k]})" for k in nodes)
             lines.append(f"g{ci + 1:02d}.{triad_name}: nodes {nodes} {coords}")
     return "\n".join(lines) + "\n"

@@ -96,13 +96,19 @@ def raw_gadget_vectors(x: float, y: float) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GadgetSet:
-    """Ten labeled rays; their fifteen orthogonality edges are GADGET_EDGES."""
+    """Ten rays, stored as units, a read-only (10, 3) array of rows in
+    GADGET_ROLES order; their fifteen orthogonality edges are GADGET_EDGES."""
 
     x: float
     y: float
-    rays: tuple[Ray3, ...]
+    units: np.ndarray
+
+    @functools.cached_property
+    def rays(self) -> tuple[Ray3, ...]:
+        """The rows as Ray3 labeled by role, built when first read."""
+        return tuple(map(Ray3, *self.units.T.tolist(), GADGET_ROLES))
 
     def ray(self, role: str) -> Ray3:
         return self.rays[GADGET_ROLES.index(role)]
@@ -133,7 +139,8 @@ def build_gadget(x: float, y: float) -> GadgetSet:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DegenerateParameterError(f"parameters must be finite, got ({x}, {y})")
     units = _canonical_units(raw_gadget_vectors(x, y))
-    return GadgetSet(x=x, y=y, rays=tuple(map(Ray3, *units.T.tolist(), GADGET_ROLES)))
+    units.flags.writeable = False
+    return GadgetSet(x=x, y=y, units=units)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, Sequence
 
@@ -164,23 +164,42 @@ def default_schedule(step_angle: float = DEFAULT_STEP_ANGLE) -> tuple[RotationSt
 class RaySet:
     """Deduplicated canonical rays with full label provenance.
 
-    rays holds one Ray3 per distinct direction, labeled by first occurrence.
-    label_to_index maps every original label (all ten roles of every copy)
-    to its distinct-ray index; merges records (absorbed label, representative
-    label) pairs.  copies, the role table, is a read-only (copies, 10) intp
-    array: row k holds gadget copy k's ray indices in GADGET_ROLES order
-    (copies[k, C3] is its c3), in sweep order.  ValueError rejects a table
-    that is not integer, not ten columns wide, or names a ray outside the set.
+    matrix, the rays' one stored form, is a read-only (n, 3) float array of
+    unit rows, each named in labels by its first occurrence; label_to_index
+    maps every original label (all ten roles of every copy) to its ray index.
+    rays and merges, the (absorbed label, representative label) pairs, are
+    derived from these.  copies, the role table, is a read-only (copies, 10)
+    intp array: row k holds gadget copy k's ray indices in GADGET_ROLES order
+    (copies[k, C3] is its c3), in sweep order.  ValueError rejects rows that
+    are not finite unit vectors (to 1e-12), labels not one per row or used
+    twice, a label mapped outside the set, a row's own label mapped to
+    another row, and a table that is not integer, not ten columns wide, or
+    names a ray outside the set.
     """
 
-    rays: tuple[Ray3, ...]
+    matrix: np.ndarray
+    labels: tuple[str, ...]
     label_to_index: Mapping[str, int]
-    merges: tuple[tuple[str, str], ...]
     copies: np.ndarray = ()
     provenance: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        table, n = np.asarray(self.copies), len(self.rays)
+        mat = np.array(self.matrix, dtype=float)  # a copy, made read-only below
+        labels, lookup = tuple(self.labels), self.label_to_index
+        if mat.ndim != 2 or mat.shape[1] != 3:
+            raise ValueError(f"matrix must be an (n, 3) array, not of shape {mat.shape}")
+        n, norms = len(mat), np.sqrt((mat * mat).sum(axis=1))
+        for i in np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))[:1].tolist():  # NaN fails too
+            raise ValueError(f"row {i} is not a finite unit vector: {mat[i].tolist()}")
+        if len(labels) != n or len(set(labels)) != n:
+            raise ValueError(f"{len(labels)} labels, {len(set(labels))} distinct, for {n} rays")
+        index = np.fromiter(lookup.values(), dtype=np.intp, count=len(lookup))
+        for k in np.flatnonzero((index < 0) | (index >= n))[:1].tolist():
+            raise ValueError(f"label {list(lookup)[k]!r} names ray {index[k]}, outside [0, {n})")
+        if list(map(lookup.get, labels)) != list(range(n)):
+            i = next(i for i, label in enumerate(labels) if lookup.get(label) != i)
+            raise ValueError(f"ray {i}'s label {labels[i]!r} names ray {lookup.get(labels[i])}")
+        table = np.asarray(self.copies)
         if table.shape[:1] == (0,):  # no copies
             table = np.empty((0, len(GADGET_ROLES)), dtype=np.intp)
         if table.dtype.kind not in "iu" or table.shape[1:] != (len(GADGET_ROLES),):
@@ -190,20 +209,29 @@ class RaySet:
             )
         for k in np.flatnonzero(((table < 0) | (table >= n)).any(axis=1))[:1].tolist():
             raise ValueError(f"copy {k} names a ray outside [0, {n}): {table[k].tolist()}")
-        object.__setattr__(self, "copies", table.astype(np.intp))
-        self.copies.flags.writeable = False
+        for name, value in (("matrix", mat), ("labels", labels), ("copies", table.astype(np.intp))):
+            object.__setattr__(self, name, value)
+        self.matrix.flags.writeable = self.copies.flags.writeable = False
+
+    @cached_property
+    def rays(self) -> tuple[Ray3, ...]:
+        """The rows as Ray3, each with its label, built when first read."""
+        return tuple(map(Ray3, *self.matrix.T.tolist(), self.labels))
+
+    @property
+    def merges(self) -> tuple[tuple[str, str], ...]:
+        """(label, representative label) for every label not naming its own ray."""
+        labels = self.labels
+        return tuple((lb, labels[k]) for lb, k in self.label_to_index.items() if labels[k] != lb)
+
+    @property
+    def triad_index(self) -> dict[str, int]:
+        """Ray index of every input label except the apex role's (nine per copy)."""
+        return {lb: k for lb, k in self.label_to_index.items() if not lb.endswith("apex")}
 
     @property
     def triad_label_count(self) -> int:
-        """Number of input labels excluding the apex role (nine per copy)."""
-        return sum(1 for lb in self.label_to_index if not lb.endswith("apex"))
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The rays' (n, 3) unit vectors, built once per set and read-only."""
-        mat = _ray_matrix(self.rays)
-        mat.flags.writeable = False
-        return mat
+        return len(self.triad_index)
 
     def index_of(self, r: Ray3) -> int | None:
         """Index of the first ray that dedup merges with r (by the set's bound), or None."""
@@ -212,7 +240,7 @@ class RaySet:
 
     def to_dict(self) -> dict:
         return {
-            "rays": [{"label": r.label, "xyz": [r.x, r.y, r.z]} for r in self.rays],
+            "rays": [{"label": lb, "xyz": v} for lb, v in zip(self.labels, self.matrix.tolist())],
             "copies": [dict(zip(GADGET_ROLES, row)) for row in self.copies.tolist()],
             "merges": [list(m) for m in self.merges],
             "provenance": dict(self.provenance),
@@ -225,11 +253,11 @@ def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
     position.  Raises ValueError for a label taken twice, generated ones
     included, and where the rule is not transitive (module docstring)."""
     labels = [r.label or f"r{i}" for i, r in enumerate(rays)]
-    return _dedupe(_ray_matrix(rays), labels, _edge_bound(0))[0]
+    return RaySet(*_dedupe(_ray_matrix(rays), labels, _edge_bound(0))[0])
 
 
-def _dedupe(mat: np.ndarray, labels: Sequence[str], bound: float) -> tuple[RaySet, np.ndarray]:
-    """The RaySet of (m, 3) coordinate rows, one label each, and each row's ray index."""
+def _dedupe(mat: np.ndarray, labels: Sequence[str], bound: float) -> tuple[tuple, np.ndarray]:
+    """The first three RaySet fields of labeled (m, 3) rows, and each row's ray index."""
     first, second = _upper_pairs(mat, lambda d: d >= 1.0 - bound)
     same = np.linalg.norm(np.cross(mat[first], mat[second]), axis=-1) <= bound
     first, second = first[same], second[same]
@@ -245,9 +273,7 @@ def _dedupe(mat: np.ndarray, labels: Sequence[str], bound: float) -> tuple[RaySe
         taken = next(i for i, label in enumerate(labels) if labels.index(label) < i)
         raise ValueError(f"label {labels[taken]!r} of input ray {taken} is already taken")
     rows = np.flatnonzero(kept).tolist()
-    rays = tuple(map(Ray3, *mat[rows].T.tolist(), [labels[i] for i in rows]))
-    merges = tuple((labels[i], labels[r]) for i, r in enumerate(rep.tolist()) if r != i)
-    return RaySet(rays=rays, label_to_index=label_to_index, merges=merges), index
+    return (mat[rows], [labels[i] for i in rows], label_to_index), index
 
 
 def _align_gadget(g: GadgetSet) -> np.ndarray:
@@ -255,7 +281,7 @@ def _align_gadget(g: GadgetSet) -> np.ndarray:
     on z, and c3 on the ray (sin a, 0, cos a) for the apex-c3 angle a: the
     ray onto which a turn by +a about c2 carries the apex.  That holds for
     parameters (x, y) of either sign."""
-    vecs = _ray_matrix(g.rays)
+    vecs = g.units
     w, u, c3 = vecs[APEX], vecs[GADGET_ROLES.index("c2")], vecs[C3]
     rot = np.stack([np.cross(u, w), u, w])  # maps u x w -> x, u -> y, w -> z
     if (rot[0] @ c3) * (rot[2] @ c3) < 0.0:
@@ -307,9 +333,9 @@ def assemble_ks_set(
     mat = np.concatenate([cp[1:] for cp in copies] + [cp[APEX, None] for cp in copies])
     labels = [f"g{ci + 1:02d}:{role}" for ci in range(n) for role in GADGET_ROLES[1:]]
     labels += [f"g{ci + 1:02d}:apex" for ci in range(n)]
-    deduped, index = _dedupe(mat, labels, _edge_bound(n))
-    return replace(
-        deduped,
+    fields, index = _dedupe(mat, labels, _edge_bound(n))
+    return RaySet(
+        *fields,
         copies=np.column_stack([index[-n:], index[:-n].reshape(n, -1)]),
         provenance={
             "step_angle": step_angle,
@@ -324,31 +350,32 @@ def assemble_ks_set(
 
 @dataclass(frozen=True)
 class OrthogonalityGraph:
-    """Rays, orthogonal-pair edges, and triads: all triangles of the edges.
+    """Nodes, orthogonal-pair edges, and triads: all triangles of the edges.
 
     The one constructor takes the edges as pairs or as an (m, 2) integer
     array, sorts each edge and the edge list, stores Python ints, and raises
     ValueError for a negative node_count, an edge that is not a pair of
     integers, a node outside [0, node_count), a repeated member, an edge
-    listed twice, and rays not one per node.  The triads, each a sorted
+    listed twice, and labels not one per node.  The triads, each a sorted
     triple, are derived from the edges, so every graph's triads are exactly
     its triangles; neighbours holds each node's neighbours in ascending
-    order, the graph's one adjacency build.  For graphs built from rays,
-    every edge, and so every triangle, is orthogonal to within the float error.
+    order, the graph's one adjacency build.  A graph built from rays keeps
+    their labels, and every edge, and so every triangle, is orthogonal to
+    within the float error; its coordinates stay with its source.
     """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
     triads: tuple[tuple[int, int, int], ...] = field(init=False)
     neighbours: tuple[tuple[int, ...], ...] = field(init=False)
-    rays: tuple[Ray3, ...] | None = None
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         n = self.node_count
         if n < 0:
             raise ValueError(f"node_count {n} is negative")
-        if self.rays is not None and len(self.rays) != n:
-            raise ValueError(f"{len(self.rays)} rays for {n} nodes")
+        if self.labels is not None and len(self.labels) != n:
+            raise ValueError(f"{len(self.labels)} labels for {n} nodes")
         pairs = np.sort(_edge_array(self.edges), axis=1)
         bad = pairs[(pairs[:, 0] < 0) | (pairs[:, 1] >= n) | (pairs[:, 0] == pairs[:, 1])].tolist()
         if bad:
@@ -421,17 +448,23 @@ def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> Or
     OrthogonalityGapError counts the missing ones; other pairs within the
     bound (the diagonal gadget's exact extra orthogonalities) stay edges.
     """
-    if not isinstance(source, RaySet):
-        source = RaySet(tuple(getattr(source, "rays", source)), {}, ())
-    n = len(source.rays)
-    bound = _edge_bound(len(source.copies))
-    first, second = _upper_pairs(source.matrix, lambda d: d <= bound)
+    copies = np.empty((0, len(GADGET_ROLES)), dtype=np.intp)
+    if isinstance(source, RaySet):
+        mat, labels, copies = source.matrix, source.labels, source.copies
+    elif isinstance(source, GadgetSet):
+        mat, labels = source.units, GADGET_ROLES
+    else:
+        rays = tuple(source)
+        mat, labels = _ray_matrix(rays), tuple(r.label for r in rays)
+    n = len(mat)
+    bound = _edge_bound(len(copies))
+    first, second = _upper_pairs(mat, lambda d: d <= bound)
     # keys ascend with the pairs; the sentinel n * n exceeds every pair's
     # key, so each search lands on an entry
     keys = np.append(first * n + second, n * n)
-    pairs = source.copies[:, GADGET_EDGES]  # (copies, 15, 2) ray indices
+    pairs = copies[:, GADGET_EDGES]  # (copies, 15, 2) ray indices
     wanted = pairs.min(axis=2) * n + pairs.max(axis=2)
     missing = set(wanted[keys[np.searchsorted(keys, wanted)] != wanted].tolist())
     if missing:
         raise OrthogonalityGapError(f"{len(missing)} construction pairs have |dot| > {bound:.3g}")
-    return OrthogonalityGraph(n, np.column_stack([first, second]), source.rays)
+    return OrthogonalityGraph(n, np.column_stack([first, second]), labels)

@@ -340,7 +340,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     axes_present = all(i is not None for i in axis_nodes)
     axes_on_chain = axes_present and set(axis_nodes) <= set(roles[:, [APEX, C3]].ravel().tolist())
     axes_orthogonal = axes_present and all(
-        abs(chain.rays[a].dot(chain.rays[b])) <= bound for a, b in combinations(axis_nodes, 2)
+        abs(chain.matrix[a] @ chain.matrix[b]) <= bound for a, b in combinations(axis_nodes, 2)
     )
     return ChainReport(
         links=links,

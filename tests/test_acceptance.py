@@ -344,8 +344,8 @@ def _ball_nodes(rng, adjacency, node_count: int, size: int) -> list[int]:
     return seen
 
 
-def test_criterion_12_solver_oracle_equivalence(default_graph):
-    rays = default_graph.rays
+def test_criterion_12_solver_oracle_equivalence(default_rayset, default_graph):
+    rays = default_rayset.rays
     adjacency = default_graph.adjacency()
     rng = np.random.default_rng(20260810)
     agreements = 0

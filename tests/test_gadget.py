@@ -26,6 +26,7 @@ from ksparadox.gadget import (
     raw_gadget_vectors,
     solve_parameter_for_angle,
 )
+from ksparadox.ksgraph import _align_gadget, build_orthogonality_graph
 from ksparadox.linalg import NormalizationError, Ray3
 
 params = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -87,6 +88,17 @@ class TestBuildGadget:
             for y in grid:
                 rebuilt = map(Ray3.from_vector, raw_gadget_vectors(x, y), GADGET_ROLES)
                 assert _hexed(build_gadget(x, y).rays) == _hexed(rebuilt), (x, y)
+
+    def test_units_are_the_stored_form(self):
+        # the graph and the sweep read the (10, 3) array; Ray3 objects are
+        # built only when an API caller reads rays
+        g = build_gadget(*offdiagonal_parameters_for_angle(math.radians(18.0)))
+        assert g.units.shape == (10, 3) and not g.units.flags.writeable
+        assert build_orthogonality_graph(g).labels == GADGET_ROLES
+        assert _align_gadget(g).shape == (10, 3)
+        assert "rays" not in vars(g)
+        assert [[r.x, r.y, r.z] for r in g.rays] == g.units.tolist()
+        assert [r["xyz"] for r in g.to_dict()["rays"]] == g.units.tolist()
 
     def test_overflowing_norm_names_the_first_vector(self):
         # at (1, 1e100) the first vector whose norm overflows is c2's

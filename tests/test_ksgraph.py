@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksparadox import ksgraph
-from ksparadox.emit import census_text
+from ksparadox.emit import census_text, graph_to_dot
 from ksparadox.gadget import (
     APEX,
     C3,
@@ -40,8 +40,6 @@ from ksparadox.ksgraph import (
 )
 from ksparadox.linalg import (
     SIGN_EPS,
-    X_AXIS,
-    Y_AXIS,
     Context,
     Ray3,
     _canonical_units,
@@ -50,6 +48,8 @@ from ksparadox.linalg import (
 from ksparadox.solver import check_colorability, forcing_chain_check
 
 AXES = tuple(Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+#: the coordinate axes as a hand-built RaySet's fields, labeled x, y and z
+AXES_FIELDS = {"matrix": np.eye(3), "labels": ("x", "y", "z"), "label_to_index": {"x": 0, "y": 1, "z": 2}}
 
 
 def _cross_norm(u, v):
@@ -278,7 +278,7 @@ class TestIndexOf:
     # below asserts its results on one kind of set
 
     def test_hand_built_set_builds_its_index_once(self):
-        rs = RaySet(rays=AXES, label_to_index={}, merges=())
+        rs = RaySet(**AXES_FIELDS)
         assert [rs.index_of(a) for a in AXES] == [0, 1, 2]
         assert rs.index_of(Ray3.from_vector((5e-15, -1, 1e-14))) == 1  # a near-antipode of y
         assert rs.index_of(Ray3.from_vector((0, 1, 3e-14))) is None  # beyond _edge_bound(0)
@@ -291,7 +291,15 @@ class TestIndexOf:
     def test_replace_carries_or_rebuilds_the_index(self, rayset):
         same = dataclasses.replace(rayset, copies=())
         assert [same.index_of(a) for a in AXES] == [40, 7, 39]
-        grown = dataclasses.replace(rayset, rays=AXES + rayset.rays)
+        grown = dataclasses.replace(
+            rayset,
+            matrix=np.concatenate([AXES_FIELDS["matrix"], rayset.matrix]),
+            labels=AXES_FIELDS["labels"] + rayset.labels,
+            label_to_index={
+                **AXES_FIELDS["label_to_index"],
+                **{lb: k + 3 for lb, k in rayset.label_to_index.items()},
+            },
+        )
         assert [grown.index_of(a) for a in AXES] == [0, 1, 2]
 
     def test_ray_matrix_built_once_and_read_only(self, rayset):
@@ -493,7 +501,7 @@ class TestCopyTable:
 
     @pytest.mark.parametrize("copies", [(), np.empty((0, 10), dtype=np.int32)])
     def test_no_copies_give_an_empty_table(self, copies):
-        rs = RaySet(AXES, {}, (), copies)
+        rs = RaySet(**AXES_FIELDS, copies=copies)
         assert rs.copies.dtype == np.intp and rs.copies.shape == (0, 10)
         assert dedupe_rays(AXES).copies.shape == (0, 10)
 
@@ -535,6 +543,88 @@ class TestCopyTable:
     def test_table_not_integer_or_ten_wide_rejected(self, rayset, reshape, shape):
         with pytest.raises(ValueError, match=rf"^copies must be a \(copies, 10\) .* {shape}$"):
             dataclasses.replace(rayset, copies=reshape(np.array(rayset.copies)))
+
+
+def _scaled_row(rs, factor):
+    matrix = np.array(rs.matrix)
+    matrix[5] *= factor
+    return {"matrix": matrix}
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+class TestRaySetFields:
+    """RaySet stores its rays once, as matrix and labels, and checks every
+    stored field when it is built."""
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda rs: _scaled_row(rs, 1 + 1e-11), r"^row 5 is not a finite unit vector: "),
+            (lambda rs: _scaled_row(rs, math.nan), r"^row 5 is not a finite unit vector: "),
+            (lambda rs: _scaled_row(rs, math.inf), r"^row 5 is not a finite unit vector: "),
+            (lambda rs: {"matrix": rs.matrix[:, :2]}, r"^matrix must be an \(n, 3\) array"),
+            (lambda rs: {"labels": rs.labels[:-1]}, r"^116 labels, 116 distinct, for 117 rays$"),
+            (
+                lambda rs: {"labels": ("g01:a2",) + rs.labels[1:]},
+                r"^117 labels, 116 distinct, for 117 rays$",
+            ),
+            (
+                lambda rs: {"label_to_index": {**rs.label_to_index, "g01:a1": 999, "g02:a1": -3}},
+                r"^label 'g01:a1' names ray 999, outside \[0, 117\)$",
+            ),
+            (
+                lambda rs: {"label_to_index": {**rs.label_to_index, "g02:a1": -3}},
+                r"^label 'g02:a1' names ray -3, outside \[0, 117\)$",
+            ),
+            (
+                lambda rs: {"label_to_index": {**rs.label_to_index, "g01:a3": 1}},
+                r"^ray 2's label 'g01:a3' names ray 1$",
+            ),
+            (
+                lambda rs: {"label_to_index": _without(rs.label_to_index, "g01:a3")},
+                r"^ray 2's label 'g01:a3' names ray None$",
+            ),
+        ],
+        ids=[
+            "row-off-unit",
+            "row-nan",
+            "row-inf",
+            "two-columns",
+            "labels-one-short",
+            "label-used-twice",
+            "labels-map-outside",
+            "label-maps-below-zero",
+            "own-label-elsewhere",
+            "own-label-missing",
+        ],
+    )
+    def test_tampered_field_rejected(self, rayset, tamper, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(rayset, **tamper(rayset))
+
+    def test_matrix_is_a_read_only_copy(self, rayset):
+        matrix = np.array(rayset.matrix)
+        rs = dataclasses.replace(rayset, matrix=matrix)
+        matrix[0] = matrix[1]
+        assert not rs.matrix.flags.writeable
+        assert rs.matrix.tolist() == rayset.matrix.tolist()
+
+    def test_pipeline_builds_no_ray_objects(self):
+        # the check-coloring, build-set and emit-diagram path from assembly
+        # to output reads matrix and labels only
+        rs = assemble_ks_set()
+        graph = build_orthogonality_graph(rs)
+        check_colorability(graph)
+        forcing_chain_check(DEFAULT_STEP_ANGLE, rs)
+        census_text(rs)
+        graph_to_dot(graph)
+        rs.to_dict()
+        assert "rays" not in vars(rs)
+        assert graph.labels == rs.labels
+        assert len(rs.rays) == 117 and "rays" in vars(rs)  # an API caller's read builds them
 
 
 class TestAssembleVariants:
@@ -735,7 +825,7 @@ class TestOrthogonalityGraph:
         rs = assemble_ks_set()
         g = build_orthogonality_graph(rs)
         for a, b, c in g.triads:
-            ctx = Context.spin1((g.rays[a], g.rays[b], g.rays[c]))
+            ctx = Context.spin1((rs.rays[a], rs.rays[b], rs.rays[c]))
             assert verify_completion(ctx) <= 1e-6
 
     def test_loose_triangle_gives_no_edges(self):
@@ -754,7 +844,7 @@ class TestOrthogonalityGraph:
 
         g = OrthogonalityGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert g.triads == ((0, 1, 2),)
-        assert g.rays is None
+        assert g.labels is None
 
     def test_abstract_structure_without_edges_has_no_triads(self):
         from ksparadox.ksgraph import OrthogonalityGraph
@@ -812,11 +902,11 @@ class TestOrthogonalityGraph:
         assert len(triangles) > 5
         assert g.triads == triangles
 
-    def test_rays_of_another_count_rejected(self):
+    def test_labels_of_another_count_rejected(self):
         from ksparadox.ksgraph import OrthogonalityGraph
 
-        with pytest.raises(ValueError, match="2 rays for 3 nodes"):
-            OrthogonalityGraph(3, [(0, 1)], rays=(X_AXIS, Y_AXIS))
+        with pytest.raises(ValueError, match="2 labels for 3 nodes"):
+            OrthogonalityGraph(3, [(0, 1)], labels=("x", "y"))
 
     def test_abstract_structure_rejects_negative_node_count(self):
         from ksparadox.ksgraph import OrthogonalityGraph
@@ -896,7 +986,7 @@ class TestOrthogonalityGraph:
         graph = build_orthogonality_graph(rayset)
         _assert_python_ints(graph)
         json.dumps([graph.edges, graph.triads, graph.neighbours])
-        assert graph == OrthogonalityGraph(graph.node_count, graph.edges, graph.rays)
+        assert graph == OrthogonalityGraph(graph.node_count, graph.edges, graph.labels)
 
 
 def _assert_python_ints(g):
@@ -1072,7 +1162,13 @@ class TestConstructionCertificate:
         rs = assemble_ks_set()
         extra = Ray3.from_vector(np.cross(rs.rays[0].vec, (0.3, 0.5, 0.7)))
         assert abs(extra.dot(rs.rays[0])) <= _edge_bound(len(rs.copies))
-        g = build_orthogonality_graph(dataclasses.replace(rs, rays=rs.rays + (extra,)))
+        grown = dataclasses.replace(
+            rs,
+            matrix=np.concatenate([rs.matrix, [extra.vec]]),
+            labels=rs.labels + ("extra",),
+            label_to_index={**rs.label_to_index, "extra": len(rs.labels)},
+        )
+        g = build_orthogonality_graph(grown)
         n = len(rs.rays)
         assert set(g.edges) == _construction(rs, GADGET_EDGES) | {(0, n)}
 

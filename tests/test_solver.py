@@ -411,9 +411,9 @@ class TestForcingChain:
         bound = _edge_bound(len(rs.copies))
         a1, a2 = rs.rays[cp[A1]].vec, rs.rays[cp[A2]].vec
         moved = Ray3.from_vector(math.cos(3 * bound) * a2 + math.sin(3 * bound) * a1)
-        rays = list(rs.rays)
-        rays[cp[A2]] = moved
-        tampered = dataclasses.replace(rs, rays=tuple(rays))
+        matrix = np.array(rs.matrix)
+        matrix[cp[A2]] = moved.vec
+        tampered = dataclasses.replace(rs, matrix=matrix)
         assert abs(moved.dot(rs.rays[cp[A1]])) > 2.5 * bound
         with pytest.raises(OrthogonalityGapError):
             build_orthogonality_graph(tampered)
