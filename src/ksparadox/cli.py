@@ -26,6 +26,7 @@ from .emit import (
 from .gadget import (
     GadgetSet,
     build_gadget,
+    copy_margins,
     enumerate_gadget_assignments,
     gadget_angle,
     gadget_for_angle,
@@ -57,10 +58,14 @@ def _flag_rays(args: argparse.Namespace, single_gadget: bool) -> GadgetSet | Ray
     return assemble_ks_set(step, gadget_params=params)
 
 
+def _write(path: str, text: str) -> None:
+    Path(path).write_text(text)
+    print(f"wrote {path}")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
-        print(f"wrote {out}")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -81,8 +86,7 @@ def cmd_build_set(args: argparse.Namespace) -> int:
     rs = _flag_rays(args, single_gadget=False)
     sys.stdout.write(census_text(rs))
     if args.out:
-        Path(args.out).write_text(to_json(rs.to_dict()))
-        print(f"wrote {args.out}")
+        _write(args.out, to_json(rs.to_dict()))
     return 0
 
 
@@ -117,24 +121,20 @@ def cmd_check_coloring(args: argparse.Namespace) -> int:
         for line in chain.summary():
             print(f"chain: {line}")
         if args.census:
-            Path(args.census).write_text(census_text(source))
-            print(f"wrote {args.census}")
+            _write(args.census, census_text(source))
     if args.out:
-        Path(args.out).write_text(to_json(verdict.to_dict()))
-        print(f"wrote {args.out}")
+        _write(args.out, to_json(verdict.to_dict()))
     if args.dot:
-        doc = graph_to_dot(graph)
-        Path(args.dot).write_text(doc.text)
-        print(f"wrote {args.dot}")
+        _write(args.dot, graph_to_dot(graph).text)
     return 0
 
 
 def cmd_verify_gadget(args: argparse.Namespace) -> int:
     gadget = build_gadget(args.x, args.y)
     angle_formula = gadget_angle(args.x, args.y)
-    angle_rays = gadget.rays[0].angle_to(gadget.rays[9])
+    ((residual, angle_rays),) = copy_margins(gadget.units[None])
     pairs = enumerate_gadget_assignments(gadget)
-    print(f"max orthogonality residual: {fmt9(gadget.max_edge_residual())}")
+    print(f"max orthogonality residual: {fmt9(residual)}")
     print(
         f"apex-c3 angle: {fmt9(math.degrees(angle_formula))} deg (closed form), "
         f"{fmt9(math.degrees(angle_rays))} deg (constructed rays)"
@@ -144,8 +144,7 @@ def cmd_verify_gadget(args: argparse.Namespace) -> int:
     print(f"apex=1 forces c3=1: {pairs.forced_one_way}")
     print(f"symmetric forcing: {pairs.forced_symmetric}")
     if args.out:
-        Path(args.out).write_text(to_json(gadget.to_dict()))
-        print(f"wrote {args.out}")
+        _write(args.out, to_json(gadget.to_dict()))
     return 0
 
 
@@ -210,8 +209,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"spin average {fmt9(empirical_spin_average(c))}"
         )
     if args.csv:
-        Path(args.csv).write_text(counts_to_csv(counts, args.seed))
-        print(f"wrote {args.csv}")
+        _write(args.csv, counts_to_csv(counts, args.seed))
     return 0
 
 

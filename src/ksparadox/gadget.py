@@ -115,17 +115,25 @@ class GadgetSet:
 
     def max_edge_residual(self) -> float:
         """Largest |dot| over GADGET_EDGES."""
-        return max(abs(self.rays[i].dot(self.rays[j])) for i, j in GADGET_EDGES)
+        return copy_margins(self.units[None])[0][0]
 
     def to_dict(self) -> dict:
         return {
             "x": self.x,
             "y": self.y,
-            "rays": [
-                {"label": r.label, "xyz": [r.x, r.y, r.z]} for r in self.rays
-            ],
+            "rays": [{"label": lb, "xyz": v} for lb, v in zip(GADGET_ROLES, self.units.tolist())],
             "edges": [list(e) for e in GADGET_EDGES],
         }
+
+
+def copy_margins(vecs: np.ndarray) -> list[tuple[float, float]]:
+    """(largest |dot| over GADGET_EDGES, apex-c3 angle) of each copy in a
+    (copies, 10, 3) array, with the bits of Ray3.dot and Ray3.angle_to."""
+    ends = np.array([*GADGET_EDGES, (APEX, C3)]).T  # the fifteen pairs, then apex-c3
+    dots = np.abs((vecs[:, ends[0]] * vecs[:, ends[1]]).sum(axis=-1))
+    residuals, cosines = dots[:, :-1].max(axis=1).tolist(), dots[:, -1].tolist()
+    # math.acos, unlike np.arccos, keeps Ray3.angle_to's bits
+    return [(r, math.acos(min(1.0, c))) for r, c in zip(residuals, cosines)]
 
 
 def build_gadget(x: float, y: float) -> GadgetSet:

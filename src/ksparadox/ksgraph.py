@@ -165,40 +165,42 @@ class RaySet:
     """Deduplicated canonical rays with full label provenance.
 
     matrix, the rays' one stored form, is a read-only (n, 3) float array of
-    unit rows, each named in labels by its first occurrence; label_to_index
-    maps every original label (all ten roles of every copy) to its ray index.
-    rays and merges, the (absorbed label, representative label) pairs, are
-    derived from these.  copies, the role table, is a read-only (copies, 10)
-    intp array: row k holds gadget copy k's ray indices in GADGET_ROLES order
+    unit rows, each named in labels by its first occurrence; merges pairs
+    every other input label, in input order, with the label of its ray, as
+    to_dict writes them.  rays, label_to_index and triad_index are built
+    from these.  copies, the role table, is a read-only (copies, 10) intp
+    array: row k holds gadget copy k's ray indices in GADGET_ROLES order
     (copies[k, C3] is its c3), in sweep order.  ValueError rejects rows that
-    are not finite unit vectors (to 1e-12), labels not one per row or used
-    twice, a label mapped outside the set, a row's own label mapped to
-    another row, and a table that is not integer, not ten columns wide, or
-    names a ray outside the set.
+    are not finite unit vectors (to 1e-12), labels not one per row, a label
+    taken twice, a merge that is not a pair or names no row, and a table
+    that is not integer, not ten columns wide, or names a ray outside it.
     """
 
     matrix: np.ndarray
     labels: tuple[str, ...]
-    label_to_index: Mapping[str, int]
+    merges: tuple[tuple[str, str], ...] = ()
     copies: np.ndarray = ()
     provenance: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=float)  # a copy, made read-only below
-        labels, lookup = tuple(self.labels), self.label_to_index
+        labels, merges = tuple(self.labels), tuple(self.merges)
         if mat.ndim != 2 or mat.shape[1] != 3:
             raise ValueError(f"matrix must be an (n, 3) array, not of shape {mat.shape}")
         n, norms = len(mat), np.sqrt((mat * mat).sum(axis=1))
         for i in np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))[:1].tolist():  # NaN fails too
             raise ValueError(f"row {i} is not a finite unit vector: {mat[i].tolist()}")
-        if len(labels) != n or len(set(labels)) != n:
-            raise ValueError(f"{len(labels)} labels, {len(set(labels))} distinct, for {n} rays")
-        index = np.fromiter(lookup.values(), dtype=np.intp, count=len(lookup))
-        for k in np.flatnonzero((index < 0) | (index >= n))[:1].tolist():
-            raise ValueError(f"label {list(lookup)[k]!r} names ray {index[k]}, outside [0, {n})")
-        if list(map(lookup.get, labels)) != list(range(n)):
-            i = next(i for i, label in enumerate(labels) if lookup.get(label) != i)
-            raise ValueError(f"ray {i}'s label {labels[i]!r} names ray {lookup.get(labels[i])}")
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} rays")
+        rows, taken = set(labels), set()
+        for pair in (*zip(labels, labels), *merges):  # each row's label names its own row
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise ValueError(f"merge {pair!r} is not a (label, representative) pair")
+            if pair[0] in taken:
+                raise ValueError(f"label {pair[0]!r} is already taken")
+            if pair[1] not in rows:
+                raise ValueError(f"merge {pair[0]!r} -> {pair[1]!r} names no ray")
+            taken.add(pair[0])
         table = np.asarray(self.copies)
         if table.shape[:1] == (0,):  # no copies
             table = np.empty((0, len(GADGET_ROLES)), dtype=np.intp)
@@ -209,7 +211,8 @@ class RaySet:
             )
         for k in np.flatnonzero(((table < 0) | (table >= n)).any(axis=1))[:1].tolist():
             raise ValueError(f"copy {k} names a ray outside [0, {n}): {table[k].tolist()}")
-        for name, value in (("matrix", mat), ("labels", labels), ("copies", table.astype(np.intp))):
+        merges, table = tuple(map(tuple, merges)), table.astype(np.intp)
+        for name, value in (("matrix", mat), ("labels", labels), ("merges", merges), ("copies", table)):
             object.__setattr__(self, name, value)
         self.matrix.flags.writeable = self.copies.flags.writeable = False
 
@@ -219,10 +222,10 @@ class RaySet:
         return tuple(map(Ray3, *self.matrix.T.tolist(), self.labels))
 
     @property
-    def merges(self) -> tuple[tuple[str, str], ...]:
-        """(label, representative label) for every label not naming its own ray."""
-        labels = self.labels
-        return tuple((lb, labels[k]) for lb, k in self.label_to_index.items() if labels[k] != lb)
+    def label_to_index(self) -> dict[str, int]:
+        """Ray index of every input label, built from labels and merges on each read."""
+        rows = dict(zip(self.labels, range(len(self.labels))))
+        return {**rows, **{absorbed: rows[rep] for absorbed, rep in self.merges}}
 
     @property
     def triad_index(self) -> dict[str, int]:
@@ -267,13 +270,9 @@ def _dedupe(mat: np.ndarray, labels: Sequence[str], bound: float) -> tuple[tuple
     if (rep[first] != rep[second]).any() or len(first) != (sizes * (sizes - 1) // 2).sum():
         raise ValueError(f"merging rays within |u x v| <= {bound:.3g} is not transitive here")
     kept = rep == np.arange(len(mat))
-    index = (np.cumsum(kept) - 1)[rep]
-    label_to_index = dict(zip(labels, index.tolist()))
-    if len(label_to_index) < len(labels):
-        taken = next(i for i, label in enumerate(labels) if labels.index(label) < i)
-        raise ValueError(f"label {labels[taken]!r} of input ray {taken} is already taken")
-    rows = np.flatnonzero(kept).tolist()
-    return (mat[rows], [labels[i] for i in rows], label_to_index), index
+    rows, absorbed = np.flatnonzero(kept), np.flatnonzero(~kept)
+    merges = [(labels[i], labels[k]) for i, k in zip(absorbed.tolist(), rep[absorbed].tolist())]
+    return (mat[rows], [labels[i] for i in rows.tolist()], merges), (np.cumsum(kept) - 1)[rep]
 
 
 def _align_gadget(g: GadgetSet) -> np.ndarray:

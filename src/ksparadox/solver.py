@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import zlib
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -33,9 +32,9 @@ import numpy as np
 from .gadget import (
     APEX,
     C3,
-    GADGET_EDGES,
     REALIZE_TOL,
     _gadget_lemma,
+    copy_margins,
     satisfying_masks,
 )
 from .ksgraph import OrthogonalityGraph, RaySet, _edge_bound
@@ -319,12 +318,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     cyclic = len(roles) > 1 and bool(roles[-1, C3] == roles[0, APEX])
 
     bound = _edge_bound(len(roles))
-    vecs = chain.matrix[roles]  # (copies, 10, 3)
-    ends = np.array([*GADGET_EDGES, (APEX, C3)]).T  # the fifteen pairs, then apex-c3
-    dots = np.abs((vecs[:, ends[0]] * vecs[:, ends[1]]).sum(axis=-1))
-    residuals, cosines = dots[:, :-1].max(axis=1).tolist(), dots[:, -1].tolist()
-    # math.acos, unlike np.arccos, keeps Ray3.angle_to's bits
-    links = tuple(LinkReport(r, math.acos(min(1.0, c))) for r, c in zip(residuals, cosines))
+    links = tuple(LinkReport(*margins) for margins in copy_margins(chain.matrix[roles]))
     for k, link in enumerate(links):  # "not <=", so that a NaN fails
         if not link.max_edge_residual <= bound:
             raise ChainIntegrityError(

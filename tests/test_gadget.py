@@ -18,6 +18,7 @@ from ksparadox.gadget import (
     AngleRangeError,
     DegenerateParameterError,
     build_gadget,
+    copy_margins,
     enumerate_gadget_assignments,
     gadget_angle,
     gadget_for_angle,
@@ -99,6 +100,22 @@ class TestBuildGadget:
         assert "rays" not in vars(g)
         assert [[r.x, r.y, r.z] for r in g.rays] == g.units.tolist()
         assert [r["xyz"] for r in g.to_dict()["rays"]] == g.units.tolist()
+
+    def test_margins_keep_the_ray_path_bits(self):
+        # one stacked call gives each copy the residual and apex-c3 angle of
+        # a Ray3 loop, bit for bit, and verify-gadget's reads build no Ray3
+        rng = np.random.default_rng(11)
+        gadgets = [build_gadget(x, y) for x, y in rng.uniform(-3, 3, size=(500, 2)).tolist()]
+        margins = copy_margins(np.stack([g.units for g in gadgets]))
+        assert [m[0] for m in margins] == [g.max_edge_residual() for g in gadgets]
+        gadgets[0].to_dict()
+        assert all("rays" not in vars(g) for g in gadgets)
+        expected = [
+            (max(abs(g.rays[i].dot(g.rays[j])) for i, j in GADGET_EDGES),
+             g.ray("apex").angle_to(g.ray("c3")))
+            for g in gadgets
+        ]
+        assert margins == expected
 
     def test_overflowing_norm_names_the_first_vector(self):
         # at (1, 1e100) the first vector whose norm overflows is c2's

@@ -49,7 +49,7 @@ from ksparadox.solver import check_colorability, forcing_chain_check
 
 AXES = tuple(Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 #: the coordinate axes as a hand-built RaySet's fields, labeled x, y and z
-AXES_FIELDS = {"matrix": np.eye(3), "labels": ("x", "y", "z"), "label_to_index": {"x": 0, "y": 1, "z": 2}}
+AXES_FIELDS = {"matrix": np.eye(3), "labels": ("x", "y", "z")}
 
 
 def _cross_norm(u, v):
@@ -183,7 +183,7 @@ class TestDedupeRays:
         # the second ray's label, explicit or generated from its position,
         # is already the first ray's
         rays = [Ray3.from_vector((1, 0, 0), first), Ray3.from_vector((0, 1, 0), second)]
-        with pytest.raises(ValueError, match=f"label '{first}' of input ray 1"):
+        with pytest.raises(ValueError, match=f"^label '{first}' is already taken$"):
             dedupe_rays(rays)
 
 
@@ -295,10 +295,6 @@ class TestIndexOf:
             rayset,
             matrix=np.concatenate([AXES_FIELDS["matrix"], rayset.matrix]),
             labels=AXES_FIELDS["labels"] + rayset.labels,
-            label_to_index={
-                **AXES_FIELDS["label_to_index"],
-                **{lb: k + 3 for lb, k in rayset.label_to_index.items()},
-            },
         )
         assert [grown.index_of(a) for a in AXES] == [0, 1, 2]
 
@@ -551,10 +547,6 @@ def _scaled_row(rs, factor):
     return {"matrix": matrix}
 
 
-def _without(mapping, key):
-    return {k: v for k, v in mapping.items() if k != key}
-
-
 class TestRaySetFields:
     """RaySet stores its rays once, as matrix and labels, and checks every
     stored field when it is built."""
@@ -566,26 +558,27 @@ class TestRaySetFields:
             (lambda rs: _scaled_row(rs, math.nan), r"^row 5 is not a finite unit vector: "),
             (lambda rs: _scaled_row(rs, math.inf), r"^row 5 is not a finite unit vector: "),
             (lambda rs: {"matrix": rs.matrix[:, :2]}, r"^matrix must be an \(n, 3\) array"),
-            (lambda rs: {"labels": rs.labels[:-1]}, r"^116 labels, 116 distinct, for 117 rays$"),
+            (lambda rs: {"labels": rs.labels[:-1]}, r"^116 labels for 117 rays$"),
             (
                 lambda rs: {"labels": ("g01:a2",) + rs.labels[1:]},
-                r"^117 labels, 116 distinct, for 117 rays$",
+                r"^label 'g01:a2' is already taken$",
             ),
             (
-                lambda rs: {"label_to_index": {**rs.label_to_index, "g01:a1": 999, "g02:a1": -3}},
-                r"^label 'g01:a1' names ray 999, outside \[0, 117\)$",
+                # g03:c2 is itself absorbed, so a chain of merges names no row
+                lambda rs: {"merges": (("g02:c2", "g03:c2"),) + rs.merges[1:]},
+                r"^merge 'g02:c2' -> 'g03:c2' names no ray$",
             ),
             (
-                lambda rs: {"label_to_index": {**rs.label_to_index, "g02:a1": -3}},
-                r"^label 'g02:a1' names ray -3, outside \[0, 117\)$",
+                lambda rs: {"merges": rs.merges + ("g99:c2",)},
+                r"^merge 'g99:c2' is not a \(label, representative\) pair$",
             ),
             (
-                lambda rs: {"label_to_index": {**rs.label_to_index, "g01:a3": 1}},
-                r"^ray 2's label 'g01:a3' names ray 1$",
+                lambda rs: {"merges": rs.merges + (("g01:a3", "g01:a1"),)},
+                r"^label 'g01:a3' is already taken$",
             ),
             (
-                lambda rs: {"label_to_index": _without(rs.label_to_index, "g01:a3")},
-                r"^ray 2's label 'g01:a3' names ray None$",
+                lambda rs: {"merges": rs.merges + (rs.merges[0],)},
+                r"^label 'g02:c2' is already taken$",
             ),
         ],
         ids=[
@@ -596,9 +589,9 @@ class TestRaySetFields:
             "labels-one-short",
             "label-used-twice",
             "labels-map-outside",
-            "label-maps-below-zero",
+            "merge-not-a-pair",
             "own-label-elsewhere",
-            "own-label-missing",
+            "merged-label-used-twice",
         ],
     )
     def test_tampered_field_rejected(self, rayset, tamper, message):
@@ -611,6 +604,29 @@ class TestRaySetFields:
         matrix[0] = matrix[1]
         assert not rs.matrix.flags.writeable
         assert rs.matrix.tolist() == rayset.matrix.tolist()
+
+    def test_label_maps_are_views(self, rayset):
+        # writing into a derived map changes no stored field
+        census, merges = census_text(rayset), rayset.merges
+        rayset.label_to_index["g01:a1"] = 999
+        rayset.triad_index["g02:c2"] = 999
+        assert census_text(rayset) == census
+        assert rayset.merges == merges
+        assert (rayset.label_to_index["g01:a1"], rayset.triad_index["g02:c2"]) == (0, 7)
+
+    def test_fields_are_the_json_document(self, rayset):
+        # the stored fields hold what to_dict writes, so its lists rebuild the set
+        d = rayset.to_dict()
+        rs = RaySet(
+            matrix=[r["xyz"] for r in d["rays"]],
+            labels=[r["label"] for r in d["rays"]],
+            merges=d["merges"],
+            copies=[[row[role] for role in GADGET_ROLES] for row in d["copies"]],
+            provenance=d["provenance"],
+        )
+        assert rs.merges == rayset.merges and isinstance(rs.merges[0], tuple)
+        assert rs.to_dict() == d
+        assert rs.label_to_index == rayset.label_to_index
 
     def test_pipeline_builds_no_ray_objects(self):
         # the check-coloring, build-set and emit-diagram path from assembly
@@ -1166,7 +1182,6 @@ class TestConstructionCertificate:
             rs,
             matrix=np.concatenate([rs.matrix, [extra.vec]]),
             labels=rs.labels + ("extra",),
-            label_to_index={**rs.label_to_index, "extra": len(rs.labels)},
         )
         g = build_orthogonality_graph(grown)
         n = len(rs.rays)
