@@ -57,7 +57,9 @@ numpy; np.unique, np.setdiff1d and np.isin would import numpy.ma (numpy
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
+import types
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, Sequence
@@ -170,10 +172,12 @@ class RaySet:
     to_dict writes them.  rays, label_to_index and triad_index are built
     from these.  copies, the role table, is a read-only (copies, 10) intp
     array: row k holds gadget copy k's ray indices in GADGET_ROLES order
-    (copies[k, C3] is its c3), in sweep order.  ValueError rejects rows that
+    (copies[k, C3] is its c3), in sweep order.  provenance is a read-only
+    mapping over a deep copy of the caller's.  ValueError rejects rows that
     are not finite unit vectors (to 1e-12), labels not one per row, a label
-    taken twice, a merge that is not a pair or names no row, and a table
-    that is not integer, not ten columns wide, or names a ray outside it.
+    that is not a string or is taken twice, a merge that is not a pair or
+    names no row, and a table that is not integer, not ten columns wide, or
+    names a ray outside it.
     """
 
     matrix: np.ndarray
@@ -192,15 +196,19 @@ class RaySet:
             raise ValueError(f"row {i} is not a finite unit vector: {mat[i].tolist()}")
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} rays")
-        rows, taken = set(labels), set()
+        rows, taken = set(), set()
         for pair in (*zip(labels, labels), *merges):  # each row's label names its own row
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
                 raise ValueError(f"merge {pair!r} is not a (label, representative) pair")
+            if not isinstance(pair[0], str):
+                raise ValueError(f"label {pair[0]!r} is not a string")
             if pair[0] in taken:
                 raise ValueError(f"label {pair[0]!r} is already taken")
-            if pair[1] not in rows:
-                raise ValueError(f"merge {pair[0]!r} -> {pair[1]!r} names no ray")
             taken.add(pair[0])
+            if len(taken) <= n:  # the n row labels come first
+                rows.add(pair[0])
+            elif not (isinstance(pair[1], str) and pair[1] in rows):
+                raise ValueError(f"merge {pair[0]!r} -> {pair[1]!r} names no ray")
         table = np.asarray(self.copies)
         if table.shape[:1] == (0,):  # no copies
             table = np.empty((0, len(GADGET_ROLES)), dtype=np.intp)
@@ -212,9 +220,14 @@ class RaySet:
         for k in np.flatnonzero(((table < 0) | (table >= n)).any(axis=1))[:1].tolist():
             raise ValueError(f"copy {k} names a ray outside [0, {n}): {table[k].tolist()}")
         merges, table = tuple(map(tuple, merges)), table.astype(np.intp)
-        for name, value in (("matrix", mat), ("labels", labels), ("merges", merges), ("copies", table)):
+        provenance = types.MappingProxyType(copy.deepcopy(dict(self.provenance)))
+        stored = dict(matrix=mat, labels=labels, merges=merges, copies=table, provenance=provenance)
+        for name, value in stored.items():
             object.__setattr__(self, name, value)
         self.matrix.flags.writeable = self.copies.flags.writeable = False
+
+    def __reduce__(self):  # pickle and deepcopy rebuild the set through the checks above
+        return RaySet, (self.matrix, self.labels, self.merges, self.copies, dict(self.provenance))
 
     @cached_property
     def rays(self) -> tuple[Ray3, ...]:
@@ -246,7 +259,7 @@ class RaySet:
             "rays": [{"label": lb, "xyz": v} for lb, v in zip(self.labels, self.matrix.tolist())],
             "copies": [dict(zip(GADGET_ROLES, row)) for row in self.copies.tolist()],
             "merges": [list(m) for m in self.merges],
-            "provenance": dict(self.provenance),
+            "provenance": copy.deepcopy(dict(self.provenance)),
         }
 
 

@@ -9,21 +9,25 @@ the two clause kinds of the coloring CNF and the only rules the search
 propagates: a 1 along the graph's neighbour lists, a 0 to triad partners.
 
 check_colorability is a complete deterministic backtracking search with
-unit propagation; enumerate_all_colorings is a deliberately dumb exhaustive
-scan used as ground truth against it.  forcing_chain_check re-derives the
-uncolorability of the chained ray set by a route independent of the search:
-the gadget lemma (one exhaustive enumeration of the ten-role graph, computed
-once), a geometric check that each link realizes that role graph, its pairs
-judged by the set's own float-error bound (ksgraph), and the cyclic
-propagation argument through the coordinate axes.
+unit propagation.  It records its decision trail as a flat integer array,
+which an UNSAT verdict keeps; the verdict's certificate and digest are
+built from that trail when first read, so a solve whose certificate nobody
+reads never serializes it.  enumerate_all_colorings is a deliberately dumb
+exhaustive scan used as ground truth against it.  forcing_chain_check
+re-derives the uncolorability of the chained ray set by a route independent
+of the search: the gadget lemma (one exhaustive enumeration of the ten-role
+graph, computed once), a geometric check that each link realizes that role
+graph, its pairs judged by the set's own float-error bound (ksgraph), and
+the cyclic propagation argument through the coordinate axes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import zlib
-from dataclasses import asdict, dataclass
+from array import array
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Literal
 
@@ -105,16 +109,32 @@ class SolverStats:
 class SolverVerdict:
     """Search outcome with a re-verifiable witness or exhaustion certificate.
 
-    The certificate is the complete decision trail (zlib-compressed JSON of
-    (depth, node, value) triples in exploration order); its digest is the
-    sha256 of the uncompressed JSON.
+    An UNSAT verdict keeps the complete decision trail as one flat
+    array("q") of (depth, node, value) triples in exploration order, three
+    integers per decision; a SAT verdict keeps none.  The certificate
+    (zlib-compressed JSON of those triples) and its digest (the sha256 of
+    the uncompressed JSON) are built from the trail when first read, and are
+    None without one.  Equality compares the trail.
     """
 
     outcome: Literal["SAT", "UNSAT"]
     witness: ValueAssignment | None
     stats: SolverStats
-    certificate: bytes | None = None
-    certificate_digest: str | None = None
+    trail: array | None = field(default=None, repr=False, hash=False)
+
+    @cached_property
+    def _payload(self) -> bytes:
+        # the triples' compact JSON, written directly: %d of an int is json's text
+        template = "[" + ",".join(["[%d,%d,%d]"] * (len(self.trail) // 3)) + "]"
+        return (template % tuple(self.trail)).encode()
+
+    @cached_property
+    def certificate(self) -> bytes | None:
+        return None if self.trail is None else zlib.compress(self._payload)
+
+    @cached_property
+    def certificate_digest(self) -> str | None:
+        return None if self.trail is None else hashlib.sha256(self._payload).hexdigest()
 
     def to_dict(self) -> dict:
         d = {
@@ -155,7 +175,8 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
     order = sorted(range(n), key=lambda v: -(len(partners[v]) + len(adj[v])))
 
     value = [-1] * n
-    trail: list[tuple[int, int, int]] = []
+    trail = array("q")  # (depth, node, value) of each decision, flat
+    record = trail.append
     # one entry per live decision: (position in order, the nodes it set in
     # assignment order, value); every order position before it is assigned
     decisions: list[tuple[int, list[int], int]] = []
@@ -167,7 +188,9 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
         if pos == n:
             break
         node = order[pos]
-        trail.append((len(decisions), node, val))
+        record(len(decisions))
+        record(node)
+        record(val)
         value[node] = val
         queue = [node]  # FIFO: the loop below also reads what it appends
         push = queue.append
@@ -214,20 +237,13 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
             break
         val = 0
 
-    solver_stats = SolverStats(len(trail), propagations, max_depth)
+    solver_stats = SolverStats(len(trail) // 3, propagations, max_depth)
     if pos == n:
         witness = ValueAssignment({i: value[i] for i in range(n)})
         if verify_assignment(g, witness):
             raise RuntimeError("search returned a witness that breaks the coloring rules")
         return SolverVerdict(outcome="SAT", witness=witness, stats=solver_stats)
-    payload = json.dumps(trail, separators=(",", ":")).encode()
-    return SolverVerdict(
-        outcome="UNSAT",
-        witness=None,
-        stats=solver_stats,
-        certificate=zlib.compress(payload),
-        certificate_digest=hashlib.sha256(payload).hexdigest(),
-    )
+    return SolverVerdict(outcome="UNSAT", witness=None, stats=solver_stats, trail=trail)
 
 
 def enumerate_all_colorings(

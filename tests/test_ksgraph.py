@@ -1,9 +1,11 @@
 """Rotation sweep, deduplication, and the orthogonality graph."""
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -580,6 +582,15 @@ class TestRaySetFields:
                 lambda rs: {"merges": rs.merges + (rs.merges[0],)},
                 r"^label 'g02:c2' is already taken$",
             ),
+            (lambda rs: {"labels": (1,) + rs.labels[1:]}, r"^label 1 is not a string$"),
+            (
+                lambda rs: {"merges": rs.merges + ((["w"], "x"),)},
+                r"^label \['w'\] is not a string$",
+            ),
+            (
+                lambda rs: {"merges": rs.merges + (("w", ["x"]),)},
+                r"^merge 'w' -> \['x'\] names no ray$",
+            ),
         ],
         ids=[
             "row-off-unit",
@@ -592,11 +603,37 @@ class TestRaySetFields:
             "merge-not-a-pair",
             "own-label-elsewhere",
             "merged-label-used-twice",
+            "label-not-a-string",
+            "merged-label-unhashable",
+            "representative-unhashable",
         ],
     )
     def test_tampered_field_rejected(self, rayset, tamper, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(rayset, **tamper(rayset))
+
+    def test_integer_labels_rejected(self):
+        with pytest.raises(ValueError, match=r"^label 1 is not a string$"):
+            RaySet(np.eye(3), (1, 2, 3))
+
+    def test_provenance_is_a_read_only_copy(self, rayset):
+        expected = json.dumps(rayset.to_dict())
+        with pytest.raises(TypeError):
+            rayset.provenance["step_angle"] = 0.0
+        rayset.to_dict()["provenance"]["schedule"][0].append("c2")  # to_dict hands out a copy
+        assert json.dumps(rayset.to_dict()) == expected
+        provenance = dict(rayset.provenance, schedule=[[]])
+        rs = dataclasses.replace(rayset, provenance=provenance)
+        provenance["step_angle"] = 0.0
+        provenance["schedule"][0].append("c2")  # the caller's dict stays the caller's
+        assert (rs.provenance["step_angle"], rs.provenance["schedule"]) == (DEFAULT_STEP_ANGLE, [[]])
+        assert dataclasses.replace(rs).to_dict() == rs.to_dict()
+
+    def test_pickle_rebuilds_through_the_checks(self, rayset):
+        for rs in (pickle.loads(pickle.dumps(rayset)), copy.deepcopy(rayset)):
+            assert rs.to_dict() == rayset.to_dict()
+            assert not (rs.matrix.flags.writeable or rs.copies.flags.writeable)
+            assert rs.provenance is not rayset.provenance
 
     def test_matrix_is_a_read_only_copy(self, rayset):
         matrix = np.array(rayset.matrix)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import zlib
+from array import array
 
 import numpy as np
 import pytest
@@ -217,6 +218,73 @@ class TestCertificate:
         # a decision that conflicts at once is not counted in max_depth, so
         # the trail reaches depth max_depth itself
         assert max(d for d, _, _ in trail) == depth
+
+    @pytest.mark.parametrize(
+        "k, certificate_sha256, digest",
+        [
+            (5, "526acf6a56737c869cd11cc6cdb8b04f24532cf4905c90329d3429cbaa2a0194",
+             "1bd28c5aa4cdeef02956ab18775ddefe4b6204d9dc2c573a51d54c22a971bd85"),
+            (24, "29ba5f24b6f5f6fb48ed7dc348592dcc39fc0bf015004a07a2313d8857981587",
+             "52cae75033269d740cc9afc8efc1e274e67a20b741cd4bc3a78e6158bfb6d5ac"),
+            (90, "4b4a27f57d5b93db71546e68645d8e2ebbe7a22ec796c40274d794b51a4579b4",
+             "47022ab3aae0598b6dcf23f3b967b1762ff27267c7d231ce1a4775ae4c20890f"),
+        ],
+    )
+    def test_certificate_bytes_pinned(self, k, certificate_sha256, digest):
+        # the zlib bytes and the digest as the eager json.dumps build wrote them
+        verdict = check_colorability(
+            build_orthogonality_graph(assemble_ks_set(math.radians(90.0 / k)))
+        )
+        assert hashlib.sha256(verdict.certificate).hexdigest() == certificate_sha256
+        assert verdict.certificate_digest == digest
+        payload = zlib.decompress(verdict.certificate)
+        assert payload == json.dumps(json.loads(payload), separators=(",", ":")).encode()
+
+    def test_unread_certificate_is_never_built(self, monkeypatch):
+        graph = build_orthogonality_graph(assemble_ks_set())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("certificate built during the solve")
+
+        with monkeypatch.context() as patch:
+            for module, name in ((json, "dumps"), (zlib, "compress"), (hashlib, "sha256")):
+                patch.setattr(module, name, refuse)
+            verdict = check_colorability(graph)
+        # read only after the patch is undone
+        assert verdict.certificate_digest == (
+            "1bd28c5aa4cdeef02956ab18775ddefe4b6204d9dc2c573a51d54c22a971bd85"
+        )
+        assert zlib.decompress(verdict.certificate).startswith(b"[[0,")
+
+    @pytest.mark.parametrize("k", [5, 24])
+    def test_trail_is_three_integers_per_decision(self, k):
+        verdict = check_colorability(
+            build_orthogonality_graph(assemble_ks_set(math.radians(90.0 / k)))
+        )
+        trail = verdict.trail
+        assert isinstance(trail, array) and trail.itemsize == 8
+        assert len(trail) == 3 * verdict.stats.nodes_explored
+        assert json.loads(zlib.decompress(verdict.certificate)) == [
+            list(trail[i : i + 3]) for i in range(0, len(trail), 3)
+        ]
+
+    def test_sat_verdict_has_no_certificate(self):
+        _, graph = single_gadget_graph()
+        verdict = check_colorability(graph)
+        assert verdict.outcome == "SAT"
+        assert verdict.trail is verdict.certificate is verdict.certificate_digest is None
+        assert json.dumps(verdict.to_dict()) == (
+            '{"outcome": "SAT", "stats": {"nodes_explored": 3, "propagations": 7, '
+            '"max_depth": 3}, "certificate_digest": null, "witness": {"0": 0, "1": 1, '
+            '"2": 0, "3": 0, "4": 0, "5": 1, "6": 0, "7": 1, "8": 0, "9": 0}}'
+        )
+
+    def test_equality_compares_the_trail(self):
+        graph = build_orthogonality_graph(assemble_ks_set())
+        a, b = check_colorability(graph), check_colorability(graph)
+        assert a == b and a.trail is not b.trail
+        shorter = dataclasses.replace(a, trail=a.trail[:-3])
+        assert shorter.stats == a.stats and shorter != a
 
 
 def _glued_triangles(rng):
