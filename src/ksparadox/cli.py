@@ -25,7 +25,6 @@ from .emit import (
 )
 from .gadget import (
     GadgetSet,
-    build_gadget,
     copy_margins,
     enumerate_gadget_assignments,
     gadget_angle,
@@ -130,7 +129,7 @@ def cmd_check_coloring(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_gadget(args: argparse.Namespace) -> int:
-    gadget = build_gadget(args.x, args.y)
+    gadget = GadgetSet(args.x, args.y)
     angle_formula = gadget_angle(args.x, args.y)
     ((residual, angle_rays),) = copy_margins(gadget.units[None])
     pairs = enumerate_gadget_assignments(gadget)

@@ -36,12 +36,12 @@ class DiagramDocument:
 def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
     """Render the orthogonality graph as undirected DOT named ksdiagram.
 
-    Nodes are open circles (DOT's unfilled circle shape); edges are plain
-    lines; triads are listed as comments.
+    Nodes are open circles (DOT's unfilled circle shape) with escaped
+    labels; edges are plain lines; triads are listed as comments.
     """
     lines = ["graph ksdiagram {", '  node [shape=circle, style=""];']
-    for i in range(g.node_count):
-        label = g.labels[i] if g.labels is not None and g.labels[i] else f"r{i}"
+    for i, label in enumerate(g.labels or ("",) * g.node_count):
+        label = (label or f"r{i}").replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     lines += (f"  n{i} -- n{j};" for i, j in g.edges)
     lines += (f"  // triad {a} {b} {c}" for a, b, c in g.triads)

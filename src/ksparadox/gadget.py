@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -96,14 +96,25 @@ def raw_gadget_vectors(x: float, y: float) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GadgetSet:
-    """Ten rays, stored as units, a read-only (10, 3) array of rows in
-    GADGET_ROLES order; their fifteen orthogonality edges are GADGET_EDGES."""
+    """The ten-ray gadget at finite parameters (x, y), all it stores and
+    compares by.  units is the read-only (10, 3) array of its canonical unit
+    rows in GADGET_ROLES order.  DegenerateParameterError rejects non-finite
+    parameters or y**3, NormalizationError an overflowing vector norm."""
 
     x: float
     y: float
-    units: np.ndarray
+    units: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise DegenerateParameterError(f"parameters must be finite, got ({self.x}, {self.y})")
+        object.__setattr__(self, "units", _canonical_units(raw_gadget_vectors(self.x, self.y)))
+        self.units.flags.writeable = False
+
+    def __reduce__(self):  # pickle and deepcopy rebuild the gadget from its parameters
+        return GadgetSet, (self.x, self.y)
 
     @functools.cached_property
     def rays(self) -> tuple[Ray3, ...]:
@@ -136,19 +147,8 @@ def copy_margins(vecs: np.ndarray) -> list[tuple[float, float]]:
     return [(r, math.acos(min(1.0, c))) for r, c in zip(residuals, cosines)]
 
 
-def build_gadget(x: float, y: float) -> GadgetSet:
-    """Construct the ten-ray gadget at parameters (x, y).
-
-    Rays come back unit-normalized and sign-canonical, labeled by role.
-    Raises DegenerateParameterError for non-finite parameters or when y**3
-    overflows, and NormalizationError when a construction vector's norm
-    overflows.
-    """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DegenerateParameterError(f"parameters must be finite, got ({x}, {y})")
-    units = _canonical_units(raw_gadget_vectors(x, y))
-    units.flags.writeable = False
-    return GadgetSet(x=x, y=y, units=units)
+#: build_gadget(x, y) is GadgetSet(x, y), the gadget at those parameters
+build_gadget = GadgetSet
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -238,7 +238,7 @@ def gadget_for_angle(target: float, params: tuple[float, float] | None) -> Gadge
             f"gadget at ({x}, {y}) realizes {math.degrees(realized):.9g} deg, "
             f"not {math.degrees(target):.9g} deg"
         )
-    return build_gadget(x, y)
+    return GadgetSet(x, y)
 
 
 @dataclass(frozen=True)

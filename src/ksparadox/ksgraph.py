@@ -59,9 +59,9 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
-import types
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -110,11 +110,6 @@ def rotate_ray(r: Ray3, axis: Ray3, angle: float) -> Ray3:
     preserved to 1e-12 (the result is re-canonicalized)."""
     ((x, y, z),) = _transformed(rotation_matrix(axis.vec, angle), r.vec[None]).tolist()
     return Ray3(x, y, z, r.label)
-
-
-def _ray_matrix(rays: Sequence[Ray3]) -> np.ndarray:
-    """(n, 3) array of the rays' unit vectors."""
-    return np.array([[r.x for r in rays], [r.y for r in rays], [r.z for r in rays]]).T.copy()
 
 
 @dataclass(frozen=True)
@@ -173,11 +168,11 @@ class RaySet:
     from these.  copies, the role table, is a read-only (copies, 10) intp
     array: row k holds gadget copy k's ray indices in GADGET_ROLES order
     (copies[k, C3] is its c3), in sweep order.  provenance is a read-only
-    mapping over a deep copy of the caller's.  ValueError rejects rows that
-    are not finite unit vectors (to 1e-12), labels not one per row, a label
-    that is not a string or is taken twice, a merge that is not a pair or
-    names no row, and a table that is not integer, not ten columns wide, or
-    names a ray outside it.
+    mapping over a deep copy of the caller's, its lists stored as tuples.
+    ValueError rejects rows that are not finite unit vectors (to 1e-12),
+    labels not one per row, a label that is not a string or is taken twice,
+    a merge that is not a pair or names no row, and a table that is not
+    integer, not ten columns wide, or names a ray outside it.
     """
 
     matrix: np.ndarray
@@ -220,7 +215,7 @@ class RaySet:
         for k in np.flatnonzero(((table < 0) | (table >= n)).any(axis=1))[:1].tolist():
             raise ValueError(f"copy {k} names a ray outside [0, {n}): {table[k].tolist()}")
         merges, table = tuple(map(tuple, merges)), table.astype(np.intp)
-        provenance = types.MappingProxyType(copy.deepcopy(dict(self.provenance)))
+        provenance = MappingProxyType({k: _frozen(v) for k, v in self.provenance.items()})
         stored = dict(matrix=mat, labels=labels, merges=merges, copies=table, provenance=provenance)
         for name, value in stored.items():
             object.__setattr__(self, name, value)
@@ -263,13 +258,19 @@ class RaySet:
         }
 
 
+def _read_rays(rays: Sequence[Ray3]) -> RaySet:
+    """A ray list as a checked, unmerged RaySet; an unlabeled ray is r<i>."""
+    labeled = [((r.x, r.y, r.z), r.label or f"r{i}") for i, r in enumerate(rays)]
+    return RaySet(np.reshape([xyz for xyz, _ in labeled], (-1, 3)), [lb for _, lb in labeled])
+
+
 def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
     """Merge rays within |u x v| <= _edge_bound(0), the bound of a ray list,
-    into their first occurrence.  Unlabeled rays are labeled by input
-    position.  Raises ValueError for a label taken twice, generated ones
-    included, and where the rule is not transitive (module docstring)."""
-    labels = [r.label or f"r{i}" for i, r in enumerate(rays)]
-    return RaySet(*_dedupe(_ray_matrix(rays), labels, _edge_bound(0))[0])
+    into their first occurrence; _read_rays reads and checks the list.
+    Raises ValueError for a label taken twice, generated ones included, and
+    where the rule is not transitive (module docstring)."""
+    listed = _read_rays(rays)
+    return RaySet(*_dedupe(listed.matrix, listed.labels, _edge_bound(0))[0])
 
 
 def _dedupe(mat: np.ndarray, labels: Sequence[str], bound: float) -> tuple[tuple, np.ndarray]:
@@ -353,9 +354,7 @@ def assemble_ks_set(
             "step_angle": step_angle,
             "gadget_x": gadget.x,
             "gadget_y": gadget.y,
-            "schedule": [
-                [s.axis_role, s.angle, s.repetitions, s.emit] for s in schedule
-            ],
+            "schedule": [astuple(s) for s in schedule],
         },
     )
 
@@ -453,30 +452,31 @@ def _edge_bound(copies: int) -> float:
     return 32 * (copies + 3) * float(np.finfo(float).eps)
 
 
+def _frozen(value: Any) -> Any:
+    """A deep copy of value with every list or tuple in it stored as a tuple."""
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else copy.deepcopy(value)
+
+
 def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> OrthogonalityGraph:
     """Edges = all ray pairs with |dot| <= _edge_bound(copies); triads = all
-    triangles.  A ray list or GadgetSet counts 0 copies: pass a swept set as
-    its RaySet.  Every construction pair of the copies must be an edge, or
-    OrthogonalityGapError counts the missing ones; other pairs within the
+    triangles.  The source is read as one checked RaySet, whose labels the
+    graph keeps: a GadgetSet by role, a ray list by _read_rays, each of 0
+    copies.  Every construction pair of a swept set's copies must be an edge,
+    or OrthogonalityGapError counts the missing ones; other pairs within the
     bound (the diagonal gadget's exact extra orthogonalities) stay edges.
     """
-    copies = np.empty((0, len(GADGET_ROLES)), dtype=np.intp)
-    if isinstance(source, RaySet):
-        mat, labels, copies = source.matrix, source.labels, source.copies
-    elif isinstance(source, GadgetSet):
-        mat, labels = source.units, GADGET_ROLES
-    else:
-        rays = tuple(source)
-        mat, labels = _ray_matrix(rays), tuple(r.label for r in rays)
-    n = len(mat)
-    bound = _edge_bound(len(copies))
-    first, second = _upper_pairs(mat, lambda d: d <= bound)
+    if isinstance(source, GadgetSet):
+        source = RaySet(source.units, GADGET_ROLES)
+    elif not isinstance(source, RaySet):
+        source = _read_rays(source)
+    n, bound = len(source.labels), _edge_bound(len(source.copies))
+    first, second = _upper_pairs(source.matrix, lambda d: d <= bound)
     # keys ascend with the pairs; the sentinel n * n exceeds every pair's
     # key, so each search lands on an entry
     keys = np.append(first * n + second, n * n)
-    pairs = copies[:, GADGET_EDGES]  # (copies, 15, 2) ray indices
+    pairs = source.copies[:, GADGET_EDGES]  # (copies, 15, 2) ray indices
     wanted = pairs.min(axis=2) * n + pairs.max(axis=2)
     missing = set(wanted[keys[np.searchsorted(keys, wanted)] != wanted].tolist())
     if missing:
         raise OrthogonalityGapError(f"{len(missing)} construction pairs have |dot| > {bound:.3g}")
-    return OrthogonalityGraph(n, np.column_stack([first, second]), labels)
+    return OrthogonalityGraph(n, np.column_stack([first, second]), source.labels)

@@ -9,12 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ksparadox.cli import main
 from ksparadox.emit import counts_to_csv, fmt9, graph_to_dot, parse_dot_counts
 from ksparadox.gadget import build_gadget, offdiagonal_parameters_for_angle
-from ksparadox.ksgraph import assemble_ks_set, build_orthogonality_graph
+from ksparadox.ksgraph import RaySet, assemble_ks_set, build_orthogonality_graph
 from ksparadox.simulate import EnsembleSpec, run_sequence
 
 PAPER117 = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "paper117"
@@ -49,6 +50,17 @@ class TestEmitters:
         nodes, edges = parse_dot_counts(doc.text)
         assert nodes == graph.node_count == doc.node_count
         assert edges == len(graph.edges) == doc.edge_count
+
+    def test_dot_escapes_quotes_and_backslashes_in_labels(self):
+        # unescaped, the first label would add a node statement and the
+        # second would swallow its closing quote
+        labels = ('x"];  n7 [label="evil', "ends in \\", "plain")
+        text = graph_to_dot(build_orthogonality_graph(RaySet(np.eye(3), labels))).text
+        assert [line for line in text.splitlines() if "[label=" in line] == [
+            '  n0 [label="x\\"];  n7 [label=\\"evil"];',
+            '  n1 [label="ends in \\\\"];',
+            '  n2 [label="plain"];',
+        ]
 
     def test_counts_csv(self):
         counts = run_sequence(EnsembleSpec.unpolarized(1000, seed=1), [0.0, math.pi / 2])

@@ -1,7 +1,10 @@
 """The ten-ray gadget: orthogonality algebra, angle law, forcing enumeration."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -17,6 +20,7 @@ from ksparadox.gadget import (
     MIN_GADGET_ANGLE,
     AngleRangeError,
     DegenerateParameterError,
+    GadgetSet,
     build_gadget,
     copy_margins,
     enumerate_gadget_assignments,
@@ -100,6 +104,22 @@ class TestBuildGadget:
         assert "rays" not in vars(g)
         assert [[r.x, r.y, r.z] for r in g.rays] == g.units.tolist()
         assert [r["xyz"] for r in g.to_dict()["rays"]] == g.units.tolist()
+
+    def test_gadget_is_its_parameters(self):
+        # the constructor builds the units from (x, y); none can be given
+        x, y = offdiagonal_parameters_for_angle(math.radians(18.0))
+        g = GadgetSet(x, y)
+        assert g == build_gadget(x, y) and hash(g) == hash(build_gadget(x, y))
+        assert g != GadgetSet(x, -y)
+        assert repr(g) == f"GadgetSet(x={x!r}, y={y!r})"
+        assert g.units.tolist() == build_gadget(x, y).units.tolist()
+        with pytest.raises(TypeError):
+            GadgetSet(1.0, 1.0, np.zeros((10, 3)))
+        with pytest.raises(TypeError):
+            GadgetSet(1.0, 1.0, units=np.zeros((10, 3)))
+        for rebuilt in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), dataclasses.replace(g)):
+            assert rebuilt == g and rebuilt.units.tolist() == g.units.tolist()
+            assert not rebuilt.units.flags.writeable
 
     def test_margins_keep_the_ray_path_bits(self):
         # one stacked call gives each copy the residual and apex-c3 angle of

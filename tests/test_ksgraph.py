@@ -620,13 +620,15 @@ class TestRaySetFields:
         expected = json.dumps(rayset.to_dict())
         with pytest.raises(TypeError):
             rayset.provenance["step_angle"] = 0.0
-        rayset.to_dict()["provenance"]["schedule"][0].append("c2")  # to_dict hands out a copy
+        with pytest.raises(TypeError):  # nested lists are stored as tuples
+            rayset.provenance["schedule"][0][1] = 0.0
+        rayset.to_dict()["provenance"]["step_angle"] = 0.0  # to_dict hands out a copy
         assert json.dumps(rayset.to_dict()) == expected
         provenance = dict(rayset.provenance, schedule=[[]])
         rs = dataclasses.replace(rayset, provenance=provenance)
         provenance["step_angle"] = 0.0
         provenance["schedule"][0].append("c2")  # the caller's dict stays the caller's
-        assert (rs.provenance["step_angle"], rs.provenance["schedule"]) == (DEFAULT_STEP_ANGLE, [[]])
+        assert (rs.provenance["step_angle"], rs.provenance["schedule"]) == (DEFAULT_STEP_ANGLE, ((),))
         assert dataclasses.replace(rs).to_dict() == rs.to_dict()
 
     def test_pickle_rebuilds_through_the_checks(self, rayset):
@@ -732,14 +734,14 @@ class TestAssembleVariants:
             assemble_ks_set(step_angle=math.radians(25.0))
 
     def test_default_schedule_at_18_degrees(self, rayset):
-        pivot = ["c3", math.pi / 2.0, 1, False]
-        assert rayset.provenance["schedule"] == [
-            ["c2", DEFAULT_STEP_ANGLE, 4, True],
+        pivot = ("c3", math.pi / 2.0, 1, False)
+        assert rayset.provenance["schedule"] == (
+            ("c2", DEFAULT_STEP_ANGLE, 4, True),
             pivot,
-            ["c2", DEFAULT_STEP_ANGLE, 5, True],
+            ("c2", DEFAULT_STEP_ANGLE, 5, True),
             pivot,
-            ["c2", DEFAULT_STEP_ANGLE, 5, True],
-        ]
+            ("c2", DEFAULT_STEP_ANGLE, 5, True),
+        )
 
     @pytest.mark.parametrize("deg", [17.0, 7.0])
     def test_step_not_dividing_90_rejected(self, deg):
@@ -887,6 +889,25 @@ class TestOrthogonalityGraph:
         rays = [Ray3.from_vector(v) for v in ((1, e, e), (e, 1, e), (e, e, 1))]
         g = build_orthogonality_graph(rays)
         assert (g.edges, g.triads) == ((), ())
+
+    def test_ray_list_holding_a_ray_that_is_not_unit_rejected(self):
+        # orthogonal to all three axes, the short ray would close them into K4
+        message = r"^row 3 is not a finite unit vector: \[1e-14, 1e-14, 0\.0\]$"
+        for read in (build_orthogonality_graph, dedupe_rays):
+            with pytest.raises(ValueError, match=message):
+                read([*AXES, Ray3(1e-14, 1e-14, 0.0)])
+
+    def test_ray_list_with_a_repeated_label_rejected(self):
+        rays = [Ray3.from_vector((1, 0, 0), "a"), Ray3.from_vector((0, 1, 0), "a")]
+        with pytest.raises(ValueError, match=r"^label 'a' is already taken$"):
+            build_orthogonality_graph(rays)
+
+    def test_unlabeled_list_rays_are_named_by_position(self):
+        rays = [AXES[0], Ray3.from_vector((0, 1, 0), "y"), AXES[2]]
+        assert build_orthogonality_graph(rays).labels == ("r0", "y", "r2")
+        assert build_orthogonality_graph(iter(rays)).labels == ("r0", "y", "r2")
+        assert dedupe_rays(rays).labels == ("r0", "y", "r2")
+        assert build_orthogonality_graph([]) == ksgraph.OrthogonalityGraph(0, (), ())
 
     def test_gadget_set_and_its_rays_give_one_graph(self):
         gadget = build_gadget(*offdiagonal_parameters_for_angle(math.radians(18.0)))
@@ -1061,7 +1082,7 @@ def test_upper_pairs_equal_full_product(count):
     # frames give orthogonal pairs; repeated and negated rows give |dot| = 1
     # pairs, some of them across the 128-row blocks
     rng = np.random.default_rng(count)
-    mat = ksgraph._ray_matrix(_frame_rays(count, seed=count))
+    mat = np.array(ksgraph._read_rays(_frame_rays(count, seed=count)).matrix)
     copied = rng.choice(count, size=count // 8, replace=False)
     signs = rng.choice([-1.0, 1.0], (len(copied), 1))
     mat[copied] = mat[rng.choice(count, size=len(copied))] * signs
