@@ -215,7 +215,7 @@ class RaySet:
         for k in np.flatnonzero(((table < 0) | (table >= n)).any(axis=1))[:1].tolist():
             raise ValueError(f"copy {k} names a ray outside [0, {n}): {table[k].tolist()}")
         merges, table = tuple(map(tuple, merges)), table.astype(np.intp)
-        provenance = MappingProxyType({k: _frozen(v) for k, v in self.provenance.items()})
+        provenance = MappingProxyType({k: _frozen(v) for k, v in dict(self.provenance).items()})
         stored = dict(matrix=mat, labels=labels, merges=merges, copies=table, provenance=provenance)
         for name, value in stored.items():
             object.__setattr__(self, name, value)

@@ -28,6 +28,39 @@ RAY_COMMANDS = (
     ["emit-diagram", "--single-gadget"],
 )
 SINGLE_GADGET_COMMANDS = [c for c in RAY_COMMANDS if "--single-gadget" in c]
+# sha256 of stdout and of every file written by the commands that read one
+# gadget; the single gadget's verdict and diagram carry no coordinates, so
+# the default step and 10 degrees give the same bytes
+SINGLE_GADGET_SHAS = {
+    "stdout": "d8946743b375f22301368218e3c9a5a38ddcd9d1c59e88ff9aeed23302927f94",
+    "verdict.json": "65e8dfcb38d43c4beae5cb409f21ffde32f2afd7f6bfb1a120773edb4f0dc024",
+    "graph.dot": "3b8adbeeabc4d685d56da1b9f1c0a2f090ace57fda095d1f688477c98a16240a",
+}
+GADGET_PINS = {
+    "check-coloring --single-gadget --out verdict.json --dot graph.dot": SINGLE_GADGET_SHAS,
+    "check-coloring --single-gadget --step-angle-deg 10 --out verdict.json --dot graph.dot": (
+        SINGLE_GADGET_SHAS
+    ),
+    "emit-diagram --single-gadget": {
+        "stdout": "3b8adbeeabc4d685d56da1b9f1c0a2f090ace57fda095d1f688477c98a16240a",
+    },
+    "verify-gadget --x 1 --y 1 --out gadget.json": {
+        "stdout": "6f257eca39d0ec0dad3e182348d6e4bb2b7dfe841b4173fa1f2ff6866f7c87b3",
+        "gadget.json": "180e7704a9ed650b56089ddaadff28e5a244ab96a717bb503756aaedde288288",
+    },
+    "verify-gadget --x 0.5 --y -2 --out gadget.json": {
+        "stdout": "7b5cfe6cada71312f261d4ba3a096787c93ccc16bc64a321ca24bac038f45000",
+        "gadget.json": "f120354ee83ed7f3318cc20a3cd622413fde73c6e2078eadf7bbfcfadca91ae3",
+    },
+    "verify-gadget --x -1.3 --y -0.7 --out gadget.json": {
+        "stdout": "1cc1777e6add57a9f5651858eeaacc24394b5be2c63cbb2fdbf09deac0bc0586",
+        "gadget.json": "ce371e300209662ccc69980c9049bda74e783b412a114bf76d48dfbeb9723c1d",
+    },
+    "verify-gadget --x 2.5 --y 0.3 --out gadget.json": {
+        "stdout": "c8109cac224c610b3495ea8390b172f9aa4a86e540492936d762ad8749636a92",
+        "gadget.json": "c814a3a94e02f71038a61b6b77f7667a14154b45f1dd764765735a4d0bb12d7e",
+    },
+}
 
 
 class TestEmitters:
@@ -244,67 +277,13 @@ class TestCliCommands:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == json_sha
         assert hashlib.sha256(census.encode()).hexdigest() == census_sha
 
-    @pytest.mark.parametrize(
-        "argv, shas",
-        [
-            (
-                # the single gadget's outputs carry no coordinates, so the
-                # default step and 10 degrees give the same bytes
-                ["check-coloring", "--single-gadget", *step, "--out", "verdict.json", "--dot", "graph.dot"],
-                {
-                    "stdout": "d8946743b375f22301368218e3c9a5a38ddcd9d1c59e88ff9aeed23302927f94",
-                    "verdict.json": "65e8dfcb38d43c4beae5cb409f21ffde32f2afd7f6bfb1a120773edb4f0dc024",
-                    "graph.dot": "3b8adbeeabc4d685d56da1b9f1c0a2f090ace57fda095d1f688477c98a16240a",
-                },
-            )
-            for step in ([], ["--step-angle-deg", "10"])
-        ]
-        + [
-            (
-                ["emit-diagram", "--single-gadget"],
-                {"stdout": "3b8adbeeabc4d685d56da1b9f1c0a2f090ace57fda095d1f688477c98a16240a"},
-            )
-        ]
-        + [
-            (
-                ["verify-gadget", "--x", x, "--y", y, "--out", "gadget.json"],
-                {"stdout": stdout_sha, "gadget.json": json_sha},
-            )
-            for x, y, stdout_sha, json_sha in (
-                (
-                    "1",
-                    "1",
-                    "6f257eca39d0ec0dad3e182348d6e4bb2b7dfe841b4173fa1f2ff6866f7c87b3",
-                    "180e7704a9ed650b56089ddaadff28e5a244ab96a717bb503756aaedde288288",
-                ),
-                (
-                    "0.5",
-                    "-2",
-                    "7b5cfe6cada71312f261d4ba3a096787c93ccc16bc64a321ca24bac038f45000",
-                    "f120354ee83ed7f3318cc20a3cd622413fde73c6e2078eadf7bbfcfadca91ae3",
-                ),
-                (
-                    "-1.3",
-                    "-0.7",
-                    "1cc1777e6add57a9f5651858eeaacc24394b5be2c63cbb2fdbf09deac0bc0586",
-                    "ce371e300209662ccc69980c9049bda74e783b412a114bf76d48dfbeb9723c1d",
-                ),
-                (
-                    "2.5",
-                    "0.3",
-                    "c8109cac224c610b3495ea8390b172f9aa4a86e540492936d762ad8749636a92",
-                    "c814a3a94e02f71038a61b6b77f7667a14154b45f1dd764765735a4d0bb12d7e",
-                ),
-            )
-        ],
-        ids=lambda value: " ".join(value) if isinstance(value, list) else "",
-    )
+    @pytest.mark.parametrize("command", GADGET_PINS)
     def test_single_gadget_and_verify_gadget_bytes_pinned(
-        self, capsys, tmp_path, monkeypatch, argv, shas
+        self, capsys, tmp_path, monkeypatch, command
     ):
-        # stdout and every written file of the commands that read one gadget
         monkeypatch.chdir(tmp_path)
-        assert main(argv) == 0
+        assert main(command.split()) == 0
+        shas = GADGET_PINS[command]
         got = {"stdout": capsys.readouterr().out.encode()}
         got.update((name, (tmp_path / name).read_bytes()) for name in shas if name != "stdout")
         assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == shas
