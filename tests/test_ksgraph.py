@@ -628,7 +628,8 @@ class TestRaySetFields:
         rs = dataclasses.replace(rayset, provenance=provenance)
         provenance["step_angle"] = 0.0
         provenance["schedule"][0].append("c2")  # the caller's dict stays the caller's
-        assert (rs.provenance["step_angle"], rs.provenance["schedule"]) == (DEFAULT_STEP_ANGLE, ((),))
+        assert rs.provenance["step_angle"] == DEFAULT_STEP_ANGLE
+        assert rs.provenance["schedule"] == ((),)
         assert dataclasses.replace(rs).to_dict() == rs.to_dict()
 
     def test_pickle_rebuilds_through_the_checks(self, rayset):
@@ -891,11 +892,13 @@ class TestOrthogonalityGraph:
         assert (g.edges, g.triads) == ((), ())
 
     def test_ray_list_holding_a_ray_that_is_not_unit_rejected(self):
-        # orthogonal to all three axes, the short ray would close them into K4
-        message = r"^row 3 is not a finite unit vector: \[1e-14, 1e-14, 0\.0\]$"
-        for read in (build_orthogonality_graph, dedupe_rays):
-            with pytest.raises(ValueError, match=message):
-                read([*AXES, Ray3(1e-14, 1e-14, 0.0)])
+        # orthogonal to all three axes, the short ray would close them into
+        # K4; the long one, parallel to x, would merge into it unchecked
+        for ray in (Ray3(1e-14, 1e-14, 0.0), Ray3(2.0, 0.0, 0.0)):
+            message = rf"^row 3 is not a finite unit vector: \[{ray.x}, {ray.y}, {ray.z}\]$"
+            for read in (build_orthogonality_graph, dedupe_rays):
+                with pytest.raises(ValueError, match=message):
+                    read([*AXES, ray])
 
     def test_ray_list_with_a_repeated_label_rejected(self):
         rays = [Ray3.from_vector((1, 0, 0), "a"), Ray3.from_vector((0, 1, 0), "a")]
