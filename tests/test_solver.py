@@ -395,6 +395,43 @@ class TestEnumerateAllColorings:
         assert len(enumerate_all_colorings(rotated_graph)) == 22
 
 
+def _open_k40():
+    # legs of 39, 40 and 38 steps of 2.25 degrees: an open chain
+    step = math.radians(2.25)
+    pivot = RotationStep("c3", math.pi / 2.0, 1, emit=False)
+    legs = [RotationStep("c2", step, n) for n in (39, 40, 38)]
+    return step, assemble_ks_set(step, (legs[0], pivot, legs[1], pivot, legs[2]))
+
+
+def _diagonal_18():
+    step = math.radians(18.0)
+    t = solve_parameter_for_angle(step)
+    return step, assemble_ks_set(step, default_schedule(), (t, t))
+
+
+AUDITED_SETS = {
+    "open-k40": _open_k40,
+    "one copy": lambda: (math.radians(18.0), assemble_ks_set(schedule=())),
+    "two links": lambda: (
+        MAX_GADGET_ANGLE,
+        assemble_ks_set(
+            MAX_GADGET_ANGLE, (RotationStep("c2", MAX_GADGET_ANGLE, 1),), (1.0, 1.0)
+        ),
+    ),
+    "diagonal 18": _diagonal_18,
+}
+
+
+def _report_record(report):
+    links = [[link.max_edge_residual, link.angle] for link in report.links]
+    flags = [report.axes_on_chain, report.cyclic, report.contradiction_confirmed]
+    return [report.axis_nodes, *flags, report.summary(), links]
+
+
+def _digest(document) -> str:
+    return hashlib.sha256(json.dumps(document).encode()).hexdigest()
+
+
 class TestForcingChain:
     def test_default_chain_contradiction(self):
         rs = assemble_ks_set()
@@ -425,6 +462,33 @@ class TestForcingChain:
         assert len(report.links) == 2
         assert report.all_links_forced
         assert not report.contradiction_confirmed
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("open-k40", "3c691f77d66ef2ac359ebb7935c1057e7c10444b1ce5e8f686dd971ed4c1ad01"),
+            ("one copy", "33969594d27e9efb40233ce4aa6b15b90ef6b8899ba711688570f878185893a6"),
+            ("two links", "32af5dbe8bfbf4f0d6086b2d67fd9782d869b59987cc9d6c9c174e37c541f1b2"),
+            ("diagonal 18", "3c8cb3d50aeedeb8a3b70eb3a1fe7d0d797f9de02acf5f1ff96284ee21409057"),
+        ],
+    )
+    def test_report_pinned(self, name, digest):
+        # the whole report, every link's measured margins bit for bit: an
+        # open chain whose axes lie on it, two sets without the axis triple
+        # and a closed sweep whose diagonal gadget adds exact edges
+        angle, rs = AUDITED_SETS[name]()
+        report = forcing_chain_check(angle, rs)
+        assert _digest(_report_record(report)) == digest
+
+    def test_closed_sweep_summaries_pinned(self):
+        summaries = [
+            forcing_chain_check(step, assemble_ks_set(step)).summary()
+            for step in (math.radians(90.0 / k) for k in range(5, 91))
+        ]
+        assert all(s[-1].startswith("contradiction") for s in summaries)
+        assert _digest(summaries) == (
+            "04c0ead755709bb7bc428993e3c61a04878104b0b5199efceb04e0dcbaa79e28"
+        )
 
     def test_broken_chain_names_link(self):
         rs = assemble_ks_set()
