@@ -164,11 +164,12 @@ class RaySet:
     matrix, the rays' one stored form, is a read-only (n, 3) float array of
     unit rows, each named in labels by its first occurrence; merges pairs
     every other input label, in input order, with the label of its ray, as
-    to_dict writes them.  rays, label_to_index and triad_index are built
-    from these.  copies, the role table, is a read-only (copies, 10) intp
-    array: row k holds gadget copy k's ray indices in GADGET_ROLES order
-    (copies[k, C3] is its c3), in sweep order.  provenance is a read-only
-    mapping over a deep copy of the caller's, its lists stored as tuples.
+    to_dict writes them.  rays, graph, label_to_index and triad_index are
+    built from these, rays and graph when first read.  copies, the role
+    table, is a read-only (copies, 10) intp array: row k holds gadget copy
+    k's ray indices in GADGET_ROLES order (copies[k, C3] is its c3), in
+    sweep order.  provenance is a read-only mapping over a deep copy of the
+    caller's, its lists stored as tuples.
     ValueError rejects rows that are not finite unit vectors (to 1e-12),
     labels not one per row, a label that is not a string or is taken twice,
     a merge that is not a pair or names no row, and a table that is not
@@ -228,6 +229,28 @@ class RaySet:
     def rays(self) -> tuple[Ray3, ...]:
         """The rows as Ray3, each with its label, built when first read."""
         return tuple(map(Ray3, *self.matrix.T.tolist(), self.labels))
+
+    @cached_property
+    def graph(self) -> OrthogonalityGraph:
+        """The set's one orthogonality graph, which the search and the chain
+        audit both read: edges = all ray pairs with |dot| <= _edge_bound(copies),
+        triads = all triangles, labels = the set's.  Every construction pair of
+        the copies must be an edge, or OrthogonalityGapError counts the missing
+        ones; other pairs within the bound (the diagonal gadget's exact extra
+        orthogonalities) stay edges."""
+        n, bound = len(self.labels), _edge_bound(len(self.copies))
+        first, second = _upper_pairs(self.matrix, lambda d: d <= bound)
+        # keys ascend with the pairs; the sentinel n * n exceeds every pair's
+        # key, so each search lands on an entry
+        keys = np.append(first * n + second, n * n)
+        pairs = self.copies[:, GADGET_EDGES]  # (copies, 15, 2) ray indices
+        wanted = pairs.min(axis=2) * n + pairs.max(axis=2)
+        missing = set(wanted[keys[np.searchsorted(keys, wanted)] != wanted].tolist())
+        if missing:
+            raise OrthogonalityGapError(
+                f"{len(missing)} construction pairs have |dot| > {bound:.3g}"
+            )
+        return OrthogonalityGraph(n, np.column_stack([first, second]), self.labels)
 
     @property
     def label_to_index(self) -> dict[str, int]:
@@ -458,25 +481,11 @@ def _frozen(value: Any) -> Any:
 
 
 def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> OrthogonalityGraph:
-    """Edges = all ray pairs with |dot| <= _edge_bound(copies); triads = all
-    triangles.  The source is read as one checked RaySet, whose labels the
-    graph keeps: a GadgetSet by role, a ray list by _read_rays, each of 0
-    copies.  Every construction pair of a swept set's copies must be an edge,
-    or OrthogonalityGapError counts the missing ones; other pairs within the
-    bound (the diagonal gadget's exact extra orthogonalities) stay edges.
-    """
+    """source's RaySet.graph, the set read as one checked RaySet: a GadgetSet
+    by role, a ray list by _read_rays, each of 0 copies.  A RaySet gets the
+    same graph object on every call."""
     if isinstance(source, GadgetSet):
         source = RaySet(source.units, GADGET_ROLES)
     elif not isinstance(source, RaySet):
         source = _read_rays(source)
-    n, bound = len(source.labels), _edge_bound(len(source.copies))
-    first, second = _upper_pairs(source.matrix, lambda d: d <= bound)
-    # keys ascend with the pairs; the sentinel n * n exceeds every pair's
-    # key, so each search lands on an entry
-    keys = np.append(first * n + second, n * n)
-    pairs = source.copies[:, GADGET_EDGES]  # (copies, 15, 2) ray indices
-    wanted = pairs.min(axis=2) * n + pairs.max(axis=2)
-    missing = set(wanted[keys[np.searchsorted(keys, wanted)] != wanted].tolist())
-    if missing:
-        raise OrthogonalityGapError(f"{len(missing)} construction pairs have |dot| > {bound:.3g}")
-    return OrthogonalityGraph(n, np.column_stack([first, second]), source.labels)
+    return source.graph

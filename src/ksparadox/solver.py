@@ -16,9 +16,10 @@ reads never serializes it.  enumerate_all_colorings is a deliberately dumb
 exhaustive scan used as ground truth against it.  forcing_chain_check
 re-derives the uncolorability of the chained ray set by a route independent
 of the search: the gadget lemma (one exhaustive enumeration of the ten-role
-graph, computed once), a geometric check that each link realizes that role
-graph, its pairs judged by the set's own float-error bound (ksgraph), and
-the cyclic propagation argument through the coordinate axes.
+graph, computed once), a check that each link realizes that role graph in
+the set's own orthogonality graph (RaySet.graph, the one judgement of its
+pairs, which the search refutes), and the cyclic propagation argument
+through the coordinate axes, a triad of that graph.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import zlib
 from array import array
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Literal
 
 import numpy as np
@@ -41,7 +41,7 @@ from .gadget import (
     copy_margins,
     satisfying_masks,
 )
-from .ksgraph import OrthogonalityGraph, RaySet, _edge_bound
+from .ksgraph import OrthogonalityGraph, RaySet
 from .linalg import X_AXIS, Y_AXIS, Z_AXIS
 
 
@@ -281,8 +281,9 @@ class ChainReport:
     held once for every link.  contradiction_confirmed means: every link
     forces value(apex) = 1 to propagate to its c3, the links close into a
     cycle whose shared rays include all three coordinate axes, and those
-    axes are mutually orthogonal -- so any admissible assignment gives the
-    axes equal values, which no exactly-one-of-three triad can absorb.
+    axes form a triad of the set's graph -- so any admissible assignment
+    gives the axes equal values, which no exactly-one-of-three triad can
+    absorb.
     """
 
     links: tuple[LinkReport, ...]
@@ -315,13 +316,14 @@ class ChainReport:
 def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     """Audit the chain of gadget copies in a swept RaySet.
 
-    Checks that each copy's c3 is the next copy's apex, and re-verifies each
-    copy's fifteen orthogonality relations, by the set's own float-error
-    bound _edge_bound(copies), and its apex-c3 angle on the deduplicated
-    rays; ChainIntegrityError names the first link that fails.  The axis
-    triple is judged by the same bound.  Those geometric checks tie every
-    link to the ten-role graph, whose forcing lemma is computed once by
-    exhaustive enumeration and read off, not assumed.
+    Checks that each copy's c3 is the next copy's apex, then reads the
+    set's graph, chain.graph, which raises OrthogonalityGapError unless each
+    copy's fifteen construction pairs are edges, then each copy's apex-c3
+    angle; ChainIntegrityError names the first link that fails.  The links
+    keep their measured residual and angle as margins, and the axis triple
+    must form a triad of the same graph.  Those checks tie every link to the
+    ten-role graph, whose forcing lemma is computed once by exhaustive
+    enumeration and read off, not assumed.
     """
     roles = chain.copies
     if not len(roles):
@@ -333,13 +335,9 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
         )
     cyclic = len(roles) > 1 and bool(roles[-1, C3] == roles[0, APEX])
 
-    bound = _edge_bound(len(roles))
+    graph = chain.graph
     links = tuple(LinkReport(*margins) for margins in copy_margins(chain.matrix[roles]))
     for k, link in enumerate(links):  # "not <=", so that a NaN fails
-        if not link.max_edge_residual <= bound:
-            raise ChainIntegrityError(
-                f"link {k}: orthogonality residual {link.max_edge_residual} exceeds {bound}"
-            )
         if not abs(link.angle - gadget_angle) <= REALIZE_TOL:
             raise ChainIntegrityError(
                 f"link {k}: apex-c3 angle {link.angle} differs from {gadget_angle}"
@@ -349,9 +347,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     axis_nodes = tuple(chain.index_of(ax) for ax in (X_AXIS, Y_AXIS, Z_AXIS))
     axes_present = all(i is not None for i in axis_nodes)
     axes_on_chain = axes_present and set(axis_nodes) <= set(roles[:, [APEX, C3]].ravel().tolist())
-    axes_orthogonal = axes_present and all(
-        abs(chain.matrix[a] @ chain.matrix[b]) <= bound for a, b in combinations(axis_nodes, 2)
-    )
+    axes_orthogonal = axes_present and tuple(sorted(axis_nodes)) in graph.triads
     return ChainReport(
         links=links,
         all_links_forced=forced,

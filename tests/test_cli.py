@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ksparadox import ksgraph
 from ksparadox.cli import main
 from ksparadox.emit import counts_to_csv, fmt9, graph_to_dot, parse_dot_counts
 from ksparadox.gadget import build_gadget, offdiagonal_parameters_for_angle
@@ -163,6 +164,15 @@ class TestCliCommands:
         assert capsys.readouterr().out.encode() == (PAPER117 / "stdout.txt").read_bytes()
         for name in files:
             assert (tmp_path / name).read_bytes() == (PAPER117 / name).read_bytes(), name
+
+    def test_check_coloring_scans_the_pairs_twice(self, capsys, monkeypatch):
+        # once for dedup and once for the graph, which the chain audit reads
+        calls = []
+        scan = ksgraph._upper_pairs
+        monkeypatch.setattr(ksgraph, "_upper_pairs", lambda *a: calls.append(1) or scan(*a))
+        assert main(["check-coloring"]) == 0
+        assert "chain: contradiction: equal values" in capsys.readouterr().out
+        assert len(calls) == 2
 
     def test_check_coloring_10_degree_stdout(self, capsys):
         assert main(["check-coloring", "--step-angle-deg", "10"]) == 0

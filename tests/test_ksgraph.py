@@ -912,6 +912,13 @@ class TestOrthogonalityGraph:
         assert dedupe_rays(rays).labels == ("r0", "y", "r2")
         assert build_orthogonality_graph([]) == ksgraph.OrthogonalityGraph(0, (), ())
 
+    def test_a_ray_set_has_one_graph(self, rayset):
+        # built on first read and kept; a rebuilt set builds its own
+        graph = build_orthogonality_graph(rayset)
+        assert graph is rayset.graph is build_orthogonality_graph(rayset)
+        rebuilt = pickle.loads(pickle.dumps(rayset))
+        assert rebuilt.graph == graph and rebuilt.graph is not graph
+
     def test_gadget_set_and_its_rays_give_one_graph(self):
         gadget = build_gadget(*offdiagonal_parameters_for_angle(math.radians(18.0)))
         assert build_orthogonality_graph(gadget) == build_orthogonality_graph(gadget.rays)

@@ -10,6 +10,7 @@ from array import array
 import numpy as np
 import pytest
 
+from ksparadox import ksgraph
 from ksparadox.gadget import (
     APEX,
     C3,
@@ -490,6 +491,31 @@ class TestForcingChain:
             "04c0ead755709bb7bc428993e3c61a04878104b0b5199efceb04e0dcbaa79e28"
         )
 
+    def test_audit_reads_the_sets_graph(self, monkeypatch):
+        # once the set's graph is built, the audit measures no pair itself
+        rs = assemble_ks_set()
+        assert build_orthogonality_graph(rs) is rs.graph
+
+        def no_scan(*args):
+            raise AssertionError("the audit scanned ray pairs")
+
+        monkeypatch.setattr(ksgraph, "_upper_pairs", no_scan)
+        report = forcing_chain_check(math.radians(18.0), rs)
+        assert report.contradiction_confirmed
+        assert report.summary() == forcing_chain_check(math.radians(18.0), rs).summary()
+
+    def test_axis_triple_is_a_triad_of_the_graph(self):
+        # the same rays, with the graph's x-y edge taken out: the axes are no
+        # longer a triad of the graph the audit reads, so nothing is confirmed
+        rs = assemble_ks_set()
+        x, y, _ = forcing_chain_check(math.radians(18.0), rs).axis_nodes
+        graph = rs.graph
+        edges = [e for e in graph.edges if e != (min(x, y), max(x, y))]
+        vars(rs)["graph"] = OrthogonalityGraph(graph.node_count, edges, graph.labels)
+        report = forcing_chain_check(math.radians(18.0), rs)
+        assert report.axes_on_chain and report.cyclic
+        assert not report.contradiction_confirmed
+
     def test_broken_chain_names_link(self):
         rs = assemble_ks_set()
         copies = np.array(rs.copies)
@@ -532,12 +558,12 @@ class TestForcingChain:
         copies = np.array(rs.copies)
         copies[3, [A1, B1]] = copies[3, [B1, A1]]
         swapped = dataclasses.replace(rs, copies=copies)
-        with pytest.raises(ChainIntegrityError, match="link 3: orthogonality residual"):
+        with pytest.raises(OrthogonalityGapError, match="^6 construction pairs have"):
             forcing_chain_check(math.radians(18.0), swapped)
 
     def test_ray_moved_beyond_the_bound_rejected(self):
         # copy 3's a2 turned toward its a1 by three times the set's bound:
-        # |dot(a1, a2)| = 3.8e-13, which the graph rejects too
+        # |dot(a1, a2)| = 3.8e-13, which the graph, and so the audit, rejects
         rs = assemble_ks_set()
         cp = rs.copies[3]
         bound = _edge_bound(len(rs.copies))
@@ -549,5 +575,5 @@ class TestForcingChain:
         assert abs(moved.dot(rs.rays[cp[A1]])) > 2.5 * bound
         with pytest.raises(OrthogonalityGapError):
             build_orthogonality_graph(tampered)
-        with pytest.raises(ChainIntegrityError, match="link 3: orthogonality residual"):
+        with pytest.raises(OrthogonalityGapError):
             forcing_chain_check(math.radians(18.0), tampered)
