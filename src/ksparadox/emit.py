@@ -41,7 +41,7 @@ def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
     """
     lines = ["graph ksdiagram {", '  node [shape=circle, style=""];']
     for i, label in enumerate(g.labels or ("",) * g.node_count):
-        label = str(label or f"r{i}").replace("\\", "\\\\").replace('"', '\\"')
+        label = (label or f"r{i}").replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     lines += (f"  n{i} -- n{j};" for i, j in g.edges)
     lines += (f"  // triad {a} {b} {c}" for a, b, c in g.triads)

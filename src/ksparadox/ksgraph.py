@@ -192,19 +192,14 @@ class RaySet:
             raise ValueError(f"row {i} is not a finite unit vector: {mat[i].tolist()}")
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} rays")
-        rows, taken = set(), set()
-        for pair in (*zip(labels, labels), *merges):  # each row's label names its own row
+        for pair in merges:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
                 raise ValueError(f"merge {pair!r} is not a (label, representative) pair")
-            if not isinstance(pair[0], str):
-                raise ValueError(f"label {pair[0]!r} is not a string")
-            if pair[0] in taken:
-                raise ValueError(f"label {pair[0]!r} is already taken")
-            taken.add(pair[0])
-            if len(taken) <= n:  # the n row labels come first
-                rows.add(pair[0])
-            elif not (isinstance(pair[1], str) and pair[1] in rows):
-                raise ValueError(f"merge {pair[0]!r} -> {pair[1]!r} names no ray")
+        _check_labels((*labels, *(absorbed for absorbed, _ in merges)))
+        rows = set(labels)
+        for absorbed, rep in merges:
+            if not (isinstance(rep, str) and rep in rows):
+                raise ValueError(f"merge {absorbed!r} -> {rep!r} names no ray")
         table = np.asarray(self.copies)
         if table.shape[:1] == (0,):  # no copies
             table = np.empty((0, len(GADGET_ROLES)), dtype=np.intp)
@@ -390,12 +385,13 @@ class OrthogonalityGraph:
     array, sorts each edge and the edge list, stores Python ints, and raises
     ValueError for a negative node_count, an edge that is not a pair of
     integers, a node outside [0, node_count), a repeated member, an edge
-    listed twice, and labels not one per node.  The triads, each a sorted
-    triple, are derived from the edges, so every graph's triads are exactly
-    its triangles; neighbours holds each node's neighbours in ascending
-    order, the graph's one adjacency build.  A graph built from rays keeps
-    their labels, and every edge, and so every triangle, is orthogonal to
-    within the float error; its coordinates stay with its source.
+    listed twice, labels not one per node, and a label that is not a string
+    or is taken twice.  The triads, each a sorted triple, are derived from
+    the edges, so every graph's triads are exactly its triangles; neighbours
+    holds each node's neighbours in ascending order, the graph's one
+    adjacency build.  A graph built from rays keeps their labels, and every
+    edge, and so every triangle, is orthogonal to within the float error;
+    its coordinates stay with its source.
     """
 
     node_count: int
@@ -410,6 +406,7 @@ class OrthogonalityGraph:
             raise ValueError(f"node_count {n} is negative")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError(f"{len(self.labels)} labels for {n} nodes")
+        _check_labels(self.labels or ())
         pairs = np.sort(_edge_array(self.edges), axis=1)
         bad = pairs[(pairs[:, 0] < 0) | (pairs[:, 1] >= n) | (pairs[:, 0] == pairs[:, 1])].tolist()
         if bad:
@@ -454,6 +451,17 @@ def _edge_array(edges) -> np.ndarray:
         if np.asarray(e, dtype=object).shape != (2,) or not all(isinstance(v, ints) for v in e):
             raise ValueError(f"edge {e} is not a pair of integers")
     raise ValueError("the edges are not pairs of integers")
+
+
+def _check_labels(labels: Sequence) -> None:
+    """ValueError names the first label that is not a string or repeats an earlier one."""
+    taken = set()
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValueError(f"label {label!r} is not a string")
+        if label in taken:
+            raise ValueError(f"label {label!r} is already taken")
+        taken.add(label)
 
 
 def _upper_pairs(mat: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:

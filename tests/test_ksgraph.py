@@ -992,6 +992,19 @@ class TestOrthogonalityGraph:
         with pytest.raises(ValueError, match="2 labels for 3 nodes"):
             OrthogonalityGraph(3, [(0, 1)], labels=("x", "y"))
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (("a", "a"), r"^label 'a' is already taken$"),
+            (("x", 3), r"^label 3 is not a string$"),
+            ((None, 3), r"^label None is not a string$"),
+        ],
+    )
+    def test_labels_repeated_or_not_strings_rejected(self, labels, message):
+        # RaySet's rule and messages: DOT would draw two nodes labeled a
+        with pytest.raises(ValueError, match=message):
+            ksgraph.OrthogonalityGraph(2, [(0, 1)], labels)
+
     def test_abstract_structure_rejects_negative_node_count(self):
         from ksparadox.ksgraph import OrthogonalityGraph
 
