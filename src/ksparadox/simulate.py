@@ -138,7 +138,7 @@ def _run_stages(
         moves.append((back, new))
         flipped += new - back
         n_plus = n - flipped if base == +1 else flipped
-        counts.append(EnsembleCounts(stage=stage, theta=theta, n_plus=n_plus, n_minus=n - n_plus))
+        counts.append(EnsembleCounts(stage, float(theta), n_plus, n - n_plus))
     branches = _realize_branches(branch_seed, n, base, moves) if keep_branches else []
     return counts, branches
 
@@ -170,7 +170,7 @@ def run_sequence(
     audits).  Identical seeds give bitwise identical results.  Raises
     ValueError for an empty list or an angle that is not finite.
     """
-    if not apparatuses:
+    if not len(apparatuses):  # an array of angles has no truth value
         raise ValueError("apparatus list must be nonempty")
     if not all(map(math.isfinite, apparatuses)):
         raise ValueError(f"apparatus angles must be finite, got {list(apparatuses)}")
@@ -288,7 +288,7 @@ def vn_continuity_scan(psi_theta: float, grid: Sequence[float]) -> list[float]:
     and opposite orientations reach the endpoints.  Raises ValueError for
     an empty grid or an angle that is not finite.
     """
-    if not grid:
+    if not len(grid):
         raise ValueError("grid must be nonempty")
     if not math.isfinite(psi_theta):
         raise ValueError(f"psi angle must be finite, got {psi_theta}")

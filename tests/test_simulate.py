@@ -81,6 +81,17 @@ class TestRunSequence:
         with pytest.raises(ValueError):
             run_sequence(EnsembleSpec.unpolarized(10, seed=0), [])
 
+    def test_array_of_angles_reads_as_its_list(self):
+        # the same stream; every stored theta a float, also from a
+        # one-element array, and an empty array is rejected like []
+        spec = EnsembleSpec(n=999, prep_theta=0.3, seed=5)
+        for angles in ([0.1, 0.2], [0.7]):
+            counts = run_sequence(spec, np.array(angles))
+            assert counts == run_sequence(spec, angles)
+            assert all(type(c.theta) is float for c in counts)
+        with pytest.raises(ValueError, match="apparatus list must be nonempty"):
+            run_sequence(spec, np.array([]))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(n=0, prep_theta=0.0)
@@ -202,6 +213,14 @@ class TestVnReports:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             vn_continuity_scan(0.0, [])
+
+    def test_array_grid_reads_as_its_list(self):
+        grid = [0.1, 0.2]
+        vals = vn_continuity_scan(0.0, np.array(grid))
+        assert vals == vn_continuity_scan(0.0, grid)
+        assert all(type(v) is float for v in vals)
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            vn_continuity_scan(0.0, np.array([]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_angles_rejected(self, bad):
