@@ -240,11 +240,9 @@ class RaySet:
         keys = np.append(first * n + second, n * n)
         pairs = self.copies[:, GADGET_EDGES]  # (copies, 15, 2) ray indices
         wanted = pairs.min(axis=2) * n + pairs.max(axis=2)
-        missing = set(wanted[keys[np.searchsorted(keys, wanted)] != wanted].tolist())
-        if missing:
-            raise OrthogonalityGapError(
-                f"{len(missing)} construction pairs have |dot| > {bound:.3g}"
-            )
+        gaps = len(set(wanted[keys[np.searchsorted(keys, wanted)] != wanted].tolist()))
+        if gaps:
+            raise OrthogonalityGapError(f"{gaps} construction pairs have |dot| > {bound:.3g}")
         return OrthogonalityGraph(n, np.column_stack([first, second]), self.labels)
 
     @property
@@ -489,9 +487,8 @@ def _frozen(value: Any) -> Any:
 
 
 def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> OrthogonalityGraph:
-    """source's RaySet.graph, the set read as one checked RaySet: a GadgetSet
-    by role, a ray list by _read_rays, each of 0 copies.  A RaySet gets the
-    same graph object on every call."""
+    """source.graph, a GadgetSet read as a RaySet by role and a ray list by
+    _read_rays, each of 0 copies; a RaySet gets its one graph on every call."""
     if isinstance(source, GadgetSet):
         source = RaySet(source.units, GADGET_ROLES)
     elif not isinstance(source, RaySet):

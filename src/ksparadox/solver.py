@@ -17,9 +17,8 @@ exhaustive scan used as ground truth against it.  forcing_chain_check
 re-derives the uncolorability of the chained ray set by a route independent
 of the search: the gadget lemma (one exhaustive enumeration of the ten-role
 graph, computed once), a check that each link realizes that role graph in
-the set's own orthogonality graph (RaySet.graph, the one judgement of its
-pairs, which the search refutes), and the cyclic propagation argument
-through the coordinate axes, a triad of that graph.
+RaySet.graph, the one judgement of the set's pairs, which the search
+refutes too, and the cyclic propagation through the axes, a triad of it.
 """
 
 from __future__ import annotations
@@ -282,8 +281,7 @@ class ChainReport:
     forces value(apex) = 1 to propagate to its c3, the links close into a
     cycle whose shared rays include all three coordinate axes, and those
     axes form a triad of the set's graph -- so any admissible assignment
-    gives the axes equal values, which no exactly-one-of-three triad can
-    absorb.
+    gives the axes equal values, which breaks exactly-one on their triad.
     """
 
     links: tuple[LinkReport, ...]
@@ -316,14 +314,13 @@ class ChainReport:
 def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     """Audit the chain of gadget copies in a swept RaySet.
 
-    Checks that each copy's c3 is the next copy's apex, then reads the
-    set's graph, chain.graph, which raises OrthogonalityGapError unless each
-    copy's fifteen construction pairs are edges, then each copy's apex-c3
-    angle; ChainIntegrityError names the first link that fails.  The links
-    keep their measured residual and angle as margins, and the axis triple
-    must form a triad of the same graph.  Those checks tie every link to the
-    ten-role graph, whose forcing lemma is computed once by exhaustive
-    enumeration and read off, not assumed.
+    Checks that each copy's c3 is the next copy's apex, reads chain.graph
+    (OrthogonalityGapError unless every copy's fifteen construction pairs
+    are edges), and checks each copy's apex-c3 angle; ChainIntegrityError
+    names the first link that fails.  Links keep their measured margins, and
+    the axis triple must form a triad of the same graph.  These checks tie
+    every link to the ten-role graph, whose forcing lemma is computed once
+    by exhaustive enumeration and read off, not assumed.
     """
     roles = chain.copies
     if not len(roles):
