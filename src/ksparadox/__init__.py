@@ -35,7 +35,6 @@ from .ksgraph import (
     build_orthogonality_graph,
     dedupe_rays,
     default_schedule,
-    rotate_ray,
 )
 from .linalg import (
     Context,

@@ -24,6 +24,7 @@ from .emit import (
     to_json,
 )
 from .gadget import (
+    GADGET_ROLES,
     GadgetSet,
     copy_margins,
     enumerate_gadget_assignments,
@@ -31,7 +32,7 @@ from .gadget import (
     gadget_for_angle,
     minimize_gadget_cosine,
 )
-from .ksgraph import RaySet, assemble_ks_set, build_orthogonality_graph
+from .ksgraph import RaySet, assemble_ks_set, build_orthogonality_graph, dedupe_rays
 from .linalg import Ray3, context_for_direction, spin_half_eigenvectors
 from .simulate import (
     GENERATOR_NAME,
@@ -142,6 +143,12 @@ def cmd_verify_gadget(args: argparse.Namespace) -> int:
     print(f"admissible assignments: {pairs.assignment_count}")
     print(f"apex=1 forces c3=1: {pairs.forced_one_way}")
     print(f"symmetric forcing: {pairs.forced_symmetric}")
+    try:
+        merges = [f"{role}={rep}" for role, rep in dedupe_rays(gadget.units, GADGET_ROLES).merges]
+    except ValueError as exc:  # roles within the bound of each other, but not transitively
+        merges = [str(exc)]
+    if merges:
+        print("coinciding roles: " + ", ".join(merges))
     if args.out:
         _write(args.out, to_json(gadget.to_dict()))
     return 0

@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .gadget import GADGET_TRIADS
 from .ksgraph import OrthogonalityGraph, RaySet
-from .linalg import X_AXIS, Y_AXIS, Z_AXIS
 from .simulate import GENERATOR_NAME, EnsembleCounts
 
 
@@ -40,8 +39,8 @@ def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
     labels; edges are plain lines; triads are listed as comments.
     """
     lines = ["graph ksdiagram {", '  node [shape=circle, style=""];']
-    for i, label in enumerate(g.labels or ("",) * g.node_count):
-        label = (label or f"r{i}").replace("\\", "\\\\").replace('"', '\\"')
+    for i, label in enumerate(g.labels or [f"r{i}" for i in range(g.node_count)]):
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     lines += (f"  n{i} -- n{j};" for i, j in g.edges)
     lines += (f"  // triad {a} {b} {c}" for a, b, c in g.triads)
@@ -95,8 +94,7 @@ def census_text(rs: RaySet) -> str:
         f"labeled triad rays: {len(triad_index)} ({merged} merged)",
         f"gadget copies: {len(rs.copies)}",
     ]
-    for name, axis in (("x", X_AXIS), ("y", Y_AXIS), ("z", Z_AXIS)):
-        idx = rs.index_of(axis)  # None for an absent axis matches no label
+    for name, idx in zip("xyz", rs.axis_nodes):  # None, an absent axis, matches no label
         hits = sorted(lb for lb, k in triad_index.items() if k == idx)
         lines.append(f"axis {name}: {len(hits)} triad labels ({', '.join(hits)})")
     lines.append("")

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Ray3, _canonical_units
+from .linalg import _canonical_units
 
 GADGET_ROLES = ("apex", "a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
 APEX, C3 = 0, 9
@@ -116,14 +116,6 @@ class GadgetSet:
     def __reduce__(self):  # pickle and deepcopy rebuild the gadget from its parameters
         return GadgetSet, (self.x, self.y)
 
-    @functools.cached_property
-    def rays(self) -> tuple[Ray3, ...]:
-        """The rows as Ray3 labeled by role, built when first read."""
-        return tuple(map(Ray3, *self.units.T.tolist(), GADGET_ROLES))
-
-    def ray(self, role: str) -> Ray3:
-        return self.rays[GADGET_ROLES.index(role)]
-
     def max_edge_residual(self) -> float:
         """Largest |dot| over GADGET_EDGES."""
         return copy_margins(self.units[None])[0][0]
@@ -139,11 +131,11 @@ class GadgetSet:
 
 def copy_margins(vecs: np.ndarray) -> list[tuple[float, float]]:
     """(largest |dot| over GADGET_EDGES, apex-c3 angle) of each copy in a
-    (copies, 10, 3) array, with the bits of Ray3.dot and Ray3.angle_to."""
+    (copies, 10, 3) array, with the bits of linalg's per-ray dot and angle."""
     ends = np.array([*GADGET_EDGES, (APEX, C3)]).T  # the fifteen pairs, then apex-c3
     dots = np.abs((vecs[:, ends[0]] * vecs[:, ends[1]]).sum(axis=-1))
     residuals, cosines = dots[:, :-1].max(axis=1).tolist(), dots[:, -1].tolist()
-    # math.acos, unlike np.arccos, keeps Ray3.angle_to's bits
+    # math.acos, unlike np.arccos, keeps the per-ray angle's bits
     return [(r, math.acos(min(1.0, c))) for r, c in zip(residuals, cosines)]
 
 

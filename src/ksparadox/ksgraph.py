@@ -105,13 +105,6 @@ def _transformed(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return _canonical_units((m @ vecs[:, :, None])[:, :, 0])
 
 
-def rotate_ray(r: Ray3, axis: Ray3, angle: float) -> Ray3:
-    """Rotate a ray about an axis ray; norms and pairwise angles are
-    preserved to 1e-12 (the result is re-canonicalized)."""
-    ((x, y, z),) = _transformed(rotation_matrix(axis.vec, angle), r.vec[None]).tolist()
-    return Ray3(x, y, z, r.label)
-
-
 @dataclass(frozen=True)
 class RotationStep:
     """One schedule step: rotate the current copy about one of its own rays.
@@ -164,16 +157,16 @@ class RaySet:
     matrix, the rays' one stored form, is a read-only (n, 3) float array of
     unit rows, each named in labels by its first occurrence; merges pairs
     every other input label, in input order, with the label of its ray, as
-    to_dict writes them.  rays, graph, label_to_index and triad_index are
-    built from these, rays and graph when first read.  copies, the role
-    table, is a read-only (copies, 10) intp array: row k holds gadget copy
-    k's ray indices in GADGET_ROLES order (copies[k, C3] is its c3), in
-    sweep order.  provenance is a read-only mapping over a deep copy of the
-    caller's, its lists stored as tuples.
+    to_dict writes them.  rays, graph, label_to_index, triad_index and
+    axis_nodes are built from these, rays and graph when first read.
+    copies, the role table, is a read-only (copies, 10) intp array: row k
+    holds gadget copy k's ray indices in GADGET_ROLES order (copies[k, C3]
+    is its c3), in sweep order.  provenance is a read-only mapping over a
+    deep copy of the caller's, its lists stored as tuples.
     ValueError rejects rows that are not finite unit vectors (to 1e-12),
-    labels not one per row, a label that is not a string or is taken twice,
-    a merge that is not a pair or names no row, and a table that is not
-    integer, not ten columns wide, or names a ray outside it.
+    labels not one per row, a label that is not a string, is empty or is
+    taken twice, a merge that is not a pair or names no row, and a table
+    that is not integer, not ten columns wide, or names a ray outside it.
     """
 
     matrix: np.ndarray
@@ -260,10 +253,14 @@ class RaySet:
     def triad_label_count(self) -> int:
         return len(self.triad_index)
 
-    def index_of(self, r: Ray3) -> int | None:
-        """Index of the first ray that dedup merges with r (by the set's bound), or None."""
-        near = np.linalg.norm(np.cross(self.matrix, r.vec), axis=-1)
-        return next(iter(np.flatnonzero(near <= _edge_bound(len(self.copies))).tolist()), None)
+    @property
+    def axis_nodes(self) -> tuple[int | None, int | None, int | None]:
+        """For each of the x, y and z axes, the index of the first ray that
+        dedup would merge with it (|u x v| within the set's bound), or None
+        for an absent axis."""
+        near = np.linalg.norm(np.cross(self.matrix[:, None], np.eye(3)), axis=-1)
+        hits = (near <= _edge_bound(len(self.copies))).T
+        return tuple(next(iter(np.flatnonzero(hit).tolist()), None) for hit in hits)
 
     def to_dict(self) -> dict:
         return {
@@ -274,18 +271,12 @@ class RaySet:
         }
 
 
-def _read_rays(rays: Sequence[Ray3]) -> RaySet:
-    """A ray list as a checked, unmerged RaySet; an unlabeled ray is r<i>."""
-    labeled = [((r.x, r.y, r.z), r.label or f"r{i}") for i, r in enumerate(rays)]
-    return RaySet(np.reshape([xyz for xyz, _ in labeled], (-1, 3)), [lb for _, lb in labeled])
-
-
-def dedupe_rays(rays: Sequence[Ray3]) -> RaySet:
-    """Merge rays within |u x v| <= _edge_bound(0), the bound of a ray list,
-    into their first occurrence; _read_rays reads and checks the list.
-    Raises ValueError for a label taken twice, generated ones included, and
-    where the rule is not transitive (module docstring)."""
-    listed = _read_rays(rays)
+def dedupe_rays(matrix: np.ndarray, labels: Sequence[str]) -> RaySet:
+    """Merge the labeled (n, 3) rows within |u x v| <= _edge_bound(0), the
+    bound of a set without copies, into their first occurrence.  The input
+    is checked as RaySet(matrix, labels) is; ValueError also rejects a rule
+    that is not transitive on it (module docstring)."""
+    listed = RaySet(matrix, labels)
     return RaySet(*_dedupe(listed.matrix, listed.labels, _edge_bound(0))[0])
 
 
@@ -383,8 +374,8 @@ class OrthogonalityGraph:
     array, sorts each edge and the edge list, stores Python ints, and raises
     ValueError for a negative node_count, an edge that is not a pair of
     integers, a node outside [0, node_count), a repeated member, an edge
-    listed twice, labels not one per node, and a label that is not a string
-    or is taken twice.  The triads, each a sorted triple, are derived from
+    listed twice, labels not one per node, and a label that is not a
+    string, is empty or is taken twice.  The triads, each a sorted triple, are derived from
     the edges, so every graph's triads are exactly its triangles; neighbours
     holds each node's neighbours in ascending order, the graph's one
     adjacency build.  A graph built from rays keeps their labels, and every
@@ -433,9 +424,6 @@ class OrthogonalityGraph:
         object.__setattr__(self, "triads", tuple(triads))
         object.__setattr__(self, "neighbours", tuple(map(tuple, neighbours)))
 
-    def adjacency(self) -> list[set[int]]:
-        return [set(ns) for ns in self.neighbours]
-
 
 def _edge_array(edges) -> np.ndarray:
     """edges as an (m, 2) integer array; ValueError names an edge that is
@@ -452,11 +440,14 @@ def _edge_array(edges) -> np.ndarray:
 
 
 def _check_labels(labels: Sequence) -> None:
-    """ValueError names the first label that is not a string or repeats an earlier one."""
+    """ValueError names the first label that is not a string, is empty or
+    repeats an earlier one."""
     taken = set()
     for label in labels:
         if not isinstance(label, str):
             raise ValueError(f"label {label!r} is not a string")
+        if not label:
+            raise ValueError("label '' is empty")
         if label in taken:
             raise ValueError(f"label {label!r} is already taken")
         taken.add(label)
@@ -486,11 +477,12 @@ def _frozen(value: Any) -> Any:
     return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else copy.deepcopy(value)
 
 
-def build_orthogonality_graph(source: RaySet | GadgetSet | Sequence[Ray3]) -> OrthogonalityGraph:
-    """source.graph, a GadgetSet read as a RaySet by role and a ray list by
-    _read_rays, each of 0 copies; a RaySet gets its one graph on every call."""
+def build_orthogonality_graph(source: RaySet | GadgetSet) -> OrthogonalityGraph:
+    """source.graph, a GadgetSet read as a RaySet of 0 copies labeled by
+    role; a RaySet gets its one graph on every call.  TypeError names the
+    type of any other source."""
     if isinstance(source, GadgetSet):
         source = RaySet(source.units, GADGET_ROLES)
     elif not isinstance(source, RaySet):
-        source = _read_rays(source)
+        raise TypeError(f"expected a RaySet or a GadgetSet, not {type(source).__name__}")
     return source.graph

@@ -41,7 +41,6 @@ from .gadget import (
     satisfying_masks,
 )
 from .ksgraph import OrthogonalityGraph, RaySet
-from .linalg import X_AXIS, Y_AXIS, Z_AXIS
 
 
 class IncompleteAssignmentError(ValueError):
@@ -341,7 +340,7 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
             )
     forced = _gadget_lemma().forced_one_way
 
-    axis_nodes = tuple(chain.index_of(ax) for ax in (X_AXIS, Y_AXIS, Z_AXIS))
+    axis_nodes = chain.axis_nodes
     axes_present = all(i is not None for i in axis_nodes)
     axes_on_chain = axes_present and set(axis_nodes) <= set(roles[:, [APEX, C3]].ravel().tolist())
     axes_orthogonal = axes_present and tuple(sorted(axis_nodes)) in graph.triads

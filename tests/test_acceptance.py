@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from ksparadox.gadget import (
+    APEX,
+    C3,
     build_gadget,
     enumerate_gadget_assignments,
     gadget_angle,
     minimize_gadget_cosine,
     solve_parameter_for_angle,
 )
-from ksparadox.ksgraph import assemble_ks_set, build_orthogonality_graph, rotation_matrix
+from ksparadox.ksgraph import RaySet, assemble_ks_set, build_orthogonality_graph, rotation_matrix
 from ksparadox.linalg import (
     Context,
     Ray3,
@@ -91,7 +93,7 @@ def test_criterion_02_gadget_algebra():
         worst_edge = max(worst_edge, g.max_edge_residual())
         worst_angle_gap = max(
             worst_angle_gap,
-            abs(gadget_angle(x, y) - g.ray("apex").angle_to(g.ray("c3"))),
+            abs(gadget_angle(x, y) - Ray3(*g.units[APEX]).angle_to(Ray3(*g.units[C3]))),
         )
     checks = {
         "all 15 relations within 1e-9 over 1000 draws": worst_edge <= 1e-9,
@@ -150,8 +152,7 @@ def test_criterion_05_ray_census(default_rayset):
     rs = default_rayset
     triad_merges = [m for m in rs.merges if not m[0].endswith("apex")]
     axis_roles = []
-    for axis in (Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        idx = rs.index_of(axis)
+    for idx in rs.axis_nodes:
         axis_roles.extend(
             lb.split(":")[1]
             for lb, k in rs.label_to_index.items()
@@ -346,7 +347,7 @@ def _ball_nodes(rng, adjacency, node_count: int, size: int) -> list[int]:
 
 def test_criterion_12_solver_oracle_equivalence(default_rayset, default_graph):
     rays = default_rayset.rays
-    adjacency = default_graph.adjacency()
+    adjacency = default_graph.neighbours
     rng = np.random.default_rng(20260810)
     agreements = 0
     total = 200
@@ -357,7 +358,8 @@ def test_criterion_12_solver_oracle_equivalence(default_rayset, default_graph):
         else:
             size = int(rng.integers(4, 17))
             nodes = list(rng.choice(len(rays), size=size, replace=False))
-        sub = build_orthogonality_graph([rays[k] for k in nodes])
+        labels = [rays[k].label for k in nodes]
+        sub = build_orthogonality_graph(RaySet(default_rayset.matrix[nodes], labels))
         verdict = check_colorability(sub)
         solutions = enumerate_all_colorings(sub, cap=20)
         if (verdict.outcome == "SAT") == bool(solutions):

@@ -16,7 +16,12 @@ from ksparadox import ksgraph
 from ksparadox.cli import main
 from ksparadox.emit import counts_to_csv, fmt9, graph_to_dot, parse_dot_counts
 from ksparadox.gadget import build_gadget, offdiagonal_parameters_for_angle
-from ksparadox.ksgraph import RaySet, assemble_ks_set, build_orthogonality_graph
+from ksparadox.ksgraph import (
+    OrthogonalityGraph,
+    RaySet,
+    assemble_ks_set,
+    build_orthogonality_graph,
+)
 from ksparadox.simulate import EnsembleSpec, run_sequence
 
 PAPER117 = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "paper117"
@@ -71,7 +76,7 @@ class TestEmitters:
 
     def test_dot_single_gadget_roundtrip(self):
         gadget = build_gadget(*offdiagonal_parameters_for_angle(math.radians(18.0)))
-        graph = build_orthogonality_graph(gadget.rays)
+        graph = build_orthogonality_graph(gadget)
         doc = graph_to_dot(graph)
         nodes, edges = parse_dot_counts(doc.text)
         assert (nodes, edges) == (10, 15)
@@ -95,6 +100,13 @@ class TestEmitters:
             '  n1 [label="ends in \\\\"];',
             '  n2 [label="plain"];',
         ]
+
+    def test_dot_names_only_unlabeled_graphs_by_position(self):
+        text = graph_to_dot(OrthogonalityGraph(2, [(0, 1)])).text
+        assert '  n0 [label="r0"];\n  n1 [label="r1"];\n' in text
+        # an empty label would draw as r0 beside the node labeled r0
+        with pytest.raises(ValueError, match="^label '' is empty$"):
+            graph_to_dot(RaySet(np.eye(3), ("", "r0", "x")).graph)
 
     def test_counts_csv(self):
         counts = run_sequence(EnsembleSpec.unpolarized(1000, seed=1), [0.0, math.pi / 2])
@@ -120,6 +132,22 @@ class TestCliCommands:
         assert "apex=1 forces c3=1: True" in out
         assert "symmetric forcing: False" in out
         assert "admissible assignments: 22" in out
+        assert "coinciding roles" not in out
+
+    @pytest.mark.parametrize(
+        "x, y, line",
+        [
+            ("0", "0", "a3=apex, b1=a1, b2=a2, b3=apex, c1=a2, c2=a1, c3=apex"),
+            ("1", "1e-9", "c3=a3"),
+            # within the bound of each other, but not transitively
+            ("1e-14", "2e-14", "merging rays within |u x v| <= 2.13e-14 is not transitive here"),
+        ],
+        ids=["zero", "tiny-y", "not-transitive"],
+    )
+    def test_verify_gadget_names_coinciding_roles(self, capsys, x, y, line):
+        assert main(["verify-gadget", "--x", x, "--y", y]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f"symmetric forcing: False\ncoinciding roles: {line}\n")
 
     def test_build_set_census_and_json(self, capsys, tmp_path):
         out_path = tmp_path / "rays.json"

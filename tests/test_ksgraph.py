@@ -37,7 +37,6 @@ from ksparadox.ksgraph import (
     build_orthogonality_graph,
     dedupe_rays,
     default_schedule,
-    rotate_ray,
     rotation_matrix,
 )
 from ksparadox.linalg import (
@@ -52,6 +51,19 @@ from ksparadox.solver import check_colorability, forcing_chain_check
 AXES = tuple(Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 #: the coordinate axes as a hand-built RaySet's fields, labeled x, y and z
 AXES_FIELDS = {"matrix": np.eye(3), "labels": ("x", "y", "z")}
+
+
+def _listed(rays):
+    """A Ray3 list as dedupe_rays' and RaySet's (matrix, labels); the test
+    names an unlabeled ray r<i>."""
+    labels = [r.label or f"r{i}" for i, r in enumerate(rays)]
+    return np.reshape([(r.x, r.y, r.z) for r in rays], (-1, 3)), labels
+
+
+def _rotated(r, axis, angle):
+    """r turned about the axis ray by the sweep's one rotation helper."""
+    ((x, y, z),) = _transformed(rotation_matrix(axis.vec, angle), r.vec[None]).tolist()
+    return Ray3(x, y, z)
 
 
 def _cross_norm(u, v):
@@ -88,24 +100,23 @@ def _assert_dedup_is_reference(rays):
     expected, reps = _plain_scan(rays, bound)
     if not _is_equivalence(rays, expected, bound):
         with pytest.raises(ValueError, match="is not transitive here"):
-            dedupe_rays(rays)
+            dedupe_rays(*_listed(rays))
         return False
-    rs = dedupe_rays(rays)
+    rs = dedupe_rays(*_listed(rays))
     assert rs.label_to_index == expected
     assert rs.rays == tuple(reps)
-    assert [rs.index_of(r) for r in rays] == [expected[f"r{i}"] for i in range(len(rays))]
     return True
 
 
-class TestRotateRay:
+class TestRotation:
     def test_quarter_turn_about_z(self):
-        out = rotate_ray(AXES[0], AXES[2], math.pi / 2)
+        out = _rotated(AXES[0], AXES[2], math.pi / 2)
         assert out.angle_to(AXES[1]) <= 1e-12
 
     def test_axis_is_fixed_point(self):
         r = Ray3.from_vector((0.1, 0.5, -2.0))
         for angle in (0.3, 1.0, 2.5, 3.7):
-            assert rotate_ray(r, r, angle).angle_to(r) <= 1e-12
+            assert _rotated(r, r, angle).angle_to(r) <= 1e-12
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=200)
@@ -116,18 +127,18 @@ class TestRotateRay:
         axis = Ray3.from_vector(rng.normal(size=3))
         angle = rng.uniform(0, 2 * math.pi)
         before = a.angle_to(b)
-        after = rotate_ray(a, axis, angle).angle_to(rotate_ray(b, axis, angle))
+        after = _rotated(a, axis, angle).angle_to(_rotated(b, axis, angle))
         assert after == pytest.approx(before, abs=1e-12)
 
 
 class TestDedupeRays:
     def test_antipodal_merge(self):
-        rs = dedupe_rays([Ray3.from_vector((1, 2, 3)), Ray3.from_vector((-1, -2, -3))])
+        rs = dedupe_rays(*_listed([Ray3.from_vector((1, 2, 3)), Ray3.from_vector((-1, -2, -3))]))
         assert len(rs.rays) == 1
         assert len(rs.merges) == 1
 
     def test_disjoint_axes_unmerged(self):
-        rs = dedupe_rays(list(AXES))
+        rs = dedupe_rays(**AXES_FIELDS)
         assert len(rs.rays) == 3
         assert rs.merges == ()
 
@@ -137,7 +148,7 @@ class TestDedupeRays:
             Ray3.from_vector((0, 1, 0), "other"),
             Ray3.from_vector((-1, 0, 0), "dup"),
         ]
-        rs = dedupe_rays(rays)
+        rs = dedupe_rays(*_listed(rays))
         assert rs.rays[0].label == "first"
         assert rs.label_to_index["dup"] == 0
         assert ("dup", "first") in rs.merges
@@ -161,7 +172,7 @@ class TestDedupeRays:
         ]
         rays = [Ray3.from_vector(v) for v in [*(picks + jitter), *edge_cases]]
         assert _assert_dedup_is_reference(rays)
-        rs = dedupe_rays(rays)
+        rs = dedupe_rays(*_listed(rays))
         assert 20 < len(rs.rays) < 60
         k = rs.label_to_index["r60"]
         assert [rs.label_to_index[f"r{i}"] for i in range(60, 65)] == [k, k, k + 1, k + 2, k + 2]
@@ -176,17 +187,11 @@ class TestDedupeRays:
         # _edge_bound(0) = 2.1e-14, those 3e-14 or more apart are not; in the
         # last, the three merged pairs number as many as a 3-clique has
         with pytest.raises(ValueError, match="is not transitive here"):
-            dedupe_rays([Ray3.from_vector((1, y * 1e-14, 0)) for y in ys])
+            dedupe_rays(*_listed([Ray3.from_vector((1, y * 1e-14, 0)) for y in ys]))
 
-    @pytest.mark.parametrize(
-        "first, second", [("a", "a"), ("r1", "")], ids=["explicit", "generated"]
-    )
-    def test_repeated_label_rejected(self, first, second):
-        # the second ray's label, explicit or generated from its position,
-        # is already the first ray's
-        rays = [Ray3.from_vector((1, 0, 0), first), Ray3.from_vector((0, 1, 0), second)]
-        with pytest.raises(ValueError, match=f"^label '{first}' is already taken$"):
-            dedupe_rays(rays)
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ValueError, match="^label 'a' is already taken$"):
+            dedupe_rays(np.eye(2, 3), ("a", "a"))
 
 
 def _jittered(rng, base, angle, toward=None):
@@ -261,7 +266,7 @@ class TestDedupeMatchesPlainScan:
             b = _edge_bound(0)
             rays[-2:] = [Ray3.from_vector(_jittered(rng, s * v, 0.3 * b)) for s in (1, -1)]
         expected, reps = _plain_scan(rays, _edge_bound(0))
-        rs = dedupe_rays(rays)
+        rs = dedupe_rays(*_listed(rays))
         assert rs.label_to_index == expected
         assert rs.rays == tuple(reps)
         if count >= 128:
@@ -275,30 +280,30 @@ def rayset():
     return assemble_ks_set()
 
 
-class TestIndexOf:
-    # index_of is a first-occurrence scan with the dedup rule; each test
-    # below asserts its results on one kind of set
+class TestAxisNodes:
+    # axis_nodes is a first-occurrence scan of the three axes with the dedup
+    # rule; each test below asserts its results on one kind of set
 
-    def test_hand_built_set_builds_its_index_once(self):
-        rs = RaySet(**AXES_FIELDS)
-        assert [rs.index_of(a) for a in AXES] == [0, 1, 2]
-        assert rs.index_of(Ray3.from_vector((5e-15, -1, 1e-14))) == 1  # a near-antipode of y
-        assert rs.index_of(Ray3.from_vector((0, 1, 3e-14))) is None  # beyond _edge_bound(0)
-        assert rs.index_of(Ray3.from_vector((1, 1, 0))) is None
-        assert [rs.index_of(a) for a in AXES] == [0, 1, 2]
+    def test_hand_built_set(self):
+        assert RaySet(**AXES_FIELDS).axis_nodes == (0, 1, 2)
+        # no axis, beyond _edge_bound(0) of y, a near-antipode of y, then
+        # the axes: y's first occurrence is the near-antipode
+        rows = [(1, 1, 0), (0, 1, 3e-14), (5e-15, -1, 1e-14), (1, 0, 0), (0, -1, 0), (0, 0, 1)]
+        rs = RaySet(_canonical_units(np.array(rows, dtype=float)), [f"r{i}" for i in range(6)])
+        assert rs.axis_nodes == (3, 2, 5)
 
-    def test_dedupe_leaves_the_index_it_built(self, rayset):
-        assert [rayset.index_of(a) for a in AXES] == [40, 7, 39]
+    def test_assembled_set(self, rayset):
+        assert rayset.axis_nodes == (40, 7, 39)
 
-    def test_replace_carries_or_rebuilds_the_index(self, rayset):
+    def test_replaced_set_reads_its_own_rows(self, rayset):
         same = dataclasses.replace(rayset, copies=())
-        assert [same.index_of(a) for a in AXES] == [40, 7, 39]
+        assert same.axis_nodes == (40, 7, 39)
         grown = dataclasses.replace(
             rayset,
             matrix=np.concatenate([AXES_FIELDS["matrix"], rayset.matrix]),
             labels=AXES_FIELDS["labels"] + rayset.labels,
         )
-        assert [grown.index_of(a) for a in AXES] == [0, 1, 2]
+        assert grown.axis_nodes == (0, 1, 2)
 
     def test_ray_matrix_built_once_and_read_only(self, rayset):
         rs = dataclasses.replace(rayset)
@@ -307,7 +312,7 @@ class TestIndexOf:
         assert mat.tolist() == [[r.x, r.y, r.z] for r in rs.rays]
         with pytest.raises(ValueError):
             mat[0, 0] = 0.0
-        assert [rs.index_of(a) for a in AXES] == [40, 7, 39]
+        assert rs.axis_nodes == (40, 7, 39)
         assert rs.matrix is mat
 
 
@@ -392,11 +397,11 @@ class TestBitsKept:
         # first-occurrence scan
         step_angle, schedule, params = _sweep_args(name)
         gadget = gadget_for_angle(step_angle, params)
-        w, u, c3 = gadget.ray("apex").vec, gadget.ray("c2").vec, gadget.ray("c3").vec
+        w, u, c3 = gadget.units[[APEX, GADGET_ROLES.index("c2"), C3]]
         rot = np.stack([np.cross(u, w), u, w])
         if (rot[0] @ c3) * (rot[2] @ c3) < 0.0:
             rot[:2] = -rot[:2]
-        copy = [Ray3(*row) for row in _reference_rows(rot, [r.vec for r in gadget.rays])]
+        copy = [Ray3(*row) for row in _reference_rows(rot, gadget.units)]
         copies = [copy]
         for step in schedule:
             a = GADGET_ROLES.index(step.axis_role)
@@ -449,8 +454,7 @@ class TestAssembleDefault:
         assert copies[-1, C3] == copies[0, APEX]  # closed sweep
 
     def test_axes_present_each_seven_triad_labels(self, rayset):
-        for axis in AXES:
-            idx = rayset.index_of(axis)
+        for idx in rayset.axis_nodes:
             assert idx is not None
             hits = [
                 lb
@@ -501,7 +505,7 @@ class TestCopyTable:
     def test_no_copies_give_an_empty_table(self, copies):
         rs = RaySet(**AXES_FIELDS, copies=copies)
         assert rs.copies.dtype == np.intp and rs.copies.shape == (0, 10)
-        assert dedupe_rays(AXES).copies.shape == (0, 10)
+        assert dedupe_rays(**AXES_FIELDS).copies.shape == (0, 10)
 
     def test_table_is_kept_apart_from_its_input(self, rayset):
         table = np.array(rayset.copies, dtype=np.int32)
@@ -583,6 +587,7 @@ class TestRaySetFields:
                 r"^label 'g02:c2' is already taken$",
             ),
             (lambda rs: {"labels": (1,) + rs.labels[1:]}, r"^label 1 is not a string$"),
+            (lambda rs: {"labels": ("",) + rs.labels[1:]}, r"^label '' is empty$"),
             (
                 lambda rs: {"merges": rs.merges + ((["w"], "x"),)},
                 r"^label \['w'\] is not a string$",
@@ -604,6 +609,7 @@ class TestRaySetFields:
             "own-label-elsewhere",
             "merged-label-used-twice",
             "label-not-a-string",
+            "label-empty",
             "merged-label-unhashable",
             "representative-unhashable",
         ],
@@ -778,7 +784,7 @@ class TestAssembleVariants:
         g = build_orthogonality_graph(rs)
         assert (len(rs.rays), len(rs.merges)) == (573, 147)
         assert (len(g.edges), len(g.triads)) == (1002, 214)
-        assert tuple(rs.index_of(a) for a in AXES) == (192, 7, 191)
+        assert rs.axis_nodes == (192, 7, 191)
 
 
 class TestSweepOrientation:
@@ -830,8 +836,8 @@ class TestCensusGoldens:
         step = math.radians(18.0)
         rs = assemble_ks_set(step, schedule=(RotationStep("c2", step, 2),))
         text = census_text(rs)
-        assert rs.index_of(AXES[0]) is None
-        assert rs.index_of(AXES[2]) is not None
+        assert rs.axis_nodes[0] is None
+        assert rs.axis_nodes[2] is not None
         assert "axis x: 0 triad labels ()\n" in text
         assert "axis z: 0 triad labels ()\n" in text
         assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -851,20 +857,20 @@ BAD_NODE_IDS = ["self-loop", "repeated-edge", "negative-node", "node-past-count"
 
 class TestOrthogonalityGraph:
     def test_axes_triangle(self):
-        g = build_orthogonality_graph(AXES)
+        g = build_orthogonality_graph(RaySet(**AXES_FIELDS))
         assert g.node_count == 3
         assert len(g.edges) == 3
         assert g.triads == ((0, 1, 2),)
 
     def test_single_gadget_graph(self):
         gadget = build_gadget(*offdiagonal_parameters_for_angle(math.radians(18.0)))
-        g = build_orthogonality_graph(gadget.rays)
+        g = build_orthogonality_graph(gadget)
         assert g.node_count == 10
         assert len(g.edges) == 15
         assert len(g.triads) == 3
 
     def test_edge_relation_symmetric_irreflexive(self):
-        g = build_orthogonality_graph(AXES)
+        g = build_orthogonality_graph(RaySet(**AXES_FIELDS))
         for i, j in g.edges:
             assert i < j
 
@@ -874,7 +880,7 @@ class TestOrthogonalityGraph:
         assert g.node_count == 117
         assert len(g.edges) == 204
         assert len(g.triads) == 43
-        axes_nodes = tuple(sorted(rs.index_of(a) for a in AXES))
+        axes_nodes = tuple(sorted(rs.axis_nodes))
         assert axes_nodes in g.triads
 
     def test_every_triad_completes(self):
@@ -885,32 +891,27 @@ class TestOrthogonalityGraph:
             assert verify_completion(ctx) <= 1e-6
 
     def test_loose_triangle_gives_no_edges(self):
-        # pairwise |dot| of 5e-8 is far outside the float error of a ray list
+        # pairwise |dot| of 5e-8 is far outside the float error of a set
+        # without copies
         e = 2.5e-8
         rays = [Ray3.from_vector(v) for v in ((1, e, e), (e, 1, e), (e, e, 1))]
-        g = build_orthogonality_graph(rays)
+        g = build_orthogonality_graph(RaySet(*_listed(rays)))
         assert (g.edges, g.triads) == ((), ())
 
-    def test_ray_list_holding_a_ray_that_is_not_unit_rejected(self):
-        # orthogonal to all three axes, the short ray would close them into
+    def test_rows_that_are_not_unit_rejected(self):
+        # orthogonal to all three axes, the short row would close them into
         # K4; the long one, parallel to x, would merge into it unchecked
-        for ray in (Ray3(1e-14, 1e-14, 0.0), Ray3(2.0, 0.0, 0.0)):
-            message = rf"^row 3 is not a finite unit vector: \[{ray.x}, {ray.y}, {ray.z}\]$"
-            for read in (build_orthogonality_graph, dedupe_rays):
+        for row in ([1e-14, 1e-14, 0.0], [2.0, 0.0, 0.0]):
+            message = rf"^row 3 is not a finite unit vector: \[{row[0]}, {row[1]}, {row[2]}\]$"
+            for read in (RaySet, dedupe_rays):
                 with pytest.raises(ValueError, match=message):
-                    read([*AXES, ray])
+                    read(np.vstack([np.eye(3), row]), ("x", "y", "z", "w"))
 
-    def test_ray_list_with_a_repeated_label_rejected(self):
-        rays = [Ray3.from_vector((1, 0, 0), "a"), Ray3.from_vector((0, 1, 0), "a")]
-        with pytest.raises(ValueError, match=r"^label 'a' is already taken$"):
-            build_orthogonality_graph(rays)
-
-    def test_unlabeled_list_rays_are_named_by_position(self):
-        rays = [AXES[0], Ray3.from_vector((0, 1, 0), "y"), AXES[2]]
-        assert build_orthogonality_graph(rays).labels == ("r0", "y", "r2")
-        assert build_orthogonality_graph(iter(rays)).labels == ("r0", "y", "r2")
-        assert dedupe_rays(rays).labels == ("r0", "y", "r2")
-        assert build_orthogonality_graph([]) == ksgraph.OrthogonalityGraph(0, (), ())
+    def test_only_ray_sets_and_gadgets_are_read(self):
+        with pytest.raises(TypeError, match="^expected a RaySet or a GadgetSet, not list$"):
+            build_orthogonality_graph(list(AXES))
+        empty = RaySet(np.empty((0, 3)), ())
+        assert build_orthogonality_graph(empty) == ksgraph.OrthogonalityGraph(0, (), ())
 
     def test_a_ray_set_has_one_graph(self, rayset):
         # built on first read and kept; a rebuilt set builds its own
@@ -919,9 +920,9 @@ class TestOrthogonalityGraph:
         rebuilt = pickle.loads(pickle.dumps(rayset))
         assert rebuilt.graph == graph and rebuilt.graph is not graph
 
-    def test_gadget_set_and_its_rays_give_one_graph(self):
+    def test_gadget_set_is_read_as_its_units_by_role(self):
         gadget = build_gadget(*offdiagonal_parameters_for_angle(math.radians(18.0)))
-        assert build_orthogonality_graph(gadget) == build_orthogonality_graph(gadget.rays)
+        assert build_orthogonality_graph(gadget) == RaySet(gadget.units, GADGET_ROLES).graph
 
     def test_abstract_structure(self):
         from ksparadox.ksgraph import OrthogonalityGraph
@@ -957,7 +958,6 @@ class TestOrthogonalityGraph:
 
         g = OrthogonalityGraph(4, [(2, 3), (1, 0), (3, 0), (2, 1), (0, 2)])
         assert g.neighbours == ((1, 2, 3), (0, 2), (0, 1, 3), (0, 2))
-        assert g.adjacency() == [{1, 2, 3}, {0, 2}, {0, 1, 3}, {0, 2}]
         graph = build_orthogonality_graph(rayset)
         assert all(list(ns) == sorted(set(ns)) for ns in graph.neighbours)
         pairs = {(i, j) for i, ns in enumerate(graph.neighbours) for j in ns}
@@ -998,6 +998,7 @@ class TestOrthogonalityGraph:
             (("a", "a"), r"^label 'a' is already taken$"),
             (("x", 3), r"^label 3 is not a string$"),
             ((None, 3), r"^label None is not a string$"),
+            (("", "r0"), r"^label '' is empty$"),
         ],
     )
     def test_labels_repeated_or_not_strings_rejected(self, labels, message):
@@ -1105,7 +1106,7 @@ def test_upper_pairs_equal_full_product(count):
     # frames give orthogonal pairs; repeated and negated rows give |dot| = 1
     # pairs, some of them across the 128-row blocks
     rng = np.random.default_rng(count)
-    mat = np.array(ksgraph._read_rays(_frame_rays(count, seed=count)).matrix)
+    mat, _ = _listed(_frame_rays(count, seed=count))
     copied = rng.choice(count, size=count // 8, replace=False)
     signs = rng.choice([-1.0, 1.0], (len(copied), 1))
     mat[copied] = mat[rng.choice(count, size=len(copied))] * signs
@@ -1210,7 +1211,7 @@ class TestConstructionCertificate:
     @pytest.mark.parametrize("count", [0, 1, 2, 127, 128, 129, 257])
     def test_ray_list_edges_equal_full_product(self, count):
         rays = _frame_rays(count, seed=count)
-        g = build_orthogonality_graph(rays)
+        g = build_orthogonality_graph(RaySet(*_listed(rays)))
         assert g.edges == _reference_edges(rays, 0)
         assert len(g.edges) >= count - 2  # frames cut by the shuffle lose a few pairs
 

@@ -278,13 +278,13 @@ class TestContextualModel:
     def test_shared_ray_disagreement_also_for_tilted_pair(self):
         # a pair sharing exactly one ray: rotate the z context by 45 degrees
         # about the shared y axis
-        from ksparadox.ksgraph import rotate_ray
+        from ksparadox.ksgraph import _transformed, rotation_matrix
         from ksparadox.linalg import Context
 
         y_axis = Ray3.from_vector((0, 1, 0))
-        tilted = Context.spin1(
-            tuple(rotate_ray(r, y_axis, math.pi / 4) for r in CTX_Z.triad)
-        )
+        rows = np.array([r.vec for r in CTX_Z.triad])
+        turned = _transformed(rotation_matrix(y_axis.vec, math.pi / 4), rows).tolist()
+        tilted = Context.spin1(tuple(Ray3(*row) for row in turned))
         shared = [r for r in tilted.triad if r in CTX_Z.triad]
         assert shared == [y_axis]
         jz = CTX_Z.triad.index(y_axis)

@@ -24,12 +24,14 @@ from ksparadox.gadget import (
 from ksparadox.ksgraph import (
     OrthogonalityGapError,
     OrthogonalityGraph,
+    RaySet,
     RotationStep,
     _edge_bound,
+    _transformed,
     assemble_ks_set,
     build_orthogonality_graph,
     default_schedule,
-    rotate_ray,
+    rotation_matrix,
 )
 from ksparadox.linalg import Ray3
 from ksparadox.solver import (
@@ -44,14 +46,12 @@ from ksparadox.solver import (
 )
 
 A1, A2, B1 = (GADGET_ROLES.index(role) for role in ("a1", "a2", "b1"))
-AXES_GRAPH = build_orthogonality_graph(
-    [Ray3.from_vector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-)
+AXES_GRAPH = build_orthogonality_graph(RaySet(np.eye(3), ("x", "y", "z")))
 
 
 def single_gadget_graph():
-    params = offdiagonal_parameters_for_angle(math.radians(18.0))
-    return build_gadget(*params), build_orthogonality_graph(build_gadget(*params).rays)
+    gadget = build_gadget(*offdiagonal_parameters_for_angle(math.radians(18.0)))
+    return gadget, build_orthogonality_graph(gadget)
 
 
 class TestCheckColorability:
@@ -373,12 +373,12 @@ class TestEnumerateAllColorings:
         assert len(enumerate_all_colorings(small, cap=4)) == 16
 
     def test_agreement_with_solver_on_random_subgraphs(self):
-        rays = assemble_ks_set().rays
+        rs = assemble_ks_set()
         rng = np.random.default_rng(99)
         for _ in range(40):
             size = int(rng.integers(4, 15))
-            nodes = rng.choice(len(rays), size=size, replace=False)
-            sub = build_orthogonality_graph([rays[i] for i in nodes])
+            nodes = rng.choice(len(rs.labels), size=size, replace=False)
+            sub = build_orthogonality_graph(RaySet(rs.matrix[nodes], [rs.labels[i] for i in nodes]))
             verdict = check_colorability(sub)
             solutions = enumerate_all_colorings(sub)
             assert (verdict.outcome == "SAT") == bool(solutions)
@@ -390,8 +390,8 @@ class TestEnumerateAllColorings:
         rng = np.random.default_rng(17)
         axis = Ray3.from_vector(rng.normal(size=3))
         angle = rng.uniform(0.1, 3.0)
-        rotated = [rotate_ray(r, axis, angle) for r in gadget.rays]
-        rotated_graph = build_orthogonality_graph(rotated)
+        rotated = _transformed(rotation_matrix(axis.vec, angle), gadget.units)
+        rotated_graph = build_orthogonality_graph(RaySet(rotated, GADGET_ROLES))
         assert rotated_graph.edges == graph.edges
         assert len(enumerate_all_colorings(rotated_graph)) == 22
 
