@@ -69,6 +69,10 @@ GADGET_PINS = {
 }
 
 
+# sha256 of `tables` stdout, which is also the file `tables --out FILE` writes
+TABLES_SHA = "8dd0d875809a0281e733680219aec1633c3b3a646c2bfa708d1cd56696bcabad"
+
+
 class TestEmitters:
     def test_fmt9(self):
         assert fmt9(0.9428090415820634) == "0.942809042"
@@ -238,6 +242,20 @@ class TestCliCommands:
         assert "spin-half,0,+,1,0" in out
         assert "# coincidence: (90 deg, -) == (270 deg, +)" in out
         assert "spin-1,+z,1,0,0,1" in out
+
+    @pytest.mark.parametrize("out", [None, "tables.csv"], ids=["stdout", "out-file"])
+    def test_tables_bytes_pinned(self, capsys, tmp_path, monkeypatch, out):
+        # the eigenvector rows, their coincidences and the spin-1 contexts,
+        # printed or written: the same bytes either way
+        monkeypatch.chdir(tmp_path)
+        assert main(["tables"] + (["--out", out] if out else [])) == 0
+        stdout = capsys.readouterr().out
+        if out is None:
+            data = stdout.encode()
+        else:
+            assert stdout == f"wrote {out}\n"
+            data = (tmp_path / out).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == TABLES_SHA
 
     def test_simulate(self, capsys):
         assert (
