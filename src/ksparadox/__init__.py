@@ -41,7 +41,6 @@ from .linalg import (
     NormalizationError,
     Projector,
     Ray3,
-    SpinHalfVector,
     context_for_direction,
     projector_from_vector,
     spin1_overlap,

@@ -167,13 +167,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
     lines = ["table,theta_deg,branch,c0,c1"]
     rows = []
     for theta in SPIN_HALF_TABLE_THETAS:
-        plus, minus = spin_half_eigenvectors(theta)
-        for v in (plus, minus):
-            row = (fmt9(math.degrees(theta)), "+" if v.branch > 0 else "-", v)
-            rows.append(row)
-            lines.append(f"spin-half,{row[0]},{row[1]},{fmt9(v.c0)},{fmt9(v.c1)}")
+        for branch, v in zip("+-", spin_half_eigenvectors(theta)):
+            rows.append((fmt9(math.degrees(theta)), branch, v))
+            lines.append(f"spin-half,{rows[-1][0]},{branch},{fmt9(v[0])},{fmt9(v[1])}")
     for (di, bi, vi), (dj, bj, vj) in combinations(rows, 2):
-        if abs(vi.c0 - vj.c0) <= 1e-12 and abs(vi.c1 - vj.c1) <= 1e-12:
+        if max(abs(vi - vj)) <= 1e-12:  # both components
             lines.append(f"# coincidence: ({di} deg, {bi}) == ({dj} deg, {bj})")
     lines.append("table,context,member,x,y,z")
     triads = []

@@ -36,11 +36,13 @@ def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
     """Render the orthogonality graph as undirected DOT named ksdiagram.
 
     Nodes are open circles (DOT's unfilled circle shape) with escaped
-    labels; edges are plain lines; triads are listed as comments.
+    labels, so each statement stays on its own line; edges are plain
+    lines; triads are listed as comments.
     """
     lines = ["graph ksdiagram {", '  node [shape=circle, style=""];']
     for i, label in enumerate(g.labels or [f"r{i}" for i in range(g.node_count)]):
         label = label.replace("\\", "\\\\").replace('"', '\\"')
+        label = label.replace("\n", "\\n").replace("\r", "\\r")
         lines.append(f'  n{i} [label="{label}"];')
     lines += (f"  n{i} -- n{j};" for i, j in g.edges)
     lines += (f"  // triad {a} {b} {c}" for a, b, c in g.triads)
@@ -50,16 +52,21 @@ def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
     )
 
 
+_OPEN_RE = re.compile(r"^\s*graph\s+\w+\s*\{\s*$")
 _NODE_RE = re.compile(r"^\s*n(\d+)\s*\[label=")
 _EDGE_RE = re.compile(r"^\s*n(\d+)\s*--\s*n(\d+)\s*;")
 
 
 def parse_dot_counts(text: str) -> tuple[int, int]:
-    """Node and edge counts read back from emitted DOT; also sanity-checks
-    the brace structure."""
-    if text.count("{") != 1 or text.count("}") != 1:
-        raise ValueError("expected exactly one graph block")
+    """Node and edge counts read back from emitted DOT; also checks that the
+    text is one graph block: its first line opens the block, its last line
+    closes it and no line between does either.  Braces inside quoted labels
+    count for nothing."""
     lines = text.splitlines()
+    if not (lines and _OPEN_RE.match(lines[0]) and lines[-1].strip() == "}") or any(
+        _OPEN_RE.match(s) or s.strip() == "}" for s in lines[1:-1]
+    ):
+        raise ValueError("expected exactly one graph block")
     return sum(1 for s in lines if _NODE_RE.match(s)), sum(1 for s in lines if _EDGE_RE.match(s))
 
 

@@ -55,7 +55,8 @@ def _canonical_units(vecs: np.ndarray) -> np.ndarray:
 class Ray3:
     """A direction in R3 with antipodal identification.
 
-    Components are unit-normalized (within 1e-12) and sign-canonical: the
+    Components are unit-normalized (within 1e-12, as RaySet's rows; the
+    constructor raises NormalizationError otherwise) and sign-canonical: the
     first component of magnitude above 1e-12 is positive.  The label is
     bookkeeping only and does not participate in equality.
     """
@@ -64,6 +65,10 @@ class Ray3:
     y: float
     z: float
     label: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        if not abs(math.hypot(self.x, self.y, self.z) - 1.0) <= 1e-12:  # NaN fails too
+            raise NormalizationError(f"({self.x}, {self.y}, {self.z}) is not a finite unit vector")
 
     @classmethod
     def from_vector(cls, v: Iterable[float], label: str = "") -> "Ray3":
@@ -82,40 +87,14 @@ class Ray3:
         return math.acos(min(1.0, abs(self.dot(other))))
 
 
-X_AXIS = Ray3.from_vector((1.0, 0.0, 0.0), "x")
-Y_AXIS = Ray3.from_vector((0.0, 1.0, 0.0), "y")
-Z_AXIS = Ray3.from_vector((0.0, 0.0, 1.0), "z")
-
-
-@dataclass(frozen=True)
-class SpinHalfVector:
-    """Eigenvector of a spin-1/2 measurement at orientation theta.
-
-    The "+" branch is (cos theta/2, sin theta/2), the "-" branch is
-    (-sin theta/2, cos theta/2); branch is +1 or -1 accordingly.
-    """
-
-    c0: float
-    c1: float
-    branch: int
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.c0, self.c1])
-
-    def inner(self, other: "SpinHalfVector") -> float:
-        return self.c0 * other.c0 + self.c1 * other.c1
-
-
-def spin_half_eigenvectors(theta: float) -> tuple[SpinHalfVector, SpinHalfVector]:
+def spin_half_eigenvectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Both outcome eigenvectors of the spin measurement at angle theta.
 
-    Returns an orthonormal (plus, minus) pair.
+    Returns the orthonormal (plus, minus) pair as arrays of shape (2,):
+    (cos theta/2, sin theta/2) and (-sin theta/2, cos theta/2).
     """
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    plus = SpinHalfVector(c, s, +1)
-    minus = SpinHalfVector(-s, c, -1)
-    return plus, minus
+    return np.array([c, s]), np.array([-s, c])
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +106,6 @@ class Projector:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
 
     def symmetry_residual(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.T)))
@@ -162,20 +138,18 @@ def spin_operator(theta: float) -> np.ndarray:
 
 
 def transition_probability_spin_half(
-    prep_theta: float, prep_sign: int, meas_theta: float, meas_sign: int | None = None
+    prep_theta: float, prep_sign: int, meas_theta: float, meas_sign: int
 ) -> float:
     """Probability that a (prep_theta, prep_sign) branch lands in meas_sign
     at a subsequent measurement along meas_theta.
 
     With phi = meas_theta - prep_theta the same-sign probability is
     cos^2(phi/2) and the opposite-sign one is its exact complement, so the
-    two outcomes sum to 1.0 exactly.  meas_sign defaults to prep_sign.
+    two outcomes sum to 1.0 exactly.  Both signs are +1 or -1.
     """
     if prep_sign not in (+1, -1):
         raise ValueError("prep_sign must be +1 or -1")
-    if meas_sign is None:
-        meas_sign = prep_sign
-    elif meas_sign not in (+1, -1):
+    if meas_sign not in (+1, -1):
         raise ValueError("meas_sign must be +1 or -1")
     phi = meas_theta - prep_theta
     same = math.cos(phi / 2.0) ** 2
@@ -226,10 +200,9 @@ class Context:
         return cls(theta=theta)
 
     def projectors(self) -> tuple[Projector, ...]:
-        if self.triad is not None:
-            return tuple(projector_from_vector(r.vec) for r in self.triad)
-        plus, minus = spin_half_eigenvectors(self.theta)
-        return projector_from_vector(plus.vec), projector_from_vector(minus.vec)
+        triad = self.triad
+        rows = spin_half_eigenvectors(self.theta) if triad is None else [r.vec for r in triad]
+        return tuple(map(projector_from_vector, rows))
 
 
 def context_for_direction(direction: Ray3) -> Context:

@@ -105,6 +105,38 @@ class TestEmitters:
             '  n2 [label="plain"];',
         ]
 
+    @pytest.mark.parametrize(
+        "label, line",
+        [
+            ("a{b", '  n0 [label="a{b"];'),
+            ("}", '  n0 [label="}"];'),
+            ('a\n  n7 [label="x', '  n0 [label="a\\n  n7 [label=\\"x"];'),
+            ("a\r\nb", '  n0 [label="a\\r\\nb"];'),
+        ],
+        ids=["open-brace", "close-brace", "newline", "carriage-return"],
+    )
+    def test_dot_reads_back_any_label(self, label, line):
+        # a brace in a label is not the block's, and a line break in one
+        # would start a statement of its own
+        doc = graph_to_dot(OrthogonalityGraph(2, [(0, 1)], (label, "c")))
+        assert doc.text.splitlines()[2] == line
+        assert parse_dot_counts(doc.text) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "graph g {\n  n0 [label=\"a\"];\n",
+            "  n0 [label=\"a\"];\n}\n",
+            "graph g {\n}\ngraph h {\n}\n",
+            "graph g {\n  n0 [label=\"a\"];\n}\n}\n",
+        ],
+        ids=["empty", "unclosed", "unopened", "two-blocks", "closed-twice"],
+    )
+    def test_dot_read_back_needs_one_block(self, text):
+        with pytest.raises(ValueError, match="expected exactly one graph block"):
+            parse_dot_counts(text)
+
     def test_dot_names_only_unlabeled_graphs_by_position(self):
         text = graph_to_dot(OrthogonalityGraph(2, [(0, 1)])).text
         assert '  n0 [label="r0"];\n  n1 [label="r1"];\n' in text

@@ -8,9 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksparadox.linalg import (
-    X_AXIS,
-    Y_AXIS,
-    Z_AXIS,
     Context,
     NormalizationError,
     Ray3,
@@ -49,31 +46,53 @@ class TestRay3:
     def test_label_not_part_of_identity(self):
         assert Ray3.from_vector((1, 0, 0), "a") == Ray3.from_vector((1, 0, 0), "b")
 
+    @pytest.mark.parametrize(
+        "xyz",
+        [
+            (2.0, 0.0, 0.0),
+            (1.0 + 2e-12, 0.0, 0.0),
+            (0.0, 0.0, 0.0),
+            (math.nan, 0.0, 0.0),
+            (math.inf, 0.0, 0.0),
+            (math.nan, 1.0, 0.0),
+        ],
+        ids=["long", "off-by-2e-12", "zero", "nan", "infinite", "nan-beside-unit"],
+    )
+    def test_constructor_rejects_non_unit_directions(self, xyz):
+        # a long preparation would weigh its overlaps past 1, and a NaN ray
+        # would pass a triad's orthogonality test (a NaN dot fails ">")
+        with pytest.raises(NormalizationError, match="is not a finite unit vector"):
+            Ray3(*xyz)
+
+    def test_constructor_accepts_unit_within_1e_12(self):
+        assert Ray3(1.0 + 5e-13, 0.0, 0.0).x == 1.0 + 5e-13
+        assert Ray3(*np.eye(3)[2], "z") == Ray3.from_vector((0.0, 0.0, 1.0))
+
 
 class TestSpinHalfEigenvectors:
     def test_identity_orientation(self):
         plus, minus = spin_half_eigenvectors(0.0)
-        assert (plus.c0, plus.c1) == (1.0, 0.0)
-        assert (minus.c0, minus.c1) == (-0.0, 1.0)
+        assert tuple(plus.tolist()) == (1.0, 0.0)
+        assert tuple(minus.tolist()) == (-0.0, 1.0)
 
     def test_quarter_turn(self):
         plus, _ = spin_half_eigenvectors(math.pi / 2)
         root_half = math.sqrt(0.5)
-        assert plus.c0 == pytest.approx(root_half, abs=1e-12)
-        assert plus.c1 == pytest.approx(root_half, abs=1e-12)
+        assert plus[0] == pytest.approx(root_half, abs=1e-12)
+        assert plus[1] == pytest.approx(root_half, abs=1e-12)
 
     def test_minus_at_quarter_equals_plus_at_three_quarters(self):
         _, minus = spin_half_eigenvectors(math.pi / 2)
         plus, _ = spin_half_eigenvectors(3 * math.pi / 2)
-        assert np.max(np.abs(minus.vec - plus.vec)) <= 1e-12
+        assert np.max(np.abs(minus - plus)) <= 1e-12
 
     @given(theta=angles)
     @settings(max_examples=200)
     def test_orthonormal_pair(self, theta):
         plus, minus = spin_half_eigenvectors(theta)
-        assert plus.inner(plus) == pytest.approx(1.0, abs=1e-12)
-        assert minus.inner(minus) == pytest.approx(1.0, abs=1e-12)
-        assert plus.inner(minus) == pytest.approx(0.0, abs=1e-12)
+        assert plus @ plus == pytest.approx(1.0, abs=1e-12)
+        assert minus @ minus == pytest.approx(1.0, abs=1e-12)
+        assert plus @ minus == pytest.approx(0.0, abs=1e-12)
 
 
 class TestProjectors:
@@ -84,7 +103,7 @@ class TestProjectors:
     def test_entries_from_half_angle_pattern(self):
         theta = 0.7
         plus, _ = spin_half_eigenvectors(theta)
-        p = projector_from_vector(plus.vec)
+        p = projector_from_vector(plus)
         expected = np.array(
             [
                 [math.cos(theta / 2) ** 2, 0.5 * math.sin(theta)],
@@ -102,8 +121,8 @@ class TestProjectors:
         for k in range(360):
             theta = math.radians(k)
             for vec in spin_half_eigenvectors(theta):
-                p = projector_from_vector(vec.vec)
-                assert p.trace() == pytest.approx(1.0, abs=1e-12)
+                p = projector_from_vector(vec)
+                assert np.trace(p.entries) == pytest.approx(1.0, abs=1e-12)
                 assert p.symmetry_residual() <= 1e-12
                 assert p.idempotency_residual() <= 1e-12
 
@@ -111,7 +130,7 @@ class TestProjectors:
     @settings(max_examples=200)
     def test_rank1_trace(self, theta):
         plus, _ = spin_half_eigenvectors(theta)
-        assert projector_from_vector(plus.vec).trace() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(projector_from_vector(plus).entries) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSpinOperator:
@@ -128,21 +147,21 @@ class TestSpinOperator:
         for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 100):
             s = spin_operator(theta)
             plus, minus = spin_half_eigenvectors(theta)
-            assert np.max(np.abs(s @ plus.vec - 0.5 * plus.vec)) <= 1e-12
-            assert np.max(np.abs(s @ minus.vec + 0.5 * minus.vec)) <= 1e-12
+            assert np.max(np.abs(s @ plus - 0.5 * plus)) <= 1e-12
+            assert np.max(np.abs(s @ minus + 0.5 * minus)) <= 1e-12
 
 
 class TestTransitionProbability:
     def test_aligned(self):
-        assert transition_probability_spin_half(0.0, +1, 0.0) == 1.0
+        assert transition_probability_spin_half(0.0, +1, 0.0, +1) == 1.0
 
     def test_quarter_turn(self):
-        assert transition_probability_spin_half(0.0, +1, math.pi / 2) == pytest.approx(
+        assert transition_probability_spin_half(0.0, +1, math.pi / 2, +1) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_opposite(self):
-        assert transition_probability_spin_half(0.0, +1, math.pi) == pytest.approx(
+        assert transition_probability_spin_half(0.0, +1, math.pi, +1) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -180,6 +199,10 @@ class TestSpin1Overlap:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+# the coordinate axes as labeled rays: the labels name them in error messages
+X, Y, Z = (Ray3.from_vector(v, name) for v, name in zip(np.eye(3), "xyz"))
+
+
 def _random_triad(rng) -> Context:
     from ksparadox.ksgraph import rotation_matrix
 
@@ -215,10 +238,10 @@ class TestContexts:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"triad": (X_AXIS, X_AXIS, Y_AXIS)}, "'x' and 'x' are not orthogonal"),
-            ({"triad": (X_AXIS, Y_AXIS)}, "exactly three rays"),
+            ({"triad": (X, X, Y)}, "'x' and 'x' are not orthogonal"),
+            ({"triad": (X, Y)}, "exactly three rays"),
             ({}, "exactly one of triad and theta"),
-            ({"triad": (X_AXIS, Y_AXIS, Z_AXIS), "theta": 1.0}, "exactly one of"),
+            ({"triad": (X, Y, Z), "theta": 1.0}, "exactly one of"),
             ({"theta": math.inf}, "theta must be finite"),
             ({"theta": math.nan}, "theta must be finite"),
         ],
@@ -237,4 +260,4 @@ class TestContexts:
     def test_ray_projector_three_by_three(self):
         p = projector_from_vector(Ray3.from_vector((0, 0, 1)).vec)
         assert p.entries.shape == (3, 3)
-        assert p.trace() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(p.entries) == pytest.approx(1.0, abs=1e-12)
