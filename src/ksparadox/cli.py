@@ -167,11 +167,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
     lines = ["table,theta_deg,branch,c0,c1"]
     rows = []
     for theta in SPIN_HALF_TABLE_THETAS:
+        deg = fmt9(math.degrees(theta))
         for branch, v in zip("+-", spin_half_eigenvectors(theta)):
-            rows.append((fmt9(math.degrees(theta)), branch, v))
-            lines.append(f"spin-half,{rows[-1][0]},{branch},{fmt9(v[0])},{fmt9(v[1])}")
+            rows.append((deg, branch, v))
+            lines.append(f"spin-half,{deg},{branch},{fmt9(v[0])},{fmt9(v[1])}")
     for (di, bi, vi), (dj, bj, vj) in combinations(rows, 2):
-        if max(abs(vi - vj)) <= 1e-12:  # both components
+        if max(abs(vi - vj)) <= 1e-12:
             lines.append(f"# coincidence: ({di} deg, {bi}) == ({dj} deg, {bj})")
     lines.append("table,context,member,x,y,z")
     triads = []

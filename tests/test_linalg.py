@@ -70,6 +70,14 @@ class TestRay3:
 
 
 class TestSpinHalfEigenvectors:
+    @given(theta=angles)
+    def test_pair_is_two_float_arrays(self, theta):
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        plus, minus = spin_half_eigenvectors(theta)
+        assert plus.dtype == minus.dtype == np.float64
+        assert plus.shape == minus.shape == (2,)
+        assert plus.tolist() == [c, s] and minus.tolist() == [-s, c]
+
     def test_identity_orientation(self):
         plus, minus = spin_half_eigenvectors(0.0)
         assert tuple(plus.tolist()) == (1.0, 0.0)
