@@ -39,7 +39,6 @@ from .ksgraph import (
 from .linalg import (
     Context,
     NormalizationError,
-    Projector,
     Ray3,
     context_for_direction,
     projector_from_vector,

@@ -6,9 +6,9 @@ projectors built from unit vectors satisfy the usual completion (projectors of
 a full context sum to the identity) and idempotence identities, and all of
 that is checkable here at 1e-12 in plain 64-bit floats.
 
-A measurement *context* is either a Stern-Gerlach orientation angle theta
-(spin-1/2, two outcome branches) or an orthonormal triad of rays (spin-1,
-three outcome branches).
+A spin-1 measurement *context* is an orthonormal triad of rays (three
+outcome branches); a spin-1/2 one is its Stern-Gerlach orientation angle
+theta, whose two outcome vectors spin_half_eigenvectors returns.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ class Ray3:
 
     Components are unit-normalized (within 1e-12, as RaySet's rows; the
     constructor raises NormalizationError otherwise) and sign-canonical: the
-    first component of magnitude above 1e-12 is positive.  The label is
+    constructor negates a triple whose first component of magnitude above
+    1e-12 is negative, so v and -v compare and hash equal.  The label is
     bookkeeping only and does not participate in equality.
     """
 
@@ -69,6 +70,12 @@ class Ray3:
     def __post_init__(self) -> None:
         if not abs(math.hypot(self.x, self.y, self.z) - 1.0) <= 1e-12:  # NaN fails too
             raise NormalizationError(f"({self.x}, {self.y}, {self.z}) is not a finite unit vector")
+        # _canonical_units' sign rule; negation is exact, so a canonical
+        # triple keeps its bits
+        x, y, z = self.x, self.y, self.z
+        if (x if abs(x) > SIGN_EPS else y if abs(y) > SIGN_EPS else z) < 0.0:
+            for name, c in zip("xyz", (-x, -y, -z)):
+                object.__setattr__(self, name, c)
 
     @classmethod
     def from_vector(cls, v: Iterable[float], label: str = "") -> "Ray3":
@@ -97,34 +104,19 @@ def spin_half_eigenvectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([c, s]), np.array([-s, c])
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Rank-1 symmetric idempotent matrix P = v v^T with unit trace."""
+def projector_from_vector(v: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The rank-1 projector v v^T, a (d, d) array, from a unit vector of
+    length d = 2 or 3.
 
-    entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def symmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.T)))
-
-    def idempotency_residual(self) -> float:
-        return float(np.max(np.abs(self.entries @ self.entries - self.entries)))
-
-
-def projector_from_vector(v: Sequence[float] | np.ndarray) -> Projector:
-    """Build the rank-1 projector v v^T from a unit vector of length 2 or 3.
-
-    Raises NormalizationError unless |v| = 1 within 1e-9.
+    Raises NormalizationError unless |v| = 1 within 1e-9 (a NaN or infinite
+    component fails too).
     """
     u = np.asarray(v, dtype=float)
     if u.ndim != 1 or u.shape[0] not in (2, 3):
         raise ValueError(f"expected a vector of length 2 or 3, got shape {u.shape}")
-    if abs(float(np.linalg.norm(u)) - 1.0) > ATOL_CONTEXT:
+    if not abs(float(np.linalg.norm(u)) - 1.0) <= ATOL_CONTEXT:
         raise NormalizationError(f"projector source must be unit length, |v| = {np.linalg.norm(u)}")
-    return Projector(np.outer(u, u))
+    return np.outer(u, u)
 
 
 def spin_operator(theta: float) -> np.ndarray:
@@ -164,24 +156,16 @@ def spin1_overlap(state: Ray3, outcome: Ray3) -> float:
 
 @dataclass(frozen=True)
 class Context:
-    """A complete measurement arrangement: exactly one of the two kinds.
-
-    Spin-1: an orthonormal triad of outcome rays (pairwise dot below 1e-9).
-    Spin-1/2: a finite orientation angle theta (rotation is taken about the
-    laboratory y-axis).  The constructor raises ValueError otherwise.
+    """A complete spin-1 measurement arrangement: an orthonormal triad of
+    outcome rays (pairwise dot within 1e-9), stored as a tuple.  The
+    constructor raises ValueError otherwise.
     """
 
-    triad: tuple[Ray3, Ray3, Ray3] | None = None
-    theta: float | None = None
+    triad: tuple[Ray3, Ray3, Ray3]
 
     def __post_init__(self) -> None:
-        if (self.triad is None) == (self.theta is None):
-            raise ValueError("a context needs exactly one of triad and theta")
-        if self.triad is None:
-            if not math.isfinite(self.theta):
-                raise ValueError("theta must be finite")
-            return
-        rays = self.triad
+        rays = tuple(self.triad)
+        object.__setattr__(self, "triad", rays)
         if len(rays) != 3:
             raise ValueError("a spin-1 context needs exactly three rays")
         for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -190,19 +174,6 @@ class Context:
                     f"triad rays {rays[i].label or i!r} and {rays[j].label or j!r} "
                     "are not orthogonal"
                 )
-
-    @classmethod
-    def spin1(cls, triad: Sequence[Ray3]) -> "Context":
-        return cls(triad=tuple(triad))
-
-    @classmethod
-    def spin_half(cls, theta: float) -> "Context":
-        return cls(theta=theta)
-
-    def projectors(self) -> tuple[Projector, ...]:
-        triad = self.triad
-        rows = spin_half_eigenvectors(self.theta) if triad is None else [r.vec for r in triad]
-        return tuple(map(projector_from_vector, rows))
 
 
 def context_for_direction(direction: Ray3) -> Context:
@@ -214,15 +185,16 @@ def context_for_direction(direction: Ray3) -> Context:
     else:
         e1 = zxd / np.linalg.norm(zxd)
     e2 = np.cross(direction.vec, e1)
-    return Context.spin1((direction, Ray3.from_vector(e1), Ray3.from_vector(e2)))
+    return Context((direction, Ray3.from_vector(e1), Ray3.from_vector(e2)))
 
 
-def verify_completion(context: Context) -> float:
-    """Max absolute entry of (sum of context projectors - identity).
+def verify_completion(vectors: Sequence[Sequence[float]] | np.ndarray) -> float:
+    """Max absolute entry of (sum of v v^T over a full context's unit
+    vectors - identity): the spin-1/2 pair, a triad's vecs or rows of a ray
+    matrix.
 
     Callers assert the result is below their tolerance (1e-9 for generic
     contexts; exact constructions land near 1e-16).
     """
-    projs = context.projectors()
-    total = sum(p.entries for p in projs)
-    return float(np.max(np.abs(total - np.eye(projs[0].dim))))
+    projs = [projector_from_vector(v) for v in vectors]
+    return float(np.max(np.abs(sum(projs) - np.eye(len(projs[0])))))

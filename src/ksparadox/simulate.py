@@ -299,12 +299,6 @@ def vn_continuity_scan(psi_theta: float, grid: Sequence[float]) -> list[float]:
     ]
 
 
-def _context_probabilities(preparation: Ray3, context: Context) -> np.ndarray:
-    if context.triad is None:
-        raise ValueError("contextual sampling needs spin-1 (triad) contexts")
-    return np.array([spin1_overlap(preparation, r) for r in context.triad])
-
-
 def sample_context_tables(
     preparation: Ray3,
     contexts: Sequence[Context],
@@ -316,8 +310,8 @@ def sample_context_tables(
     spin1_overlap against the preparation.  Contexts are sampled
     independently, so contexts sharing a ray may disagree on its value.
 
-    Raises ValueError for a spin-1/2 context, a negative seed or a negative
-    n_samples, and TypeError for an n_samples that is not an integer."""
+    Raises ValueError for a negative seed or a negative n_samples, and
+    TypeError for an n_samples that is not an integer."""
     _check_integer("n_samples", n_samples)
     if n_samples < 0:
         raise ValueError(f"n_samples must be a non-negative integer, got {n_samples}")
@@ -326,7 +320,7 @@ def sample_context_tables(
     # member 2; overlaps are non-negative, so that is the number of the
     # first two cumulative overlaps at or below u
     cum = np.array(
-        [np.cumsum(_context_probabilities(preparation, ctx))[:2] for ctx in contexts]
+        [np.cumsum([spin1_overlap(preparation, r) for r in ctx.triad])[:2] for ctx in contexts]
     ).reshape(len(contexts), 2)
     out = np.empty((n_samples, len(contexts)), dtype=np.int8)
     rows = max(1, DRAW_BLOCK // max(1, len(contexts)))

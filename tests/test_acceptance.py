@@ -24,7 +24,9 @@ from ksparadox.linalg import (
     Context,
     Ray3,
     context_for_direction,
+    projector_from_vector,
     spin1_overlap,
+    spin_half_eigenvectors,
     spin_operator,
     verify_completion,
 )
@@ -177,23 +179,17 @@ def test_criterion_05_ray_census(default_rayset):
 
 def test_criterion_06_projector_identities():
     rng = np.random.default_rng(6)
-    worst_completion = 0.0
-    worst_idem = 0.0
-    worst_sym = 0.0
-    for _ in range(500):
-        ctx = Context.spin_half(rng.uniform(-2 * math.pi, 2 * math.pi))
-        worst_completion = max(worst_completion, verify_completion(ctx))
-        for p in ctx.projectors():
-            worst_idem = max(worst_idem, p.idempotency_residual())
-            worst_sym = max(worst_sym, p.symmetry_residual())
+    # each context as its unit vectors: 500 spin-1/2 pairs, then 500 triads
+    contexts = [spin_half_eigenvectors(rng.uniform(-2 * math.pi, 2 * math.pi)) for _ in range(500)]
     for _ in range(500):
         axis = rng.normal(size=3)
         rot = rotation_matrix(axis / np.linalg.norm(axis), rng.uniform(0, 2 * math.pi))
-        ctx = Context.spin1(tuple(Ray3.from_vector(rot[:, k]) for k in range(3)))
-        worst_completion = max(worst_completion, verify_completion(ctx))
-        for p in ctx.projectors():
-            worst_idem = max(worst_idem, p.idempotency_residual())
-            worst_sym = max(worst_sym, p.symmetry_residual())
+        ctx = Context(tuple(Ray3.from_vector(rot[:, k]) for k in range(3)))
+        contexts.append([r.vec for r in ctx.triad])
+    worst_completion = max(map(verify_completion, contexts))
+    projectors = [projector_from_vector(v) for vectors in contexts for v in vectors]
+    worst_idem = max(float(np.max(np.abs(p @ p - p))) for p in projectors)
+    worst_sym = max(float(np.max(np.abs(p - p.T))) for p in projectors)
     checks = {
         "completion residual <= 1e-12": worst_completion <= 1e-12,
         "idempotence residual <= 1e-12": worst_idem <= 1e-12,

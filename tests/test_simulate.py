@@ -284,7 +284,7 @@ class TestContextualModel:
         y_axis = Ray3.from_vector((0, 1, 0))
         rows = np.array([r.vec for r in CTX_Z.triad])
         turned = _transformed(rotation_matrix(y_axis.vec, math.pi / 4), rows).tolist()
-        tilted = Context.spin1(tuple(Ray3(*row) for row in turned))
+        tilted = Context(tuple(Ray3(*row) for row in turned))
         shared = [r for r in tilted.triad if r in CTX_Z.triad]
         assert shared == [y_axis]
         jz = CTX_Z.triad.index(y_axis)
@@ -292,12 +292,6 @@ class TestContextualModel:
         picks = sample_context_tables(PREP, [CTX_Z, tilted], 20_000, seed=9)
         differ = float(np.mean((picks[:, 0] == jz) != (picks[:, 1] == jt)))
         assert differ > 0.0
-
-    def test_spin_half_context_rejected(self):
-        from ksparadox.linalg import Context
-
-        with pytest.raises(ValueError):
-            sample_context_tables(PREP, [Context.spin_half(0.0)], 1, seed=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
