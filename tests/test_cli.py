@@ -68,6 +68,39 @@ GADGET_PINS = {
     },
 }
 
+# sha256 of stdout and of every file written by the README's verify-bound,
+# vn and simulate examples; --grid 41 is the default grid
+STREAM_PINS = {
+    "verify-bound": {
+        "stdout": "5ba6ad655c4274b7ad13fafd8706cdde7f4c14a2108f70f25977799b3b40d132",
+    },
+    "verify-bound --grid 41": {
+        "stdout": "5ba6ad655c4274b7ad13fafd8706cdde7f4c14a2108f70f25977799b3b40d132",
+    },
+    "vn": {
+        "stdout": "2b6db1b84c567dc5bf3895af363181f19aafca31ddb5c908f5cce64dcc9631c5",
+    },
+    "vn --continuity --psi 0 --grid 37": {
+        "stdout": "23060dd9dde3c39d03d976bc015c60779e72a215eadb6acfa09a81f6cd1bf080",
+    },
+    "vn --ensemble --n 100000 --seed 7": {
+        "stdout": "abfa7e3199784e8d8e7c10b9882a5b605d933c444e224c3fedb9561aba4117a5",
+    },
+    "simulate --prep up@0 --measure 90 --n 100000 --seed 7 --csv counts.csv": {
+        "stdout": "899727f943ca4850408e9abd3712e3188870112b94f3cda13e41b93e4b025863",
+        "counts.csv": "7d9418286071f8fc87dc3a5603f5cb771527cd7c3ff4cb7d2d811a8a6096be88",
+    },
+}
+
+
+def _output_shas(capsys, tmp_path, monkeypatch, command, names):
+    """sha256 of stdout and of the named files that `command` writes in tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 0
+    got = {"stdout": capsys.readouterr().out.encode()}
+    got.update((name, (tmp_path / name).read_bytes()) for name in names if name != "stdout")
+    return {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+
 
 # sha256 of `tables` stdout, which is also the file `tables --out FILE` writes
 TABLES_SHA = "8dd0d875809a0281e733680219aec1633c3b3a646c2bfa708d1cd56696bcabad"
@@ -369,12 +402,13 @@ class TestCliCommands:
     def test_single_gadget_and_verify_gadget_bytes_pinned(
         self, capsys, tmp_path, monkeypatch, command
     ):
-        monkeypatch.chdir(tmp_path)
-        assert main(command.split()) == 0
         shas = GADGET_PINS[command]
-        got = {"stdout": capsys.readouterr().out.encode()}
-        got.update((name, (tmp_path / name).read_bytes()) for name in shas if name != "stdout")
-        assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == shas
+        assert _output_shas(capsys, tmp_path, monkeypatch, command, shas) == shas
+
+    @pytest.mark.parametrize("command", STREAM_PINS)
+    def test_bound_vn_and_simulate_bytes_pinned(self, capsys, tmp_path, monkeypatch, command):
+        shas = STREAM_PINS[command]
+        assert _output_shas(capsys, tmp_path, monkeypatch, command, shas) == shas
 
     def test_overflowing_gadget_is_an_error_exit(self, capsys):
         assert main(["verify-gadget", "--x", "1e200", "--y", "1"]) == 1
