@@ -109,7 +109,7 @@ def cmd_check_coloring(args: argparse.Namespace) -> int:
     else:
         chain = forcing_chain_check(math.radians(args.step_angle_deg), source)
         print(
-            f"rays: {len(source.labels)} (from {source.triad_label_count} labeled), "
+            f"rays: {len(source.labels)} (from {len(source.triad_index)} labeled), "
             f"edges: {len(graph.edges)}, triads: {len(graph.triads)}"
         )
         print(f"verdict: {verdict.outcome}")

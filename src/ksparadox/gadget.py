@@ -116,10 +116,6 @@ class GadgetSet:
     def __reduce__(self):  # pickle and deepcopy rebuild the gadget from its parameters
         return GadgetSet, (self.x, self.y)
 
-    def max_edge_residual(self) -> float:
-        """Largest |dot| over GADGET_EDGES."""
-        return copy_margins(self.units[None])[0][0]
-
     def to_dict(self) -> dict:
         return {
             "x": self.x,

@@ -67,7 +67,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .gadget import APEX, C3, GADGET_EDGES, GADGET_ROLES, GadgetSet, gadget_for_angle
-from .linalg import Ray3, _canonical_units
+from .linalg import Ray3, _canonical_units, _signed
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
 #: most steps per leg; from k = 95 on, non-construction pairs fall within _edge_bound
@@ -155,7 +155,8 @@ class RaySet:
     """Deduplicated canonical rays with full label provenance.
 
     matrix, the rays' one stored form, is a read-only (n, 3) float array of
-    unit rows, each named in labels by its first occurrence; merges pairs
+    unit rows, stored sign-canonical by Ray3's rule (linalg._signed), each
+    named in labels by its first occurrence; merges pairs
     every other input label, in input order, with the label of its ray, as
     to_dict writes them.  rays, graph, label_to_index, triad_index and
     axis_nodes are built from these, rays and graph when first read.
@@ -183,6 +184,7 @@ class RaySet:
         n, norms = len(mat), np.sqrt((mat * mat).sum(axis=1))
         for i in np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))[:1].tolist():  # NaN fails too
             raise ValueError(f"row {i} is not a finite unit vector: {mat[i].tolist()}")
+        mat = _signed(mat)
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} rays")
         for pair in merges:
@@ -248,10 +250,6 @@ class RaySet:
     def triad_index(self) -> dict[str, int]:
         """Ray index of every input label except the apex role's (nine per copy)."""
         return {lb: k for lb, k in self.label_to_index.items() if not lb.endswith("apex")}
-
-    @property
-    def triad_label_count(self) -> int:
-        return len(self.triad_index)
 
     @property
     def axis_nodes(self) -> tuple[int | None, int | None, int | None]:

@@ -29,16 +29,20 @@ class NormalizationError(ValueError):
 
 @np.errstate(over="ignore")
 def _canonical_units(vecs: np.ndarray) -> np.ndarray:
-    """Normalize each row of an (n, d) array and fix its overall sign: the
-    first component of magnitude above SIGN_EPS is made positive (antipodal
-    identification).  The stacked product runs v.dot(v)'s kernel per row,
-    so each row keeps its bits.  An overflowing norm is rejected without a
-    numpy warning."""
+    """Normalize each row of an (n, d) array and fix its overall sign with
+    _signed.  The stacked product runs v.dot(v)'s kernel per row, so each
+    row keeps its bits.  An overflowing norm is rejected without a numpy
+    warning."""
     norms = [math.sqrt(s) for s in (vecs[:, None, :] @ vecs[:, :, None]).ravel().tolist()]
     for i, norm in enumerate(norms):
         if not 1e-9 < norm < math.inf:
             raise NormalizationError(f"cannot normalize {vecs[i]!r} of norm {norm}")
-    units = vecs / np.array(norms)[:, None]
+    return _signed(vecs / np.array(norms)[:, None])
+
+
+def _signed(units: np.ndarray) -> np.ndarray:
+    """units with each row negated whose first component of magnitude above
+    SIGN_EPS is negative; negation is exact, so canonical rows keep their bits."""
     # the sign of each row's first component above SIGN_EPS, on a walk from
     # the last column back (a unit row has one of at least 1/sqrt(d));
     # argmax and a masked np.negative would map 0.13 MB more of numpy's
@@ -47,8 +51,7 @@ def _canonical_units(vecs: np.ndarray) -> np.ndarray:
     lead = units[:, -1]
     for k in range(units.shape[1] - 2, -1, -1):
         lead = np.where(big[:, k], units[:, k], lead)
-    units *= np.where(lead < 0.0, -1.0, 1.0)[:, None]
-    return units
+    return units * np.where(lead < 0.0, -1.0, 1.0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class Ray3:
     def __post_init__(self) -> None:
         if not abs(math.hypot(self.x, self.y, self.z) - 1.0) <= 1e-12:  # NaN fails too
             raise NormalizationError(f"({self.x}, {self.y}, {self.z}) is not a finite unit vector")
-        # _canonical_units' sign rule; negation is exact, so a canonical
+        # _signed's rule on one triple; negation is exact, so a canonical
         # triple keeps its bits
         x, y, z = self.x, self.y, self.z
         if (x if abs(x) > SIGN_EPS else y if abs(y) > SIGN_EPS else z) < 0.0:

@@ -6,11 +6,12 @@ probability relative to that branch, so repeating an orientation confirms
 the previous outcome with no exceptions.  An unpolarized stream is a fair
 coin at the first apparatus.
 
-All randomness comes from numpy's PCG64 generator, and the seed plus
-generator name travel with every result so runs are reproducible bit for
-bit.  The stages of run_sequence derive their streams from the seed;
-check_additivity_relation's disjoint sub-ensembles derive theirs from
-(seed, orientation index).
+All randomness comes from numpy's PCG64 generator, so runs are
+reproducible bit for bit.  AdditivityResult carries the seed and generator
+name, which the simulate command and its CSV header print; vn --ensemble
+prints the seed.  The stages of run_sequence derive their streams from the
+seed; check_additivity_relation's disjoint sub-ensembles derive theirs
+from (seed, orientation index).
 
 At a stage every particle leaves its branch's sign with the same
 probability q, the opposite-sign transition probability from the previous
@@ -85,14 +86,6 @@ class EnsembleSpec:
         if self.prep_sign not in (+1, -1):
             raise ValueError("prep_sign must be +1 or -1")
         _check_seed(self.seed)
-
-    @classmethod
-    def prepared(cls, theta: float, sign: int, n: int, seed: int = 0) -> "EnsembleSpec":
-        return cls(n=n, prep_theta=theta, prep_sign=sign, seed=seed)
-
-    @classmethod
-    def unpolarized(cls, n: int, seed: int = 0) -> "EnsembleSpec":
-        return cls(n=n, prep_theta=None, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ class TestEmitters:
             graph_to_dot(RaySet(np.eye(3), ("", "r0", "x")).graph)
 
     def test_counts_csv(self):
-        counts = run_sequence(EnsembleSpec.unpolarized(1000, seed=1), [0.0, math.pi / 2])
+        counts = run_sequence(EnsembleSpec(1000, None, seed=1), [0.0, math.pi / 2])
         text = counts_to_csv(counts, seed=1)
         lines = text.strip().splitlines()
         assert lines[0].startswith("# generator=numpy.random.PCG64 seed=1")

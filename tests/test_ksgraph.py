@@ -437,7 +437,7 @@ class TestAssembleDefault:
         assert len(rayset.rays) == 117
 
     def test_135_labeled_triad_rays(self, rayset):
-        assert rayset.triad_label_count == 135
+        assert len(rayset.triad_index) == 135
         assert len(rayset.copies) == 15
 
     def test_18_triad_label_merges(self, rayset):
@@ -616,6 +616,19 @@ class TestRaySetFields:
     def test_tampered_field_rejected(self, rayset, tamper, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(rayset, **tamper(rayset))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [-np.eye(3), np.array([[-5e-13, -0.6, 0.8]])],
+        ids=["negative-axes", "first-component-below-1e-12"],
+    )
+    def test_rows_stored_sign_canonical(self, rows):
+        # matrix, rays and to_dict agree on each row's sign, which is Ray3's
+        rs = RaySet(rows, [f"r{i}" for i in range(len(rows))])
+        canonical = _hexed(_canonical_units(rows).tolist())
+        assert _hexed(rs.matrix.tolist()) == canonical
+        assert _hexed(r.vec.tolist() for r in rs.rays) == canonical
+        assert _hexed(ray["xyz"] for ray in rs.to_dict()["rays"]) == canonical
 
     def test_integer_labels_rejected(self):
         with pytest.raises(ValueError, match=r"^label 1 is not a string$"):

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksparadox.linalg import (
+    SIGN_EPS,
     Context,
     NormalizationError,
     Ray3,
+    _signed,
     context_for_direction,
     projector_from_vector,
     spin1_overlap,
@@ -78,6 +80,28 @@ class TestRay3:
     def test_constructor_accepts_unit_within_1e_12(self):
         assert Ray3(1.0 + 5e-13, 0.0, 0.0).x == 1.0 + 5e-13
         assert Ray3(*np.eye(3)[2], "z") == Ray3.from_vector((0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (0.5, -math.sqrt(0.75), 0.0),
+            (-0.5, math.sqrt(0.75), -0.0),
+            (2 * SIGN_EPS, -0.6, 0.8),
+            (-2 * SIGN_EPS, 0.6, -0.8),
+            (-0.5 * SIGN_EPS, -0.6, 0.8),
+            (-0.0, -0.6, 0.8),
+            (0.0, -0.0, -1.0),
+            (-1.0, 0.0, -0.0),
+            (-0.0, -1.0, 0.0),
+            (-0.0, 0.0, -1.0),
+        ],
+    )
+    def test_constructor_keeps_the_array_sign_rule(self, row):
+        # Ray3 keeps a scalar copy of _signed's rule: both give the same
+        # bits, signed zeros included
+        r = Ray3(*row)
+        got = [c.hex() for c in (r.x, r.y, r.z)]
+        assert got == [c.hex() for c in _signed(np.array([row]))[0].tolist()]
 
 
 class TestSpinHalfEigenvectors:

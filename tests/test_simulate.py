@@ -32,24 +32,24 @@ def binom_sigma(p: float, n: int) -> float:
 
 class TestRunSequence:
     def test_prepared_remeasured_same_axis_exact(self):
-        spec = EnsembleSpec.prepared(0.0, +1, N, seed=7)
+        spec = EnsembleSpec(N, 0.0, +1, seed=7)
         counts = run_sequence(spec, [0.0])
         assert counts[0].n_plus == N
         assert counts[0].n_minus == 0
 
     def test_quarter_turn_splits_evenly(self):
-        spec = EnsembleSpec.prepared(0.0, +1, N, seed=7)
+        spec = EnsembleSpec(N, 0.0, +1, seed=7)
         c = run_sequence(spec, [math.pi / 2])[0]
         assert abs(c.fraction_plus - 0.5) <= 4 * binom_sigma(0.5, N)
 
     def test_unpolarized_always_splits_evenly(self):
         for theta_deg in (0.0, 37.0, 90.0, 215.0):
-            spec = EnsembleSpec.unpolarized(N, seed=11)
+            spec = EnsembleSpec(N, None, seed=11)
             c = run_sequence(spec, [math.radians(theta_deg)])[0]
             assert abs(c.fraction_plus - 0.5) <= 4 * binom_sigma(0.5, N)
 
     def test_repeat_measurement_idempotent_no_exceptions(self):
-        spec = EnsembleSpec.unpolarized(N, seed=7)
+        spec = EnsembleSpec(N, None, seed=7)
         counts, branches = run_sequence(
             spec, [math.radians(45.0)] * 2, return_branches=True
         )
@@ -59,13 +59,13 @@ class TestRunSequence:
     def test_stage_frequencies_match_half_angle_law(self):
         for deg in (0.0, 30.0, 45.0, 90.0, 180.0):
             theta = math.radians(deg)
-            spec = EnsembleSpec.prepared(0.0, +1, N, seed=7)
+            spec = EnsembleSpec(N, 0.0, +1, seed=7)
             c = run_sequence(spec, [theta])[0]
             p = math.cos(theta / 2.0) ** 2
             assert abs(c.fraction_plus - p) <= 4 * binom_sigma(p, N) + 1e-12
 
     def test_same_seed_bitwise_identical(self):
-        spec = EnsembleSpec.unpolarized(5000, seed=123)
+        spec = EnsembleSpec(5000, None, seed=123)
         thetas = [0.3, 1.1, 2.0]
         a, br_a = run_sequence(spec, thetas, return_branches=True)
         b, br_b = run_sequence(spec, thetas, return_branches=True)
@@ -73,13 +73,13 @@ class TestRunSequence:
         assert all(np.array_equal(x, y) for x, y in zip(br_a, br_b))
 
     def test_counts_sum_to_ensemble_size(self):
-        spec = EnsembleSpec.unpolarized(999, seed=5)
+        spec = EnsembleSpec(999, None, seed=5)
         for c in run_sequence(spec, [0.1, 0.2, 0.3]):
             assert c.total == 999
 
     def test_empty_apparatus_list_rejected(self):
         with pytest.raises(ValueError):
-            run_sequence(EnsembleSpec.unpolarized(10, seed=0), [])
+            run_sequence(EnsembleSpec(10, None, seed=0), [])
 
     def test_array_of_angles_reads_as_its_list(self):
         # the same stream; every stored theta a float, also from a
@@ -111,9 +111,9 @@ class TestRunSequence:
         with pytest.raises(
             ValueError, match=r"ensemble size must be at most 2\*\*63 - 1, got 9223372036854775808"
         ):
-            EnsembleSpec.unpolarized(2**63)
+            EnsembleSpec(2**63, None)
         # the counts take no memory per particle, so the largest size runs
-        spec = EnsembleSpec.prepared(0.0, -1, 2**63 - 1, seed=1)
+        spec = EnsembleSpec(2**63 - 1, 0.0, -1, seed=1)
         counts = run_sequence(spec, [0.0, 1.0, 2.5])
         assert counts[0].n_minus == 2**63 - 1
         assert all(c.total == 2**63 - 1 and 0 < c.n_plus < c.total for c in counts[1:])
@@ -133,14 +133,14 @@ class TestSpinAverages:
     def test_converges_to_half_cosine(self):
         for deg in (20.0, 60.0, 135.0):
             theta = math.radians(deg)
-            spec = EnsembleSpec.prepared(0.0, +1, N, seed=13)
+            spec = EnsembleSpec(N, 0.0, +1, seed=13)
             c = run_sequence(spec, [theta])[0]
             expected = 0.5 * math.cos(theta)
             p = math.cos(theta / 2.0) ** 2
             assert abs(empirical_spin_average(c) - expected) <= 4 * binom_sigma(p, N)
 
     def test_expected_average_closed_form(self):
-        spec = EnsembleSpec.prepared(0.0, +1, 10, seed=0)
+        spec = EnsembleSpec(10, 0.0, +1, seed=0)
         for deg in range(0, 360, 15):
             theta = math.radians(deg)
             assert expected_spin_average(spec, theta) == pytest.approx(
@@ -150,23 +150,23 @@ class TestSpinAverages:
 
 class TestAdditivity:
     def test_exact_expectations_satisfy_the_relation(self):
-        spec = EnsembleSpec.prepared(0.0, +1, 10, seed=0)
+        spec = EnsembleSpec(10, 0.0, +1, seed=0)
         exact = [expected_spin_average(spec, t) for t in (0.0, math.pi / 4, math.pi / 2)]
         residual = exact[1] - (exact[0] + exact[2]) / math.sqrt(2.0)
         assert abs(residual) <= 1e-12
 
     def test_residual_within_four_sigma(self):
-        result = check_additivity_relation(EnsembleSpec.prepared(0.0, +1, N, seed=7))
+        result = check_additivity_relation(EnsembleSpec(N, 0.0, +1, seed=7))
         assert abs(result.residual) <= 4 * result.sigma
         assert result.generator == GENERATOR_NAME
 
     def test_residual_shrinks_with_ensemble_size(self):
         def mean_abs_residual(n):
-            spec = EnsembleSpec.prepared(0.0, +1, n)
+            spec = EnsembleSpec(n, 0.0, +1)
             vals = [
                 abs(
                     check_additivity_relation(
-                        EnsembleSpec.prepared(0.0, +1, n, seed=s)
+                        EnsembleSpec(n, 0.0, +1, seed=s)
                     ).residual
                 )
                 for s in range(8)
@@ -178,8 +178,8 @@ class TestAdditivity:
 
     def test_sub_ensembles_are_disjoint_streams(self):
         # changing the master seed changes all three draws
-        a = check_additivity_relation(EnsembleSpec.prepared(0.0, +1, 1000, seed=1))
-        b = check_additivity_relation(EnsembleSpec.prepared(0.0, +1, 1000, seed=2))
+        a = check_additivity_relation(EnsembleSpec(1000, 0.0, +1, seed=1))
+        b = check_additivity_relation(EnsembleSpec(1000, 0.0, +1, seed=2))
         assert a.averages != b.averages
 
 
@@ -309,9 +309,9 @@ class TestContextualModel:
 BLOCK = 1 << 16  # simulate.DRAW_BLOCK; literal here so the golden values stand alone
 GOLDEN_THETAS = (0.3, 1.1, 1.1, 2.0, 4.5)
 GOLDEN_SPECS = {
-    "up": lambda n, seed=3: EnsembleSpec.prepared(0.7, +1, n, seed=seed),
-    "down": lambda n, seed=3: EnsembleSpec.prepared(0.7, -1, n, seed=seed),
-    "unpolarized": lambda n, seed=3: EnsembleSpec.unpolarized(n, seed=seed),
+    "up": lambda n, seed=3: EnsembleSpec(n, 0.7, +1, seed=seed),
+    "down": lambda n, seed=3: EnsembleSpec(n, 0.7, -1, seed=seed),
+    "unpolarized": lambda n, seed=3: EnsembleSpec(n, None, seed=seed),
 }
 # per-stage (n_plus, n_minus) and the sha256 of the concatenated int8 branch
 # arrays, recorded from the two-binomial engine (counts from the first child
@@ -368,12 +368,12 @@ GOLDEN_RUNS = {
 }
 GOLDEN_ADDITIVITY = [
     (
-        EnsembleSpec.prepared(0.4, -1, 3 * BLOCK + 7, seed=11),
+        EnsembleSpec(3 * BLOCK + 7, 0.4, -1, seed=11),
         ("-0x1.d6f30a739247bp-2", "-0x1.daf9abb96f4f5p-2", "-0x1.8e485eac786d9p-3"),
         "-0x1.264ae8c0a2e00p-10",
     ),
     (
-        EnsembleSpec.unpolarized(2 * BLOCK, seed=12),
+        EnsembleSpec(2 * BLOCK, None, seed=12),
         ("-0x1.6400000000000p-10", "-0x1.2600000000000p-9", "-0x1.6600000000000p-10"),
         "-0x1.4c80c6c424670p-12",
     ),
@@ -603,7 +603,7 @@ class TestExactLaw:
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_repeated_orientation_flips_no_branch(self, sign):
-        spec = EnsembleSpec.prepared(0.7, sign, 3 * BLOCK + 7, seed=5)
+        spec = EnsembleSpec(3 * BLOCK + 7, 0.7, sign, seed=5)
         counts, branches = run_sequence(spec, [0.7, 2.0, 2.0, 2.0], return_branches=True)
         assert np.all(branches[0] == sign)
         assert counts[0].n_plus == (spec.n if sign == +1 else 0)
