@@ -25,11 +25,9 @@ def fmt9(value: float) -> str:
 
 @dataclass(frozen=True)
 class DiagramDocument:
-    """DOT text plus the node/edge counts it encodes."""
+    """DOT text of an orthogonality graph."""
 
     text: str
-    node_count: int
-    edge_count: int
 
 
 def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
@@ -37,7 +35,8 @@ def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
 
     Nodes are open circles (DOT's unfilled circle shape) with escaped
     labels, so each statement stays on its own line; edges are plain
-    lines; triads are listed as comments.
+    lines; triads are listed as comments.  ValueError unless the text
+    reads back (parse_dot_counts) to the graph's node and edge counts.
     """
     lines = ["graph ksdiagram {", '  node [shape=circle, style=""];']
     for i, label in enumerate(g.labels or [f"r{i}" for i in range(g.node_count)]):
@@ -47,9 +46,10 @@ def graph_to_dot(g: OrthogonalityGraph) -> DiagramDocument:
     lines += (f"  n{i} -- n{j};" for i, j in g.edges)
     lines += (f"  // triad {a} {b} {c}" for a, b, c in g.triads)
     lines.append("}")
-    return DiagramDocument(
-        text="\n".join(lines) + "\n", node_count=g.node_count, edge_count=len(g.edges)
-    )
+    text = "\n".join(lines) + "\n"
+    if parse_dot_counts(text) != (g.node_count, len(g.edges)):
+        raise ValueError("emitted DOT does not read back to its own node and edge counts")
+    return DiagramDocument(text)
 
 
 _OPEN_RE = re.compile(r"^\s*graph\s+\w+\s*\{\s*$")

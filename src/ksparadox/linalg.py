@@ -71,11 +71,12 @@ class Ray3:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if not abs(math.hypot(self.x, self.y, self.z) - 1.0) <= 1e-12:  # NaN fails too
-            raise NormalizationError(f"({self.x}, {self.y}, {self.z}) is not a finite unit vector")
+        x, y, z = self.x, self.y, self.z
+        # RaySet's row norm: numpy's sum of squares matches this order bit for bit
+        if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-12:  # NaN fails too
+            raise NormalizationError(f"({x}, {y}, {z}) is not a finite unit vector")
         # _signed's rule on one triple; negation is exact, so a canonical
         # triple keeps its bits
-        x, y, z = self.x, self.y, self.z
         if (x if abs(x) > SIGN_EPS else y if abs(y) > SIGN_EPS else z) < 0.0:
             for name, c in zip("xyz", (-x, -y, -z)):
                 object.__setattr__(self, name, c)

@@ -8,8 +8,8 @@ coin at the first apparatus.
 
 All randomness comes from numpy's PCG64 generator, so runs are
 reproducible bit for bit.  AdditivityResult carries the seed and generator
-name, which the simulate command and its CSV header print; vn --ensemble
-prints the seed.  The stages of run_sequence derive their streams from the
+name, and vn --ensemble prints both, as the simulate command and its CSV
+header do.  The stages of run_sequence derive their streams from the
 seed; check_additivity_relation's disjoint sub-ensembles derive theirs
 from (seed, orientation index).
 

@@ -69,7 +69,6 @@ class ValueAssignment:
 class Violation:
     kind: Literal["value", "triad", "edge"]
     members: tuple[int, ...]
-    detail: str
 
 
 def verify_assignment(g: OrthogonalityGraph, a: ValueAssignment) -> list[Violation]:
@@ -81,18 +80,13 @@ def verify_assignment(g: OrthogonalityGraph, a: ValueAssignment) -> list[Violati
     missing = [i for i in range(g.node_count) if i not in values]
     if missing:
         raise IncompleteAssignmentError(f"assignment missing nodes {missing[:8]}")
-    out = [
-        Violation("value", (v,), f"node {v} valued {values[v]!r}, not 0 or 1")
-        for v in range(g.node_count)
-        if values[v] not in (0, 1)
-    ]
+    out = [Violation("value", (v,)) for v in range(g.node_count) if values[v] not in (0, 1)]
     for t in g.triads:
-        total = sum((values[t[0]], values[t[1]], values[t[2]]))
-        if total != 1:
-            out.append(Violation("triad", t, f"triad {t} sums to {total}, not 1"))
+        if sum((values[t[0]], values[t[1]], values[t[2]])) != 1:
+            out.append(Violation("triad", t))
     for i, j in g.edges:
         if values[i] == 1 and values[j] == 1:
-            out.append(Violation("edge", (i, j), f"orthogonal pair {(i, j)} both valued 1"))
+            out.append(Violation("edge", (i, j)))
     return out
 
 

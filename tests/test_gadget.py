@@ -87,6 +87,13 @@ class TestBuildGadget:
         with pytest.raises(DegenerateParameterError):
             build_gadget(1.0, float("inf"))
 
+    def test_nonfinite_parameters_have_no_angle(self):
+        message = re.escape("parameters must be finite, got (inf, 1.0)")
+        with pytest.raises(DegenerateParameterError, match=f"^{message}$"):
+            gadget_angle(math.inf, 1.0)
+        with pytest.raises(DegenerateParameterError, match=f"^{message}$"):
+            gadget_for_angle(math.radians(18), (math.inf, 1.0))
+
     @pytest.mark.parametrize("x", [1e200, 1.0])
     def test_overflowing_y_cubed_rejected(self, x):
         # y**3 of a Python float raises OverflowError, whose text is an errno tuple

@@ -1,12 +1,14 @@
 """Spin-1/2 and spin-1 algebra: eigenvectors, projectors, completion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksparadox.ksgraph import RaySet
 from ksparadox.linalg import (
     SIGN_EPS,
     Context,
@@ -103,6 +105,40 @@ class TestRay3:
         got = [c.hex() for c in (r.x, r.y, r.z)]
         assert got == [c.hex() for c in _signed(np.array([row]))[0].tolist()]
 
+    def test_row_rayset_accepts_reads_back_from_rays(self):
+        # |norm - 1| is just under 1e-12 by RaySet's sum of squares and just
+        # over it by math.hypot, which Ray3 used to call
+        row = (0.42300424485906396, 0.02219165835174431, 0.9058559152165495)
+        (ray,) = RaySet(np.array([row]), ("a",)).rays
+        assert (ray.x, ray.y, ray.z) == row
+
+    def test_row_rayset_rejects_is_rejected(self):
+        # the other way round: just over 1e-12 by the sum of squares
+        row = (-0.9550695429044218, 0.16399408147072175, -0.24687670902074393)
+        with pytest.raises(ValueError, match="row 0 is not a finite unit vector"):
+            RaySet(np.array([row]), ("a",))
+        with pytest.raises(NormalizationError, match="is not a finite unit vector"):
+            Ray3(*row)
+
+    @given(
+        v=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1),
+        sign=st.sampled_from([+1.0, -1.0]),
+        delta=st.floats(-2e-13, 2e-13),
+    )
+    @settings(max_examples=500)
+    def test_accepts_exactly_the_rows_rayset_accepts(self, v, sign, delta):
+        # rows within a few ulps of the 1e-12 bound: Ray3 and RaySet judge
+        # them with the same expression
+        scale = (1.0 + sign * (1e-12 + delta)) / math.hypot(*v)
+        row = [c * scale for c in v]
+        try:
+            RaySet(np.array([row]), ("a",))
+        except ValueError:
+            with pytest.raises(NormalizationError):
+                Ray3(*row)
+        else:
+            Ray3(*row)
+
 
 class TestSpinHalfEigenvectors:
     @given(theta=angles)
@@ -158,6 +194,13 @@ class TestProjectors:
     def test_non_unit_input_rejected(self):
         with pytest.raises(NormalizationError):
             projector_from_vector((1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "v, shape", [(np.eye(2), "(2, 2)"), ([1.0, 0, 0, 0], "(4,)")], ids=["matrix", "length-4"]
+    )
+    def test_wrong_shape_rejected(self, v, shape):
+        with pytest.raises(ValueError, match=re.escape(f"length 2 or 3, got shape {shape}")):
+            projector_from_vector(v)
 
     @pytest.mark.parametrize(
         "v",
@@ -216,6 +259,13 @@ class TestTransitionProbability:
         assert transition_probability_spin_half(0.0, +1, math.pi, +1) == pytest.approx(
             0.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "prep_sign, meas_sign, name", [(0, 1, "prep_sign"), (1, 2, "meas_sign")]
+    )
+    def test_sign_other_than_one_rejected(self, prep_sign, meas_sign, name):
+        with pytest.raises(ValueError, match=f"^{name} must be \\+1 or -1$"):
+            transition_probability_spin_half(0.0, prep_sign, 0.0, meas_sign)
 
     @given(prep=angles, meas=angles, sign=st.sampled_from([+1, -1]))
     @settings(max_examples=300)

@@ -130,6 +130,12 @@ class TestSpinAverages:
 
         assert empirical_spin_average(EnsembleCounts(1, 0.0, 5, 5)) == 0.0
 
+    def test_negative_count_rejected(self):
+        from ksparadox.simulate import EnsembleCounts
+
+        with pytest.raises(ValueError, match="^branch counts must be nonnegative$"):
+            EnsembleCounts(1, 0.0, -1, 2)
+
     def test_converges_to_half_cosine(self):
         for deg in (20.0, 60.0, 135.0):
             theta = math.radians(deg)
@@ -146,6 +152,9 @@ class TestSpinAverages:
             assert expected_spin_average(spec, theta) == pytest.approx(
                 0.5 * math.cos(theta), abs=1e-12
             )
+
+    def test_expected_average_unpolarized_is_zero(self):
+        assert expected_spin_average(EnsembleSpec(10, None), 0.3) == 0.0
 
 
 class TestAdditivity:

@@ -516,6 +516,10 @@ class TestForcingChain:
         assert report.axes_on_chain and report.cyclic
         assert not report.contradiction_confirmed
 
+    def test_ray_set_without_copies_is_rejected(self):
+        with pytest.raises(ValueError, match="^ray set carries no gadget copies$"):
+            forcing_chain_check(0.3, RaySet(np.eye(3), ("x", "y", "z")))
+
     def test_broken_chain_names_link(self):
         rs = assemble_ks_set()
         copies = np.array(rs.copies)
