@@ -95,6 +95,13 @@ def cmd_check_coloring(args: argparse.Namespace) -> int:
     source = _flag_rays(args, args.single_gadget)
     graph = build_orthogonality_graph(source)
     verdict = check_colorability(graph)
+    outputs = []  # every requested file's text, built before the first write
+    if args.census:
+        outputs.append((args.census, census_text(source)))
+    if args.out:
+        outputs.append((args.out, to_json(verdict.to_dict())))
+    if args.dot:
+        outputs.append((args.dot, graph_to_dot(graph).text))
     if args.single_gadget:
         pairs = enumerate_gadget_assignments(source)
         print(f"verdict: {verdict.outcome}")
@@ -119,12 +126,8 @@ def cmd_check_coloring(args: argparse.Namespace) -> int:
         )
         for line in chain.summary():
             print(f"chain: {line}")
-        if args.census:
-            _write(args.census, census_text(source))
-    if args.out:
-        _write(args.out, to_json(verdict.to_dict()))
-    if args.dot:
-        _write(args.dot, graph_to_dot(graph).text)
+    for path, text in outputs:
+        _write(path, text)
     return 0
 
 

@@ -67,7 +67,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .gadget import APEX, C3, GADGET_EDGES, GADGET_ROLES, GadgetSet, gadget_for_angle
-from .linalg import Ray3, _canonical_units, _signed
+from .linalg import UNIT_ROW_TOL, Ray3, _canonical_units, _signed
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
 #: most steps per leg; from k = 95 on, non-construction pairs fall within _edge_bound
@@ -164,7 +164,7 @@ class RaySet:
     holds gadget copy k's ray indices in GADGET_ROLES order (copies[k, C3]
     is its c3), in sweep order.  provenance is a read-only mapping over a
     deep copy of the caller's, its lists stored as tuples.
-    ValueError rejects rows that are not finite unit vectors (to 1e-12),
+    ValueError rejects rows that are not finite unit vectors (to UNIT_ROW_TOL),
     labels not one per row, a label that is not a string, is empty or is
     taken twice, a merge that is not a pair or names no row, and a table
     that is not integer, not ten columns wide, or names a ray outside it.
@@ -182,7 +182,7 @@ class RaySet:
         if mat.ndim != 2 or mat.shape[1] != 3:
             raise ValueError(f"matrix must be an (n, 3) array, not of shape {mat.shape}")
         n, norms = len(mat), np.sqrt((mat * mat).sum(axis=1))
-        for i in np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))[:1].tolist():  # NaN fails too
+        for i in np.flatnonzero(~(abs(norms - 1.0) <= UNIT_ROW_TOL))[:1].tolist():  # NaN fails too
             raise ValueError(f"row {i} is not a finite unit vector: {mat[i].tolist()}")
         mat = _signed(mat)
         if len(labels) != n:
@@ -255,7 +255,8 @@ class RaySet:
     def axis_nodes(self) -> tuple[int | None, int | None, int | None]:
         """For each of the x, y and z axes, the index of the first ray that
         dedup would merge with it (|u x v| within the set's bound), or None
-        for an absent axis."""
+        for an absent axis.  Only the census reads it: the chain audit
+        finds its closing triad on the graph, in any frame."""
         near = np.linalg.norm(np.cross(self.matrix[:, None], np.eye(3)), axis=-1)
         hits = (near <= _edge_bound(len(self.copies))).T
         return tuple(next(iter(np.flatnonzero(hit).tolist()), None) for hit in hits)

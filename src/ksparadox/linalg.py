@@ -21,6 +21,7 @@ import numpy as np
 
 ATOL_CONTEXT = 1e-9
 SIGN_EPS = 1e-12
+UNIT_ROW_TOL = 1e-12  # |norm - 1| a unit row may have, here and in RaySet
 
 
 class NormalizationError(ValueError):
@@ -58,7 +59,7 @@ def _signed(units: np.ndarray) -> np.ndarray:
 class Ray3:
     """A direction in R3 with antipodal identification.
 
-    Components are unit-normalized (within 1e-12, as RaySet's rows; the
+    Components are unit-normalized (within UNIT_ROW_TOL, as RaySet's rows; the
     constructor raises NormalizationError otherwise) and sign-canonical: the
     constructor negates a triple whose first component of magnitude above
     1e-12 is negative, so v and -v compare and hash equal.  The label is
@@ -73,7 +74,7 @@ class Ray3:
     def __post_init__(self) -> None:
         x, y, z = self.x, self.y, self.z
         # RaySet's row norm: numpy's sum of squares matches this order bit for bit
-        if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-12:  # NaN fails too
+        if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= UNIT_ROW_TOL:  # NaN fails too
             raise NormalizationError(f"({x}, {y}, {z}) is not a finite unit vector")
         # _signed's rule on one triple; negation is exact, so a canonical
         # triple keeps its bits

@@ -18,7 +18,7 @@ re-derives the uncolorability of the chained ray set by a route independent
 of the search: the gadget lemma (one exhaustive enumeration of the ten-role
 graph, computed once), a check that each link realizes that role graph in
 RaySet.graph, the one judgement of the set's pairs, which the search
-refutes too, and the cyclic propagation through the axes, a triad of it.
+refutes too, and the cyclic propagation onto a triad of it on the chain.
 """
 
 from __future__ import annotations
@@ -270,38 +270,32 @@ class ChainReport:
     """Forcing audit of the swept gadget chain.
 
     all_links_forced is the ten-role graph's lemma, apex = 1 forces c3 = 1,
-    held once for every link.  contradiction_confirmed means: every link
-    forces value(apex) = 1 to propagate to its c3, the links close into a
-    cycle whose shared rays include all three coordinate axes, and those
-    axes form a triad of the set's graph -- so any admissible assignment
-    gives the axes equal values, which breaks exactly-one on their triad.
+    held once for every link.  closing_triad is the first of the graph's
+    triads whose rays all lie on the chain, ordered by first visit (each c3,
+    then each apex), or None.  summary() still names it "coordinate axes",
+    which it is on every set assemble_ks_set builds, and it lies on the chain
+    by construction.  contradiction_confirmed means: the links force
+    value(apex) = 1 on to each c3 and close into a cycle, so the chain's rays
+    take one value, which breaks exactly-one on the closing triad.
     """
 
     links: tuple[LinkReport, ...]
     all_links_forced: bool
     cyclic: bool
-    axis_nodes: tuple[int, int, int] | None
-    axes_on_chain: bool
+    closing_triad: tuple[int, int, int] | None
     contradiction_confirmed: bool
 
     def summary(self) -> list[str]:
-        lines = [
+        return [
             f"links: {len(self.links)}, forced: {len(self.links) if self.all_links_forced else 0}",
             f"cyclic closure: {self.cyclic}",
+            "coordinate axes not all present"
+            if self.closing_triad is None
+            else f"coordinate axes at nodes {self.closing_triad}, on chain: True",
+            "contradiction: equal values forced on a mutually orthogonal triple"
+            if self.contradiction_confirmed
+            else "no contradiction from the chain alone",
         ]
-        if self.axis_nodes is not None:
-            lines.append(
-                f"coordinate axes at nodes {self.axis_nodes}, on chain: {self.axes_on_chain}"
-            )
-        else:
-            lines.append("coordinate axes not all present")
-        if self.contradiction_confirmed:
-            lines.append(
-                "contradiction: equal values forced on a mutually orthogonal triple"
-            )
-        else:
-            lines.append("no contradiction from the chain alone")
-        return lines
 
 
 def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
@@ -310,10 +304,11 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
     Checks that each copy's c3 is the next copy's apex, reads chain.graph
     (OrthogonalityGapError unless every copy's fifteen construction pairs
     are edges), and checks each copy's apex-c3 angle; ChainIntegrityError
-    names the first link that fails.  Links keep their measured margins, and
-    the axis triple must form a triad of the same graph.  These checks tie
-    every link to the ten-role graph, whose forcing lemma is computed once
-    by exhaustive enumeration and read off, not assumed.
+    names the first link that fails.  Links keep their measured margins; the
+    closing triad is found from the role table and the same graph alone, so
+    a set turned to any frame gets the same verdict.  These checks tie every
+    link to the ten-role graph, whose forcing lemma is computed once by
+    exhaustive enumeration and read off, not assumed.
     """
     roles = chain.copies
     if not len(roles):
@@ -334,15 +329,14 @@ def forcing_chain_check(gadget_angle: float, chain: RaySet) -> ChainReport:
             )
     forced = _gadget_lemma().forced_one_way
 
-    axis_nodes = chain.axis_nodes
-    axes_present = all(i is not None for i in axis_nodes)
-    axes_on_chain = axes_present and set(axis_nodes) <= set(roles[:, [APEX, C3]].ravel().tolist())
-    axes_orthogonal = axes_present and tuple(sorted(axis_nodes)) in graph.triads
+    # chain rays by first visit, c3s then apexes (an open chain's first apex is no c3)
+    rank = {v: i for i, v in enumerate(dict.fromkeys(roles[:, [C3, APEX]].T.ravel().tolist()))}
+    triad = next((t for t in graph.triads if all(v in rank for v in t)), None)
+    closing_triad = None if triad is None else tuple(sorted(triad, key=rank.get))
     return ChainReport(
         links=links,
         all_links_forced=forced,
         cyclic=cyclic,
-        axis_nodes=axis_nodes if axes_present else None,
-        axes_on_chain=axes_on_chain,
-        contradiction_confirmed=forced and cyclic and axes_on_chain and axes_orthogonal,
+        closing_triad=closing_triad,
+        contradiction_confirmed=forced and cyclic and closing_triad is not None,
     )

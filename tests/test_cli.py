@@ -188,6 +188,17 @@ class TestEmitters:
         assert line == "error: emitted DOT does not read back to its own node and edge counts"
         assert not path.exists()
 
+    def test_failed_output_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        # check-coloring builds the census, verdict and DOT texts before the
+        # first write, so a DOT that fails its read-back leaves no file at all
+        monkeypatch.setattr("ksparadox.emit.parse_dot_counts", lambda text: (-1, -1))
+        census, out, dot = paths = [tmp_path / name for name in ("c.txt", "v.json", "g.dot")]
+        argv = ["--census", str(census), "--out", str(out), "--dot", str(dot)]
+        assert main(["check-coloring", *argv]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert not any(path.exists() for path in paths)
+
     def test_dot_names_only_unlabeled_graphs_by_position(self):
         text = graph_to_dot(OrthogonalityGraph(2, [(0, 1)])).text
         assert '  n0 [label="r0"];\n  n1 [label="r1"];\n' in text

@@ -41,6 +41,7 @@ from ksparadox.ksgraph import (
 )
 from ksparadox.linalg import (
     SIGN_EPS,
+    UNIT_ROW_TOL,
     Ray3,
     _canonical_units,
     verify_completion,
@@ -1200,6 +1201,17 @@ def test_measured_dedup_margins(name):
     )
     assert merged <= bound / 50
     assert closest >= 1e5 * bound
+
+
+def test_measured_unit_row_margin():
+    # every assembled row is a unit vector to 2.2e-16 by RaySet's row norm,
+    # over 1e3 times inside the unit-row tolerance
+    sets = [assemble_ks_set(math.radians(90.0 / k)) for k in range(5, 91)]
+    worst = max(
+        np.abs(np.sqrt((rs.matrix * rs.matrix).sum(axis=1)) - 1.0).max()
+        for rs in [*sets, _sweep("open-k40")]
+    )
+    assert worst <= UNIT_ROW_TOL / 1e3
 
 
 class TestConstructionCertificate:

@@ -425,8 +425,8 @@ AUDITED_SETS = {
 
 def _report_record(report):
     links = [[link.max_edge_residual, link.angle] for link in report.links]
-    flags = [report.axes_on_chain, report.cyclic, report.contradiction_confirmed]
-    return [report.axis_nodes, *flags, report.summary(), links]
+    flags = [report.closing_triad is not None, report.cyclic, report.contradiction_confirmed]
+    return [report.closing_triad, *flags, report.summary(), links]
 
 
 def _digest(document) -> str:
@@ -440,7 +440,7 @@ class TestForcingChain:
         assert len(report.links) == 15
         assert report.all_links_forced
         assert report.cyclic
-        assert report.axes_on_chain
+        assert report.closing_triad == (40, 7, 39)
         assert report.contradiction_confirmed
         assert any("contradiction" in line for line in report.summary())
 
@@ -506,15 +506,56 @@ class TestForcingChain:
 
     def test_axis_triple_is_a_triad_of_the_graph(self):
         # the same rays, with the graph's x-y edge taken out: the axes are no
-        # longer a triad of the graph the audit reads, so nothing is confirmed
+        # longer a triad of the graph the audit reads, no other triad lies on
+        # the chain, so nothing is confirmed
         rs = assemble_ks_set()
-        x, y, _ = forcing_chain_check(math.radians(18.0), rs).axis_nodes
+        x, y, _ = forcing_chain_check(math.radians(18.0), rs).closing_triad
         graph = rs.graph
         edges = [e for e in graph.edges if e != (min(x, y), max(x, y))]
         vars(rs)["graph"] = OrthogonalityGraph(graph.node_count, edges, graph.labels)
         report = forcing_chain_check(math.radians(18.0), rs)
-        assert report.axes_on_chain and report.cyclic
+        assert report.cyclic and report.closing_triad is None
         assert not report.contradiction_confirmed
+
+    @pytest.mark.parametrize("k", [5, 24])
+    def test_rotated_set_confirms_the_same_closing_triad(self, k):
+        # a seeded random turn keeps every edge and the verdict; the audit
+        # finds the closing triad on the graph, so it still confirms, while
+        # the coordinate lookup no longer finds the axes
+        step = math.radians(90.0 / k)
+        rs = assemble_ks_set(step)
+        rng = np.random.default_rng(k)
+        turn = rotation_matrix(Ray3.from_vector(rng.normal(size=3)).vec, rng.uniform(0.1, 3.0))
+        turned = RaySet(_transformed(turn, rs.matrix), rs.labels, rs.merges, rs.copies)
+        assert turned.graph.edges == rs.graph.edges
+        assert check_colorability(turned.graph).outcome == "UNSAT"
+        assert None in turned.axis_nodes
+        report = forcing_chain_check(step, turned)
+        assert report.contradiction_confirmed
+        assert report.closing_triad == forcing_chain_check(step, rs).closing_triad
+
+    def test_audit_reads_no_coordinate_axes(self, monkeypatch):
+        rs = assemble_ks_set()
+        report = forcing_chain_check(math.radians(18.0), rs)
+
+        def no_axes(self):
+            raise AssertionError("the audit looked up the coordinate axes")
+
+        monkeypatch.setattr(RaySet, "axis_nodes", property(no_axes))
+        assert forcing_chain_check(math.radians(18.0), rs) == report
+
+    def test_closing_triad_is_the_axis_triple_on_closed_sweeps(self):
+        # the graph's judgement against the coordinates', which share no code
+        for step in (math.radians(90.0 / k) for k in range(5, 91)):
+            rs = assemble_ks_set(step)
+            assert forcing_chain_check(step, rs).closing_triad == rs.axis_nodes
+
+    @pytest.mark.parametrize("name", AUDITED_SETS)
+    def test_closing_triad_is_the_axis_triple_on_audited_sets(self, name):
+        # one copy and two links hold no triad on their chain, nor all three axes
+        angle, rs = AUDITED_SETS[name]()
+        expected = None if name in ("one copy", "two links") else rs.axis_nodes
+        assert forcing_chain_check(angle, rs).closing_triad == expected
 
     def test_ray_set_without_copies_is_rejected(self):
         with pytest.raises(ValueError, match="^ray set carries no gadget copies$"):
