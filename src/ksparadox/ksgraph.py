@@ -67,7 +67,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .gadget import APEX, C3, GADGET_EDGES, GADGET_ROLES, GadgetSet, gadget_for_angle
-from .linalg import UNIT_ROW_TOL, Ray3, _canonical_units, _signed
+from .linalg import Ray3, _canonical_units, _unit_rows
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
 #: most steps per leg; from k = 95 on, non-construction pairs fall within _edge_bound
@@ -155,8 +155,8 @@ class RaySet:
     """Deduplicated canonical rays with full label provenance.
 
     matrix, the rays' one stored form, is a read-only (n, 3) float array of
-    unit rows, stored sign-canonical by Ray3's rule (linalg._signed), each
-    named in labels by its first occurrence; merges pairs
+    unit rows, stored sign-canonical by linalg._unit_rows (as is each Ray3),
+    each named in labels by its first occurrence; merges pairs
     every other input label, in input order, with the label of its ray, as
     to_dict writes them.  rays, graph, label_to_index, triad_index and
     axis_nodes are built from these, rays and graph when first read.
@@ -181,10 +181,7 @@ class RaySet:
         labels, merges = tuple(self.labels), tuple(self.merges)
         if mat.ndim != 2 or mat.shape[1] != 3:
             raise ValueError(f"matrix must be an (n, 3) array, not of shape {mat.shape}")
-        n, norms = len(mat), np.sqrt((mat * mat).sum(axis=1))
-        for i in np.flatnonzero(~(abs(norms - 1.0) <= UNIT_ROW_TOL))[:1].tolist():  # NaN fails too
-            raise ValueError(f"row {i} is not a finite unit vector: {mat[i].tolist()}")
-        mat = _signed(mat)
+        mat, n = _unit_rows(mat), len(mat)
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} rays")
         for pair in merges:
@@ -370,11 +367,12 @@ class OrthogonalityGraph:
     """Nodes, orthogonal-pair edges, and triads: all triangles of the edges.
 
     The one constructor takes the edges as pairs or as an (m, 2) integer
-    array, sorts each edge and the edge list, stores Python ints, and raises
-    ValueError for a negative node_count, an edge that is not a pair of
-    integers, a node outside [0, node_count), a repeated member, an edge
-    listed twice, labels not one per node, and a label that is not a
-    string, is empty or is taken twice.  The triads, each a sorted triple, are derived from
+    array, sorts each edge and the edge list, stores Python ints (node_count
+    too), and raises ValueError for a node_count that is not an integer (a
+    float or a bool) or is negative, an edge that is not a pair of integers,
+    a node outside [0, node_count), a repeated member, an edge listed twice,
+    labels not one per node, and a label that is not a string, is empty or
+    is taken twice.  The triads, each a sorted triple, are derived from
     the edges, so every graph's triads are exactly its triangles; neighbours
     holds each node's neighbours in ascending order, the graph's one
     adjacency build.  A graph built from rays keeps their labels, and every
@@ -390,8 +388,11 @@ class OrthogonalityGraph:
 
     def __post_init__(self) -> None:
         n = self.node_count
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"node_count {n!r} is not an integer")
         if n < 0:
             raise ValueError(f"node_count {n} is negative")
+        n = int(n)
         if self.labels is not None and len(self.labels) != n:
             raise ValueError(f"{len(self.labels)} labels for {n} nodes")
         _check_labels(self.labels or ())
@@ -419,6 +420,7 @@ class OrthogonalityGraph:
         node, other = np.divmod(np.sort(np.concatenate([keys, second * n + first])), n)
         ends, flat = np.cumsum(np.bincount(node, minlength=n)).tolist(), nodes[other].tolist()
         neighbours = (flat[a:b] for a, b in zip([0, *ends], ends))
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edges", tuple(zip(nodes[first].tolist(), nodes[second].tolist())))
         object.__setattr__(self, "triads", tuple(triads))
         object.__setattr__(self, "neighbours", tuple(map(tuple, neighbours)))

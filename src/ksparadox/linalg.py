@@ -21,7 +21,7 @@ import numpy as np
 
 ATOL_CONTEXT = 1e-9
 SIGN_EPS = 1e-12
-UNIT_ROW_TOL = 1e-12  # |norm - 1| a unit row may have, here and in RaySet
+UNIT_ROW_TOL = 1e-12  # |norm - 1| a unit row may have (_unit_rows)
 
 
 class NormalizationError(ValueError):
@@ -39,6 +39,17 @@ def _canonical_units(vecs: np.ndarray) -> np.ndarray:
         if not 1e-9 < norm < math.inf:
             raise NormalizationError(f"cannot normalize {vecs[i]!r} of norm {norm}")
     return _signed(vecs / np.array(norms)[:, None])
+
+
+@np.errstate(over="ignore")
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """rows, an (n, d) float array, sign-canonical by _signed; NormalizationError
+    names the first row whose norm is not within UNIT_ROW_TOL of 1 (NaN fails
+    too, and an overflowing row without a numpy warning)."""
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    for i in np.flatnonzero(~(abs(norms - 1.0) <= UNIT_ROW_TOL))[:1].tolist():
+        raise NormalizationError(f"row {i} is not a finite unit vector: {rows[i].tolist()}")
+    return _signed(rows)
 
 
 def _signed(units: np.ndarray) -> np.ndarray:
@@ -59,11 +70,11 @@ def _signed(units: np.ndarray) -> np.ndarray:
 class Ray3:
     """A direction in R3 with antipodal identification.
 
-    Components are unit-normalized (within UNIT_ROW_TOL, as RaySet's rows; the
-    constructor raises NormalizationError otherwise) and sign-canonical: the
-    constructor negates a triple whose first component of magnitude above
-    1e-12 is negative, so v and -v compare and hash equal.  The label is
-    bookkeeping only and does not participate in equality.
+    Components are unit-normalized and sign-canonical by _unit_rows, the
+    kernel of RaySet's rows: NormalizationError rejects a triple whose norm is
+    not within UNIT_ROW_TOL of 1, and a triple whose first component above
+    SIGN_EPS is negative is negated, so v and -v compare and hash equal.
+    The label is bookkeeping only and does not participate in equality.
     """
 
     x: float
@@ -72,15 +83,9 @@ class Ray3:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        x, y, z = self.x, self.y, self.z
-        # RaySet's row norm: numpy's sum of squares matches this order bit for bit
-        if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= UNIT_ROW_TOL:  # NaN fails too
-            raise NormalizationError(f"({x}, {y}, {z}) is not a finite unit vector")
-        # _signed's rule on one triple; negation is exact, so a canonical
-        # triple keeps its bits
-        if (x if abs(x) > SIGN_EPS else y if abs(y) > SIGN_EPS else z) < 0.0:
-            for name, c in zip("xyz", (-x, -y, -z)):
-                object.__setattr__(self, name, c)
+        (row,) = _unit_rows(np.array([(self.x, self.y, self.z)], dtype=float)).tolist()
+        for name, c in zip("xyz", row):
+            object.__setattr__(self, name, c)
 
     @classmethod
     def from_vector(cls, v: Iterable[float], label: str = "") -> "Ray3":
@@ -184,11 +189,10 @@ class Context:
 def context_for_direction(direction: Ray3) -> Context:
     """Spin-1 context for a field direction: the direction plus a
     deterministic orthonormal completion."""
-    zxd = np.cross([0.0, 0.0, 1.0], direction.vec)
-    if np.linalg.norm(zxd) <= 1e-9:
+    try:  # z x direction, or the x axis when that has no direction
+        (e1,) = _canonical_units(np.cross([0.0, 0.0, 1.0], direction.vec)[None])
+    except NormalizationError:
         e1 = np.array([1.0, 0.0, 0.0])
-    else:
-        e1 = zxd / np.linalg.norm(zxd)
     e2 = np.cross(direction.vec, e1)
     return Context((direction, Ray3.from_vector(e1), Ray3.from_vector(e2)))
 

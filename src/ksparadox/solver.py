@@ -242,8 +242,9 @@ def enumerate_all_colorings(
     g: OrthogonalityGraph, cap: int | None = None
 ) -> list[ValueAssignment]:
     """All satisfying assignments by exhaustive 2^n scan, each confirmed
-    through verify_assignment.  Ground-truth oracle for check_colorability;
-    shares no search machinery with it.
+    through verify_assignment (RuntimeError if one breaks the rules).
+    Ground-truth oracle for check_colorability; shares no search machinery
+    with it.
 
     Refuses instances above the node cap (default 25).
     """
@@ -252,8 +253,10 @@ def enumerate_all_colorings(
     if n > limit:
         raise SizeLimitError(f"{n} nodes exceeds enumeration cap {limit}")
     masks = satisfying_masks(n, g.edges, g.triads)
-    found = (ValueAssignment({i: (mask >> i) & 1 for i in range(n)}) for mask in masks)
-    return [a for a in found if not verify_assignment(g, a)]
+    found = [ValueAssignment({i: (mask >> i) & 1 for i in range(n)}) for mask in masks]
+    if any(verify_assignment(g, a) for a in found):
+        raise RuntimeError("exhaustive scan returned an assignment that breaks the coloring rules")
+    return found
 
 
 @dataclass(frozen=True)

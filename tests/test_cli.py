@@ -69,7 +69,8 @@ GADGET_PINS = {
 }
 
 # sha256 of stdout and of every file written by the README's verify-bound,
-# vn and simulate examples; --grid 41 is the default grid
+# vn and simulate examples; the default grid is 401, and --grid 41 pins the
+# same stdout because both grids hold (+-1, +-1) exactly
 STREAM_PINS = {
     "verify-bound": {
         "stdout": "5ba6ad655c4274b7ad13fafd8706cdde7f4c14a2108f70f25977799b3b40d132",

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -1025,6 +1026,20 @@ class TestOrthogonalityGraph:
 
         with pytest.raises(ValueError, match="node_count -2 is negative"):
             OrthogonalityGraph(-2, [])
+
+    @pytest.mark.parametrize(
+        "count", [3.0, 2.5, np.float64(3.0), True], ids=["float", "fraction", "numpy-float", "bool"]
+    )
+    def test_abstract_structure_rejects_a_node_count_that_is_not_an_integer(self, count):
+        # numpy would index with it, or read True as 1
+        message = rf"^node_count {re.escape(repr(count))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            ksgraph.OrthogonalityGraph(count, [(0, 1)])
+
+    def test_abstract_structure_stores_a_numpy_node_count_as_int(self):
+        g = ksgraph.OrthogonalityGraph(np.int64(3), [(0, 1), (1, 2), (0, 2)])
+        assert type(g.node_count) is int and g.node_count == 3
+        assert g.triads == ((0, 1, 2),)
 
     @pytest.mark.parametrize("edges, message", BAD_NODES, ids=BAD_NODE_IDS)
     def test_abstract_structure_rejects_bad_nodes(self, edges, message):

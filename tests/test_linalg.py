@@ -120,6 +120,14 @@ class TestRay3:
         with pytest.raises(NormalizationError, match="is not a finite unit vector"):
             Ray3(*row)
 
+    def test_overflowing_row_rejected_without_a_numpy_warning(self):
+        # 1e200 squared overflows; pyproject turns a RuntimeWarning into an error
+        message = r"^row 0 is not a finite unit vector: \[1e\+200, 0.0, 0.0\]$"
+        with pytest.raises(NormalizationError, match=message):
+            Ray3(1e200, 0.0, 0.0)
+        with pytest.raises(NormalizationError, match=message):
+            RaySet(np.array([[1e200, 0.0, 0.0]]), ("a",))
+
     @given(
         v=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1),
         sign=st.sampled_from([+1.0, -1.0]),

@@ -10,7 +10,7 @@ from array import array
 import numpy as np
 import pytest
 
-from ksparadox import ksgraph
+from ksparadox import ksgraph, solver
 from ksparadox.gadget import (
     APEX,
     C3,
@@ -39,6 +39,7 @@ from ksparadox.solver import (
     IncompleteAssignmentError,
     SizeLimitError,
     ValueAssignment,
+    Violation,
     check_colorability,
     enumerate_all_colorings,
     forcing_chain_check,
@@ -98,6 +99,16 @@ class TestCheckColorability:
         assert verdict.outcome == "SAT"
         assert verdict.stats.max_depth == 1200
         assert not verify_assignment(g, verdict.witness)
+
+    def test_witness_breaking_the_rules_is_refused(self, monkeypatch):
+        # the guard behind every SAT verdict, reached here by a check that
+        # reports one violation for the search's witness
+        def one_violation(g, a):
+            return [Violation("triad", g.triads[0])]
+
+        monkeypatch.setattr(solver, "verify_assignment", one_violation)
+        with pytest.raises(RuntimeError, match="witness that breaks the coloring rules"):
+            check_colorability(AXES_GRAPH)
 
     def test_triad_free_graph_degenerate_sat(self):
         g = OrthogonalityGraph(3, [(0, 1)])
@@ -371,6 +382,13 @@ class TestEnumerateAllColorings:
             enumerate_all_colorings(g)
         small = OrthogonalityGraph(4, [])
         assert len(enumerate_all_colorings(small, cap=4)) == 16
+
+    def test_assignment_breaking_the_rules_is_refused(self, monkeypatch):
+        # a scan that let the all-ones mask through must not have it returned
+        scan = solver.satisfying_masks
+        monkeypatch.setattr(solver, "satisfying_masks", lambda *args: [*scan(*args), 0b111])
+        with pytest.raises(RuntimeError, match="assignment that breaks the coloring rules"):
+            enumerate_all_colorings(OrthogonalityGraph(3, [(0, 1), (1, 2), (0, 2)]))
 
     def test_agreement_with_solver_on_random_subgraphs(self):
         rs = assemble_ks_set()
