@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _canonical_units
+from .linalg import _canonical_units, _integer
 
 GADGET_ROLES = ("apex", "a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
 APEX, C3 = 0, 9
@@ -69,6 +69,11 @@ class DegenerateParameterError(ValueError):
 class AngleRangeError(ValueError):
     """A requested gadget angle lies outside [MIN_GADGET_ANGLE,
     MAX_GADGET_ANGLE], or explicit parameters do not realize it."""
+
+
+def _check_finite(x: float, y: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DegenerateParameterError(f"parameters must be finite, got ({x}, {y})")
 
 
 def raw_gadget_vectors(x: float, y: float) -> np.ndarray:
@@ -108,8 +113,7 @@ class GadgetSet:
     units: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DegenerateParameterError(f"parameters must be finite, got ({self.x}, {self.y})")
+        _check_finite(self.x, self.y)
         object.__setattr__(self, "units", _canonical_units(raw_gadget_vectors(self.x, self.y)))
         self.units.flags.writeable = False
 
@@ -159,8 +163,7 @@ def gadget_angle(x: float, y: float) -> float:
 
     Agrees with the angle recomputed from the constructed rays to 1e-9.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DegenerateParameterError(f"parameters must be finite, got ({x}, {y})")
+    _check_finite(x, y)
     return float(np.arccos(np.clip(gadget_cosine(x, y), -1.0, 1.0)))
 
 
@@ -305,9 +308,10 @@ def minimize_gadget_cosine(grid_n: int = 401) -> BoundReport:
     """Minimize the apex-to-c3 cosine over (x, y) in [-2, 2]^2.
 
     Coarse grid scan followed by local grid refinement (zoom factor 5 per
-    iteration) around the best point.
+    iteration) around the best point.  grid_n, the points per axis of the
+    coarse grid, must be an integer (TypeError) of at least 2 (ValueError).
     """
-    if grid_n < 2:
+    if _integer(grid_n, "grid_n") < 2:
         raise ValueError("grid needs at least 2 points")
     xs = np.linspace(-2.0, 2.0, grid_n)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")

@@ -67,7 +67,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .gadget import APEX, C3, GADGET_EDGES, GADGET_ROLES, GadgetSet, gadget_for_angle
-from .linalg import Ray3, _canonical_units, _unit_rows
+from .linalg import Ray3, _canonical_units, _float_array, _integer, _unit_rows
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
 #: most steps per leg; from k = 95 on, non-construction pairs fall within _edge_bound
@@ -76,8 +76,8 @@ MAX_SWEEP_K = 90
 
 class ScheduleError(ValueError):
     """A rotation schedule referenced a missing axis, or had a step with a
-    non-finite angle or negative repetitions, or a step angle does not
-    divide 90 degrees or is below 90 / MAX_SWEEP_K."""
+    non-finite angle, negative repetitions or an emit that is not a bool, or
+    a step angle does not divide 90 degrees or is below 90 / MAX_SWEEP_K."""
 
 
 class OrthogonalityGapError(ValueError):
@@ -110,7 +110,8 @@ class RotationStep:
     """One schedule step: rotate the current copy about one of its own rays.
 
     axis_role names a gadget role ("c2", "c3", ...), resolved against the
-    current copy each time the step is applied.  Steps with emit=False are
+    current copy each time the step is applied.  repetitions is an integer
+    (assemble_ks_set raises TypeError otherwise).  Steps with emit=False are
     intermediate re-orientations (the pivots between sweep legs) whose
     result is not itself kept as a copy.
     """
@@ -164,10 +165,11 @@ class RaySet:
     holds gadget copy k's ray indices in GADGET_ROLES order (copies[k, C3]
     is its c3), in sweep order.  provenance is a read-only mapping over a
     deep copy of the caller's, its lists stored as tuples.
-    ValueError rejects rows that are not finite unit vectors (to UNIT_ROW_TOL),
-    labels not one per row, a label that is not a string, is empty or is
-    taken twice, a merge that is not a pair or names no row, and a table
-    that is not integer, not ten columns wide, or names a ray outside it.
+    TypeError rejects a matrix that numpy reads as text, and ValueError rows
+    that are not finite unit vectors (to UNIT_ROW_TOL), labels not one per
+    row, a label that is not a string, is empty or is taken twice, a merge
+    that is not a pair or names no row, and a table that is not integer,
+    not ten columns wide, or names a ray outside it.
     """
 
     matrix: np.ndarray
@@ -177,7 +179,7 @@ class RaySet:
     provenance: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=float)  # a copy, made read-only below
+        mat = _float_array(self.matrix, "matrix")  # a copy, made read-only below
         labels, merges = tuple(self.labels), tuple(self.merges)
         if mat.ndim != 2 or mat.shape[1] != 3:
             raise ValueError(f"matrix must be an (n, 3) array, not of shape {mat.shape}")
@@ -333,10 +335,11 @@ def assemble_ks_set(
     for step in schedule:
         if step.axis_role not in GADGET_ROLES:
             raise ScheduleError(f"schedule references unknown axis role {step.axis_role!r}")
-        if not (math.isfinite(step.angle) and step.repetitions >= 0):
-            raise ScheduleError(f"{step} needs a finite angle and repetitions >= 0")
+        reps = _integer(step.repetitions, "repetitions")
+        if not (math.isfinite(step.angle) and reps >= 0 and isinstance(step.emit, bool)):
+            raise ScheduleError(f"{step} needs a finite angle, repetitions >= 0 and a bool emit")
         axis_index = GADGET_ROLES.index(step.axis_role)
-        for _ in range(step.repetitions):
+        for _ in range(reps):
             m = rotation_matrix(current[axis_index].tolist(), step.angle)
             current = _transformed(m, current)
             if step.emit:
@@ -368,16 +371,16 @@ class OrthogonalityGraph:
 
     The one constructor takes the edges as pairs or as an (m, 2) integer
     array, sorts each edge and the edge list, stores Python ints (node_count
-    too), and raises ValueError for a node_count that is not an integer (a
-    float or a bool) or is negative, an edge that is not a pair of integers,
-    a node outside [0, node_count), a repeated member, an edge listed twice,
-    labels not one per node, and a label that is not a string, is empty or
-    is taken twice.  The triads, each a sorted triple, are derived from
-    the edges, so every graph's triads are exactly its triangles; neighbours
-    holds each node's neighbours in ascending order, the graph's one
-    adjacency build.  A graph built from rays keeps their labels, and every
-    edge, and so every triangle, is orthogonal to within the float error;
-    its coordinates stay with its source.
+    too), and raises TypeError for a node_count that is not an integer (a
+    float or a bool), and ValueError for a negative one, an edge that is not
+    a pair of integers, a node outside [0, node_count), a repeated member,
+    an edge listed twice, labels not one per node, and a label that is not
+    a string, is empty or is taken twice.  The triads, each a sorted
+    triple, are derived from the edges, so every graph's triads are exactly
+    its triangles; neighbours holds each node's neighbours in ascending
+    order, the graph's one adjacency build.  A graph built from rays keeps
+    their labels, and every edge, and so every triangle, is orthogonal to
+    within the float error; its coordinates stay with its source.
     """
 
     node_count: int
@@ -387,12 +390,9 @@ class OrthogonalityGraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        n = self.node_count
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"node_count {n!r} is not an integer")
+        n = _integer(self.node_count, "node_count")
         if n < 0:
             raise ValueError(f"node_count {n} is negative")
-        n = int(n)
         if self.labels is not None and len(self.labels) != n:
             raise ValueError(f"{len(self.labels)} labels for {n} nodes")
         _check_labels(self.labels or ())

@@ -28,6 +28,31 @@ class NormalizationError(ValueError):
     """A vector that must be unit length (or normalizable) is not."""
 
 
+def _integer(value, name: str) -> int:
+    """value, an int or a numpy integer but never a bool, as an int;
+    TypeError names any other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _sign(value, name: str) -> int:
+    """value, +1 or -1, as an int: TypeError for a value that is not an
+    integer (True and 1.0 too), ValueError for any other integer."""
+    if _integer(value, name) not in (+1, -1):
+        raise ValueError(f"{name} must be +1 or -1")
+    return int(value)
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """np.array(values, dtype=float), always a new array; TypeError names
+    values that numpy reads as text, which that conversion would parse."""
+    read = np.asarray(values).dtype
+    if read.kind in "SU":
+        raise TypeError(f"{name} must be numbers, not text ({read})")
+    return np.array(values, dtype=float)
+
+
 @np.errstate(over="ignore")
 def _canonical_units(vecs: np.ndarray) -> np.ndarray:
     """Normalize each row of an (n, d) array and fix its overall sign with
@@ -74,7 +99,8 @@ class Ray3:
     kernel of RaySet's rows: NormalizationError rejects a triple whose norm is
     not within UNIT_ROW_TOL of 1, and a triple whose first component above
     SIGN_EPS is negative is negated, so v and -v compare and hash equal.
-    The label is bookkeeping only and does not participate in equality.
+    TypeError rejects components that numpy reads as text, as from_vector
+    does.  The label is bookkeeping only and does not participate in equality.
     """
 
     x: float
@@ -83,13 +109,13 @@ class Ray3:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        (row,) = _unit_rows(np.array([(self.x, self.y, self.z)], dtype=float)).tolist()
+        (row,) = _unit_rows(_float_array([(self.x, self.y, self.z)], "Ray3 components")).tolist()
         for name, c in zip("xyz", row):
             object.__setattr__(self, name, c)
 
     @classmethod
     def from_vector(cls, v: Iterable[float], label: str = "") -> "Ray3":
-        ((x, y, z),) = _canonical_units(np.asarray(tuple(v), dtype=float)[None]).tolist()
+        ((x, y, z),) = _canonical_units(_float_array(tuple(v), "vector")[None]).tolist()
         return cls(x, y, z, label)
 
     @property
@@ -119,9 +145,10 @@ def projector_from_vector(v: Sequence[float] | np.ndarray) -> np.ndarray:
     length d = 2 or 3.
 
     Raises NormalizationError unless |v| = 1 within 1e-9 (a NaN or infinite
-    component fails too).
+    component fails too), and TypeError for components that numpy reads as
+    text.
     """
-    u = np.asarray(v, dtype=float)
+    u = _float_array(v, "vector")
     if u.ndim != 1 or u.shape[0] not in (2, 3):
         raise ValueError(f"expected a vector of length 2 or 3, got shape {u.shape}")
     if not abs(float(np.linalg.norm(u)) - 1.0) <= ATOL_CONTEXT:
@@ -147,15 +174,13 @@ def transition_probability_spin_half(
 
     With phi = meas_theta - prep_theta the same-sign probability is
     cos^2(phi/2) and the opposite-sign one is its exact complement, so the
-    two outcomes sum to 1.0 exactly.  Both signs are +1 or -1.
+    two outcomes sum to 1.0 exactly.  Both signs are the integers +1 or -1
+    (_sign).
     """
-    if prep_sign not in (+1, -1):
-        raise ValueError("prep_sign must be +1 or -1")
-    if meas_sign not in (+1, -1):
-        raise ValueError("meas_sign must be +1 or -1")
+    same_sign = _sign(prep_sign, "prep_sign") == _sign(meas_sign, "meas_sign")
     phi = meas_theta - prep_theta
     same = math.cos(phi / 2.0) ** 2
-    return same if meas_sign == prep_sign else 1.0 - same
+    return same if same_sign else 1.0 - same
 
 
 def spin1_overlap(state: Ray3, outcome: Ray3) -> float:

@@ -37,28 +37,26 @@ draw and the tables do not depend on the block size.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import Context, Ray3, spin1_overlap, transition_probability_spin_half
+from .linalg import (
+    Context,
+    Ray3,
+    _integer,
+    _sign,
+    spin1_overlap,
+    transition_probability_spin_half,
+)
 
 GENERATOR_NAME = "numpy.random.PCG64"
 DRAW_BLOCK = 1 << 16
 
 
-def _check_integer(name: str, value) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_seed(seed: int) -> None:
-    _check_integer("seed", seed)
-    if seed < 0:
+    if _integer(seed, "seed") < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
@@ -76,15 +74,13 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integer("ensemble size", self.n)
-        if self.n < 1:
+        if _integer(self.n, "ensemble size") < 1:
             raise ValueError("ensemble size must be at least 1")
         if self.n > 2**63 - 1:  # the binomial draws take int64 counts
             raise ValueError(f"ensemble size must be at most 2**63 - 1, got {self.n}")
         if self.prep_theta is not None and not math.isfinite(self.prep_theta):
             raise ValueError("preparation angle must be finite")
-        if self.prep_sign not in (+1, -1):
-            raise ValueError("prep_sign must be +1 or -1")
+        _sign(self.prep_sign, "prep_sign")
         _check_seed(self.seed)
 
 
@@ -304,9 +300,8 @@ def sample_context_tables(
     independently, so contexts sharing a ray may disagree on its value.
 
     Raises ValueError for a negative seed or a negative n_samples, and
-    TypeError for an n_samples that is not an integer."""
-    _check_integer("n_samples", n_samples)
-    if n_samples < 0:
+    TypeError for either that is not an integer (a bool included)."""
+    if _integer(n_samples, "n_samples") < 0:
         raise ValueError(f"n_samples must be a non-negative integer, got {n_samples}")
     _check_seed(seed)
     # the pick is the first member whose cumulative overlap exceeds u, or

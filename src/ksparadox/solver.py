@@ -41,6 +41,7 @@ from .gadget import (
     satisfying_masks,
 )
 from .ksgraph import OrthogonalityGraph, RaySet
+from .linalg import _integer
 
 
 class IncompleteAssignmentError(ValueError):
@@ -238,20 +239,17 @@ def check_colorability(g: OrthogonalityGraph) -> SolverVerdict:
     return SolverVerdict(outcome="UNSAT", witness=None, stats=solver_stats, trail=trail)
 
 
-def enumerate_all_colorings(
-    g: OrthogonalityGraph, cap: int | None = None
-) -> list[ValueAssignment]:
+def enumerate_all_colorings(g: OrthogonalityGraph, cap: int = 25) -> list[ValueAssignment]:
     """All satisfying assignments by exhaustive 2^n scan, each confirmed
     through verify_assignment (RuntimeError if one breaks the rules).
     Ground-truth oracle for check_colorability; shares no search machinery
     with it.
 
-    Refuses instances above the node cap (default 25).
+    Refuses instances above the node cap, an integer (TypeError otherwise).
     """
-    limit = 25 if cap is None else cap
     n = g.node_count
-    if n > limit:
-        raise SizeLimitError(f"{n} nodes exceeds enumeration cap {limit}")
+    if n > _integer(cap, "cap"):
+        raise SizeLimitError(f"{n} nodes exceeds enumeration cap {cap}")
     masks = satisfying_masks(n, g.edges, g.triads)
     found = [ValueAssignment({i: (mask >> i) & 1 for i in range(n)}) for mask in masks]
     if any(verify_assignment(g, a) for a in found):

@@ -207,6 +207,12 @@ class TestBoundMinimization:
         report = minimize_gadget_cosine(grid_n=11)
         assert report.min_cosine >= BOUND_COSINE - 1e-3
 
+    @pytest.mark.parametrize("grid_n", [True, 2.5], ids=["bool", "fraction"])
+    def test_grid_size_that_is_not_an_integer_rejected(self, grid_n):
+        # True once read as one point, and 2.5 escaped from np.linspace
+        with pytest.raises(TypeError, match=f"^grid_n must be an integer, got {grid_n}$"):
+            minimize_gadget_cosine(grid_n)
+
 
 class TestParameterSolvers:
     def test_bound_angle_gives_unit_parameter(self):

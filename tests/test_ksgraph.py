@@ -728,12 +728,21 @@ class TestAssembleVariants:
             RotationStep("c2", math.radians(18.0), -3),
             RotationStep("c2", math.inf, 1),
             RotationStep("c2", math.nan, 1),
+            RotationStep("c2", math.radians(18.0), 1, emit="no"),
         ],
-        ids=["negative-repetitions", "infinite-angle", "nan-angle"],
+        ids=["negative-repetitions", "infinite-angle", "nan-angle", "text-emit"],
     )
     def test_bad_step_rejected(self, step):
-        # range(-3) is empty, so a negative count once returned one copy
+        # range(-3) is empty, so a negative count once returned one copy;
+        # a non-empty string is true, so emit="no" once emitted one
         with pytest.raises(ScheduleError, match=r"RotationStep\(axis_role='c2'"):
+            assemble_ks_set(math.radians(18.0), schedule=(step,))
+
+    @pytest.mark.parametrize("repetitions", [True, 2.5], ids=["bool", "fraction"])
+    def test_repetitions_that_are_not_an_integer_rejected(self, repetitions):
+        # True once turned one more copy, and 2.5 escaped from range()
+        step = RotationStep("c2", math.radians(18.0), repetitions)
+        with pytest.raises(TypeError, match=f"^repetitions must be an integer, got {repetitions}$"):
             assemble_ks_set(math.radians(18.0), schedule=(step,))
 
     def test_zero_repetitions_emit_no_copy(self):
@@ -1032,8 +1041,8 @@ class TestOrthogonalityGraph:
     )
     def test_abstract_structure_rejects_a_node_count_that_is_not_an_integer(self, count):
         # numpy would index with it, or read True as 1
-        message = rf"^node_count {re.escape(repr(count))} is not an integer$"
-        with pytest.raises(ValueError, match=message):
+        message = rf"^node_count must be an integer, got {re.escape(repr(count))}$"
+        with pytest.raises(TypeError, match=message):
             ksgraph.OrthogonalityGraph(count, [(0, 1)])
 
     def test_abstract_structure_stores_a_numpy_node_count_as_int(self):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,28 @@ class TestRay3:
 
     def test_label_not_part_of_identity(self):
         assert Ray3.from_vector((1, 0, 0), "a") == Ray3.from_vector((1, 0, 0), "b")
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda: Ray3("1", 0, 0),
+            lambda: Ray3.from_vector(("1", 0, 0)),
+            lambda: RaySet([["1", "0", "0"]], ["a"]),
+            lambda: projector_from_vector(("1", "0")),
+        ],
+        ids=["Ray3", "from_vector", "RaySet", "projector"],
+    )
+    def test_text_coordinates_rejected(self, read):
+        # a float conversion would parse the text, so a typo became a ray
+        with pytest.raises(TypeError, match=r"must be numbers, not text \(<U"):
+            read()
+
+    def test_fraction_coordinates_convert_to_floats(self):
+        # an object array of exact numbers is read element by element
+        exact, floats = (Fraction(3, 5), Fraction(4, 5), 0), (0.6, 0.8, 0.0)
+        assert Ray3(*exact) == Ray3(*floats) == Ray3.from_vector(exact)
+        assert RaySet([exact], ["a"]).matrix.tolist() == [list(floats)]
+        assert np.array_equal(projector_from_vector(exact), projector_from_vector(floats))
 
     @pytest.mark.parametrize(
         "xyz",
@@ -274,6 +297,14 @@ class TestTransitionProbability:
     def test_sign_other_than_one_rejected(self, prep_sign, meas_sign, name):
         with pytest.raises(ValueError, match=f"^{name} must be \\+1 or -1$"):
             transition_probability_spin_half(0.0, prep_sign, 0.0, meas_sign)
+
+    @pytest.mark.parametrize("sign", [True, 1.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("name", ["prep_sign", "meas_sign"])
+    def test_sign_that_is_not_an_integer_rejected(self, name, sign):
+        # both compare equal to +1, which once let them through
+        signs = {"prep_sign": 1, "meas_sign": 1, name: sign}
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {sign}$"):
+            transition_probability_spin_half(prep_theta=0.0, meas_theta=0.0, **signs)
 
     @given(prep=angles, meas=angles, sign=st.sampled_from([+1, -1]))
     @settings(max_examples=300)

@@ -105,6 +105,14 @@ class TestRunSequence:
             EnsembleSpec(n=2.5, prep_theta=0.0)
         with pytest.raises(TypeError, match="seed must be an integer, got 2.5"):
             EnsembleSpec(n=5, prep_theta=0.0, seed=2.5)
+        # True once ran one particle, and True and 1.0 passed as a +1 sign
+        with pytest.raises(TypeError, match="ensemble size must be an integer, got True"):
+            EnsembleSpec(n=True, prep_theta=0.0)
+        with pytest.raises(TypeError, match="seed must be an integer, got True"):
+            EnsembleSpec(n=5, prep_theta=0.0, seed=True)
+        for sign in (True, 1.0):
+            with pytest.raises(TypeError, match=f"prep_sign must be an integer, got {sign}"):
+                EnsembleSpec(n=5, prep_theta=0.0, prep_sign=sign)
         assert EnsembleSpec(n=np.int64(5), prep_theta=0.0).n == 5
 
     def test_ensemble_size_limit(self):
@@ -313,6 +321,10 @@ class TestContextualModel:
             sample_context_tables(PREP, [CTX_Z], 2.5, seed=0)
         with pytest.raises(TypeError, match="seed must be an integer, got 2.5"):
             sample_context_tables(PREP, [CTX_Z], 1, seed=2.5)
+        with pytest.raises(TypeError, match="n_samples must be an integer, got True"):
+            sample_context_tables(PREP, [CTX_Z], True, seed=0)
+        with pytest.raises(TypeError, match="seed must be an integer, got True"):
+            sample_context_tables(PREP, [CTX_Z], 1, seed=True)
 
 
 BLOCK = 1 << 16  # simulate.DRAW_BLOCK; literal here so the golden values stand alone

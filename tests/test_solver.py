@@ -383,6 +383,12 @@ class TestEnumerateAllColorings:
         small = OrthogonalityGraph(4, [])
         assert len(enumerate_all_colorings(small, cap=4)) == 16
 
+    @pytest.mark.parametrize("cap", [True, 2.5], ids=["bool", "fraction"])
+    def test_cap_that_is_not_an_integer_rejected(self, cap):
+        # True once capped a graph at one node, and 2.5 at two
+        with pytest.raises(TypeError, match=f"^cap must be an integer, got {cap}$"):
+            enumerate_all_colorings(OrthogonalityGraph(2, [(0, 1)]), cap=cap)
+
     def test_assignment_breaking_the_rules_is_refused(self, monkeypatch):
         # a scan that let the all-ones mask through must not have it returned
         scan = solver.satisfying_masks
