@@ -219,10 +219,14 @@ def gadget_for_angle(target: float, params: tuple[float, float] | None) -> Gadge
     Raises AngleRangeError, in degrees, when target lies outside
     [MIN_GADGET_ANGLE, arccos(sqrt(8)/3)] or when explicit params (x, y) do
     not realize it to within REALIZE_TOL (a non-finite closed form
-    included).  Without params, x = 1 and y is solved for.
+    included).  Without params, x = 1 and y is solved for, once per target
+    in a process: the GadgetSet, which is immutable, is memoised (the 128
+    most recent targets), and a target out of range raises on every call.
     """
     _check_angle(target)
-    x, y = params if params is not None else offdiagonal_parameters_for_angle(target)
+    if params is None:
+        return _default_gadget(target)
+    x, y = params
     realized = gadget_angle(x, y)
     if not abs(realized - target) <= REALIZE_TOL:
         raise AngleRangeError(
@@ -230,6 +234,11 @@ def gadget_for_angle(target: float, params: tuple[float, float] | None) -> Gadge
             f"not {math.degrees(target):.9g} deg"
         )
     return GadgetSet(x, y)
+
+
+@functools.lru_cache(maxsize=128)
+def _default_gadget(target: float) -> GadgetSet:
+    return gadget_for_angle(target, offdiagonal_parameters_for_angle(target))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,11 @@ prints: over 20,000 random 10-row copies none differed.  V @ m.T sums
 in another order and changed a coordinate in 99.96% of them;
 einsum('ij,ij->i') norms differed from v.dot(v) in 96.5%.
 
-Dedup and the edges share one float-error rule: one scan (_upper_pairs)
-of the pairs i < j and one bound, 32 (copies + 3) machine epsilons
-(_edge_bound).  Two labels name one ray when their cross product has norm
-|u x v| within the bound; two rays are an edge when |u . v| is.  Per
-rotation, with u half an epsilon, a coordinate of a unit ray gains at most
-6u sqrt(3) from rotation_matrix's entries (cos or sin to 2u, four
+Dedup and the edges share one float-error bound, 32 (copies + 3) machine
+epsilons (_edge_bound).  Two labels name one ray when their cross product
+has norm |u x v| within the bound; two rays are an edge when |u . v| is.
+Per rotation, with u half an epsilon, a coordinate of a unit ray gains at
+most 6u sqrt(3) from rotation_matrix's entries (cos or sin to 2u, four
 roundings), 3u from m @ v and 3u from renormalising, so the |dot| of two
 rays moves by under 17u (|a|_1 + |b|_1) <= 34 sqrt(3) u < 32 epsilons.
 The last copy has had copies + 2 rotations (alignment, steps, two pivots),
@@ -37,21 +36,35 @@ distinct rays 1.9e5 bounds apart or more (3.7e-7 at k = 90).  At k = 95
 three pairs outside the construction measure within the bound, so
 default_schedule stops at MAX_SWEEP_K = 90.
 
-Dedup scans the copies' stacked rows for |dot| >= 1 - bound, which misses
-no merge: a pair within the bound has 1 - |dot| of bound^2 / 2 plus a few
-units in the last place.  np.cross gives the norm; sqrt(1 - dot^2), like
-acos, cannot resolve less than about 1.5e-8.  Each row joins the first
-row it merges with (one np.minimum.at), and each cluster must be a
-clique, or dedup raises ValueError: the rule is not transitive on that
-input.  The scan reads each 128-row block of the upper triangle (no n x n
-array) with np.flatnonzero, a tenth of 2-D np.nonzero's cost, and a divmod
-by the block's width: a C-ordered block's flat indices ascend by row, then
-column.  RaySet.copies, one (copies, 10) table of ray indices by role,
-gives the copies' pairs as copies[:, GADGET_EDGES], and the graph finds
-them among the edges with one np.searchsorted on the ascending keys i n + j
-and passes the scan's arrays to OrthogonalityGraph, which checks them in
-numpy; np.unique, np.setdiff1d and np.isin would import numpy.ma (numpy
-2.4) on every run.
+Dedup takes its candidates from one sort of the projections p(u) = |u . w|
+onto the fixed unit direction w = (1, sqrt 2, sqrt 3) / sqrt 6: sweep rays
+lie in coordinate planes at symmetric angles, which an axis or a diagonal
+would project alike.  No merge escapes the window sqrt(2) bound + 2
+UNIT_ROW_TOL + 16 epsilons: for rows u, v with norms within t =
+UNIT_ROW_TOL of 1, s the sign of u . v and c = |u x v|, |u|^2 |v|^2 =
+c^2 + (u . v)^2 gives
+|u - s v|^2 = (|u| - |v|)^2 + 2 |u| |v| (1 - sqrt(1 - c^2 / (|u|^2 |v|^2)))
+<= (2t)^2 + 2 c^2 / (|u| |v|), as 1 - sqrt(1 - x) <= x on [0, 1], so
+|p(u) - p(v)| <= |u - s v| <= 2t + sqrt(2) c (1 + 2t), and the 16 epsilons
+cover the rounding of the projections, of w and of the computed |u x v|,
+a few epsilons each, and the 2 sqrt(2) c t term.  Each sorted row pairs
+with the rows after it up to the first projection beyond its own plus the
+window (one np.searchsorted): O(n log n) time, and memory for the rows and
+the candidates, mostly true merges (each axis carries k + 3 labels in a
+closed sweep): at k = 90, 13,920 candidates hold 13,101 merging pairs.
+np.cross gives the norm; sqrt(1 - dot^2), like acos, cannot resolve less
+than about 1.5e-8.  Each row joins the first row it merges with (one
+np.minimum.at), and each cluster must be a clique, or dedup raises
+ValueError: the rule is not transitive on that input.  The edge scan
+(_upper_pairs) computes each 128-row block of the upper triangle (no n x n
+array) into one buffer and reads it with np.flatnonzero, a tenth of 2-D
+np.nonzero's cost, and a divmod by the block's width: a C-ordered block's
+flat indices ascend by row, then column.  RaySet.copies, one (copies, 10)
+table of ray indices by role, gives the copies' pairs as
+copies[:, GADGET_EDGES], and the graph finds them among the edges with one
+np.searchsorted on the ascending keys i n + j and passes the scan's arrays
+to OrthogonalityGraph, which checks them in numpy; np.unique, np.setdiff1d
+and np.isin would import numpy.ma (numpy 2.4) on every run.
 """
 
 from __future__ import annotations
@@ -67,11 +80,13 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .gadget import APEX, C3, GADGET_EDGES, GADGET_ROLES, GadgetSet, gadget_for_angle
-from .linalg import Ray3, _canonical_units, _float_array, _integer, _unit_rows
+from .linalg import UNIT_ROW_TOL, Ray3, _canonical_units, _float_array, _integer, _unit_rows
 
 DEFAULT_STEP_ANGLE = math.radians(18.0)
 #: most steps per leg; from k = 95 on, non-construction pairs fall within _edge_bound
 MAX_SWEEP_K = 90
+#: dedup's projection direction: no axis or diagonal, in no coordinate plane
+_PROBE = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
 
 
 class ScheduleError(ValueError):
@@ -280,9 +295,7 @@ def dedupe_rays(matrix: np.ndarray, labels: Sequence[str]) -> RaySet:
 
 def _dedupe(mat: np.ndarray, labels: Sequence[str], bound: float) -> tuple[tuple, np.ndarray]:
     """The first three RaySet fields of labeled (m, 3) rows, and each row's ray index."""
-    first, second = _upper_pairs(mat, lambda d: d >= 1.0 - bound)
-    same = np.linalg.norm(np.cross(mat[first], mat[second]), axis=-1) <= bound
-    first, second = first[same], second[same]
+    first, second = _merge_pairs(mat, bound)
     rep = np.arange(len(mat))  # row of each row's representative
     np.minimum.at(rep, second, first)
     sizes = np.bincount(rep)  # a clique of m rays shares its rep and has m (m - 1) / 2 pairs
@@ -292,6 +305,22 @@ def _dedupe(mat: np.ndarray, labels: Sequence[str], bound: float) -> tuple[tuple
     rows, absorbed = np.flatnonzero(kept), np.flatnonzero(~kept)
     merges = [(labels[i], labels[k]) for i, k in zip(absorbed.tolist(), rep[absorbed].tolist())]
     return (mat[rows], [labels[i] for i in rows.tolist()], merges), (np.cumsum(kept) - 1)[rep]
+
+
+def _merge_pairs(mat: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of mat's unit rows with |u x v| <= bound, as two index
+    arrays, among the candidates of the sorted projections (module docstring)."""
+    proj = np.abs(mat @ _PROBE)
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    window = math.sqrt(2.0) * bound + 2 * UNIT_ROW_TOL + 16 * float(np.finfo(float).eps)
+    # sorted row a pairs with the runs[a] rows after it that lie within the window
+    runs = np.searchsorted(proj, proj + window, side="right") - np.arange(len(proj)) - 1
+    a = np.repeat(np.arange(len(proj)), runs)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(runs) - runs, runs)
+    first, second = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    same = np.linalg.norm(np.cross(mat[first], mat[second]), axis=-1) <= bound
+    return first[same], second[same]
 
 
 def _align_gadget(g: GadgetSet) -> np.ndarray:
@@ -350,8 +379,9 @@ def assemble_ks_set(
     # labels and the merge census counts triad-label overlaps directly
     n = len(copies)
     mat = np.concatenate([cp[1:] for cp in copies] + [cp[APEX, None] for cp in copies])
-    labels = [f"g{ci + 1:02d}:{role}" for ci in range(n) for role in GADGET_ROLES[1:]]
-    labels += [f"g{ci + 1:02d}:apex" for ci in range(n)]
+    prefixes = [f"g{ci + 1:02d}:" for ci in range(n)]
+    labels = [p + role for p in prefixes for role in GADGET_ROLES[1:]]
+    labels += [p + "apex" for p in prefixes]
     fields, index = _dedupe(mat, labels, _edge_bound(n))
     return RaySet(
         *fields,
@@ -428,14 +458,19 @@ class OrthogonalityGraph:
 
 def _edge_array(edges) -> np.ndarray:
     """edges as an (m, 2) integer array; ValueError names an edge that is
-    not a pair of integers, which numpy would truncate (1.5 to 1)."""
+    not a pair of integers, which numpy would truncate (1.5 to 1), or a
+    listed edge that holds a bool, which numpy reads as an integer."""
+    listed = not isinstance(edges, np.ndarray)  # an integer array holds no bool
     with contextlib.suppress(ValueError):  # numpy rejects ragged input
         pairs = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
         if pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "iu":
-            return pairs
-    rows, ints = edges.tolist() if isinstance(edges, np.ndarray) else edges, (int, np.integer)
-    for e in rows:
-        if np.asarray(e, dtype=object).shape != (2,) or not all(isinstance(v, ints) for v in e):
+            if not (listed and any(isinstance(v, (bool, np.bool_)) for e in edges for v in e)):
+                return pairs
+    ints = (int, np.integer)
+    for e in edges if listed else edges.tolist():
+        if np.asarray(e, dtype=object).shape != (2,) or not all(
+            isinstance(v, ints) and not (listed and isinstance(v, bool)) for v in e
+        ):
             raise ValueError(f"edge {e} is not a pair of integers")
     raise ValueError("the edges are not pairs of integers")
 
@@ -458,10 +493,16 @@ def _upper_pairs(mat: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
     """The pairs i < j of mat's rows whose |dot| passes keep, as two index
     arrays in ascending (i, j) order."""
     firsts, seconds = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo in range(0, len(mat), 128):  # row blocks of the upper triangle: no n x n float matrix
-        dots = mat[lo : lo + 128] @ mat[lo:].T
+    n = len(mat)
+    # every block fills one buffer: a fresh (128, n - lo) array per block can
+    # come from a fresh mmap, about 400 page faults per scan at n = 943
+    buf = np.empty(min(n, 128) * n)
+    for lo in range(0, n, 128):  # row blocks of the upper triangle: no n x n float matrix
+        block = mat[lo : lo + 128]
+        out = buf[: len(block) * (n - lo)].reshape(len(block), n - lo)
+        dots = np.matmul(block, mat[lo:].T, out=out)
         # a C-ordered block's flat indices ascend by row, then column
-        rows, cols = np.divmod(np.flatnonzero(keep(np.abs(dots, out=dots))), len(mat) - lo)
+        rows, cols = np.divmod(np.flatnonzero(keep(np.abs(dots, out=dots))), n - lo)
         upper = cols > rows
         firsts.append(rows[upper] + lo)
         seconds.append(cols[upper] + lo)

@@ -46,10 +46,13 @@ def _sign(value, name: str) -> int:
 
 def _float_array(values, name: str) -> np.ndarray:
     """np.array(values, dtype=float), always a new array; TypeError names
-    values that numpy reads as text, which that conversion would parse."""
-    read = np.asarray(values).dtype
-    if read.kind in "SU":
-        raise TypeError(f"{name} must be numbers, not text ({read})")
+    values that numpy reads as text, or an object array (numbers such as
+    Fractions convert) holding a str or bytes, which that conversion would
+    parse."""
+    read = np.asarray(values)
+    text = read.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in read.flat)
+    if read.dtype.kind in "SU" or text:
+        raise TypeError(f"{name} must be numbers, not text ({read.dtype})")
     return np.array(values, dtype=float)
 
 

@@ -292,14 +292,15 @@ class TestCliCommands:
         for name in files:
             assert (tmp_path / name).read_bytes() == (PAPER117 / name).read_bytes(), name
 
-    def test_check_coloring_scans_the_pairs_twice(self, capsys, monkeypatch):
-        # once for dedup and once for the graph, which the chain audit reads
+    def test_check_coloring_scans_the_pairs_once(self, capsys, monkeypatch):
+        # for the graph, which the chain audit reads; dedup takes its pairs
+        # from the sorted projections
         calls = []
         scan = ksgraph._upper_pairs
         monkeypatch.setattr(ksgraph, "_upper_pairs", lambda *a: calls.append(1) or scan(*a))
         assert main(["check-coloring"]) == 0
         assert "chain: contradiction: equal values" in capsys.readouterr().out
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_check_coloring_10_degree_stdout(self, capsys):
         assert main(["check-coloring", "--step-angle-deg", "10"]) == 0

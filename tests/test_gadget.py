@@ -292,6 +292,20 @@ class TestGadgetForAngle:
             t = solve_parameter_for_angle(float(target))
             gadget_for_angle(float(target), (t, t))
 
+    def test_default_gadget_is_solved_once_per_angle(self):
+        # the memo returns the one immutable gadget of each target
+        first = [gadget_for_angle(math.radians(deg), None) for deg in (18.0, 10.0, 2.25)]
+        again = [gadget_for_angle(math.radians(deg), None) for deg in (18.0, 10.0, 2.25)]
+        assert all(a is b for a, b in zip(first, again))
+        assert len({id(g) for g in first}) == 3
+        assert first[0] == build_gadget(*offdiagonal_parameters_for_angle(math.radians(18.0)))
+
+    @pytest.mark.parametrize("deg", [25.0, -5.0, math.nan])
+    def test_default_gadget_out_of_range_raises_on_every_call(self, deg):
+        for _ in range(3):
+            with pytest.raises(AngleRangeError, match="outside"):
+                gadget_for_angle(math.radians(deg), None)
+
     def test_nan_angle_fails_realize_check(self):
         # (1e200, 1) overflows the closed form to nan, which must not pass
         with pytest.raises(AngleRangeError, match="realizes nan deg, not 18 deg"):

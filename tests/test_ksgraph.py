@@ -178,6 +178,36 @@ class TestDedupeRays:
         k = rs.label_to_index["r60"]
         assert [rs.label_to_index[f"r{i}"] for i in range(60, 65)] == [k, k, k + 1, k + 2, k + 2]
 
+    def test_rows_short_of_unit_length_merge(self):
+        # a row of norm 1 - 5e-13 is a valid RaySet row (UNIT_ROW_TOL); with
+        # the unit row of its direction |u x v| is 0, though 1 - |u . v| is
+        # 5e-13, far beyond _edge_bound(0)
+        short = 1 - 5e-13
+        rows = np.array([[0.6, 0.8, 0], [0.6 * short, 0.8 * short, 0], [0, 0, 1]])
+        rs = dedupe_rays(rows, ["a", "b", "c"])
+        assert rs.labels == ("a", "c")
+        assert rs.merges == (("b", "a"),)
+
+    def test_rays_of_one_projection(self):
+        # 64 distinct rays on a cone about dedup's projection direction all
+        # project alike, so every pair of them is a candidate; each has a
+        # near-repeat and a near-antipode 0.3 bounds off, shuffled in
+        rng = np.random.default_rng(64)
+        w, b = ksgraph._PROBE, _edge_bound(0)
+        e1 = np.cross(w, (1.0, 0.0, 0.0))
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(w, e1)
+        cone = [0.8 * w + 0.6 * (math.cos(t) * e1 + math.sin(t) * e2)
+                for t in np.arange(64) * 2 * math.pi / 64]
+        near = [s * _jittered(rng, v, 0.3 * b) for v in cone for s in (1, -1)]
+        rays = [Ray3.from_vector(v) for v in [*cone, *rng.permutation(near)]]
+        projections = np.abs(np.array([r.vec for r in rays[:64]]) @ w)
+        assert np.ptp(projections) <= 1e-15
+        assert _assert_dedup_is_reference(rays)
+        rs = dedupe_rays(*_listed(rays))
+        assert len(rs.labels) == 64
+        assert len(rs.merges) == 128
+
     @pytest.mark.parametrize(
         "ys",
         [(0, 1.5, 3), (1.5, 0, 3), (0, 3, 1.5), (0, -1.9, 1.9, 3.8)],
@@ -259,7 +289,8 @@ class TestDedupeMatchesPlainScan:
     @pytest.mark.parametrize("count", [0, 1, 128, 129])
     def test_block_edges_of_the_pair_scan(self, count):
         # from 128 rays on, the last two are a near-repeat and a near-antipode
-        # of ray 0; at 129 the antipode is row 128, in the scan's second block
+        # of ray 0, the rows farthest from it in input order; dedup pairs them
+        # by projection, and the edge scan's 128-row blocks play no part
         rng = np.random.default_rng(count)
         rays = _frame_rays(count, seed=count)
         if count >= 128:
@@ -1077,13 +1108,17 @@ class TestOrthogonalityGraph:
             (np.array([0, 1]), r"edge 0 is not a pair of integers"),
             (np.array([[0, 1, 2]]), r"edge \[0, 1, 2\] is not a pair of integers"),
             (np.array([[True, False]]), r"the edges are not pairs of integers"),
+            ([(True, 2)], r"edge \(True, 2\) is not a pair of integers"),
+            ([(0, 1), (np.True_, 2)], r"edge \((np\.True_|True), 2\) is not a pair of integers"),
+            ([(0, False)], r"edge \(0, False\) is not a pair of integers"),
         ],
         ids=["float", "float-array", "integral-float", "string", "triple", "single",
-             "flat-array", "triple-array", "bool-array"],
+             "flat-array", "triple-array", "bool-array", "bool", "numpy-bool", "false"],
     )
     def test_edges_that_are_not_pairs_of_integers_rejected(self, edges, message):
-        # numpy would truncate 1.5 to 1 and read a flat array as no pairs at
-        # all; each such input raises, naming the edge where there is one
+        # numpy would truncate 1.5 to 1, read a flat array as no pairs at all
+        # and a listed bool as 0 or 1; each such input raises, naming the
+        # edge where there is one
         from ksparadox.ksgraph import OrthogonalityGraph
 
         with pytest.raises(ValueError, match=message):
@@ -1225,6 +1260,23 @@ def test_measured_dedup_margins(name):
     )
     assert merged <= bound / 50
     assert closest >= 1e5 * bound
+
+
+@pytest.mark.parametrize("name", ["k=5", "k=24", "k=90", "open-k40"])
+def test_sweep_dedup_equals_full_cross_scan(name):
+    # the stacked label rows, against |u x v| of all n x n pairs in blocks of
+    # 256 rows: the projection window drops no pair within the bound
+    rs, labeled, bound = _dedup_input(name)
+    mat = np.array([r.vec for r in labeled])
+    expected = set()
+    for lo in range(0, len(mat), 256):
+        cross = np.linalg.norm(np.cross(mat[lo : lo + 256, None], mat[None]), axis=-1)
+        expected |= {(lo + i, j) for i, j in np.argwhere(cross <= bound).tolist() if lo + i < j}
+    first, second = ksgraph._merge_pairs(mat, bound)
+    assert set(zip(first.tolist(), second.tolist())) == expected
+    index = np.array([rs.label_to_index[r.label] for r in labeled])
+    same_ray = np.argwhere(np.triu(index[:, None] == index[None], 1))
+    assert set(map(tuple, same_ray.tolist())) == expected
 
 
 def test_measured_unit_row_margin():

@@ -66,6 +66,23 @@ class TestRay3:
         with pytest.raises(TypeError, match=r"must be numbers, not text \(<U"):
             read()
 
+    @pytest.mark.parametrize("text", ["0", b"0"], ids=["str", "bytes"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda t: Ray3(Fraction(1), t, 0),
+            lambda t: Ray3.from_vector((Fraction(1), t, 0)),
+            lambda t: RaySet([[Fraction(1), t, 0]], ["a"]),
+            lambda t: projector_from_vector((Fraction(1), t)),
+        ],
+        ids=["Ray3", "from_vector", "RaySet", "projector"],
+    )
+    def test_text_among_numbers_rejected(self, read, text):
+        # numbers and text together make an object array, which a float
+        # conversion would read element by element, parsing the text
+        with pytest.raises(TypeError, match=r"must be numbers, not text \(object\)"):
+            read(text)
+
     def test_fraction_coordinates_convert_to_floats(self):
         # an object array of exact numbers is read element by element
         exact, floats = (Fraction(3, 5), Fraction(4, 5), 0), (0.6, 0.8, 0.0)
